@@ -22,7 +22,7 @@ from .exact_filter import MixturePosterior, exact_sssm_filter
 from .experiments import (ConfigError, ExperimentSpec, MetricsRecord,
                           load_config, run_experiment, run_se, write_csv)
 from .rng import stream
-from .scenario import (Scenario, UserProfile, bessel_j0, derive_noise_var,
+from .scenario import (Profiles, Scenario, bessel_j0, derive_noise_var,
                        gen_user_profiles, make_scenario, simulate_activity,
                        simulate_channels, synthesize_received)
 from .sequential import (PosteriorSummary, SequenceResult, initial_prior,

@@ -15,17 +15,12 @@ import argparse
 import sys
 
 from . import acceptance
-from .experiments import (ConfigError, load_config, run_experiment, run_se,
-                          write_csv, write_se_csv)
+from .experiments import (SCALAR_KEYS, ConfigError, load_config,
+                          run_experiment, run_se, write_csv, write_se_csv)
 
-# config keys that may be set straight from the command line
-_FLAG_KEYS = (
-    "n_users", "pilot_len", "n_adts", "lambda", "r_scale", "r0",
-    "tx_power_dbm", "noise_psd_dbm_hz", "bandwidth_hz", "adp_duration_s",
-    "carrier_hz", "dist_min_km", "dist_max_km", "speed_min_kmh",
-    "speed_max_kmh", "pathloss_intercept_db", "pathloss_slope", "amp_iters",
-    "c0_factor", "nor_ref_dbm", "soft_alpha",
-)
+# config keys that may be set straight from the command line; seed and
+# n_trials have their own --seed and --trials flags
+_FLAG_KEYS = tuple(k for k in SCALAR_KEYS if k not in ("seed", "n_trials"))
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -62,6 +57,21 @@ def _flags_from_args(args: argparse.Namespace) -> dict:
     return flags
 
 
+def _criteria_ids(text: str | None) -> list[int] | None:
+    """Criterion numbers from a comma list; None (all) when not given."""
+    if not text:
+        return None
+    ids = []
+    for tok in filter(None, (t.strip() for t in text.split(","))):
+        cid = int(tok) if tok.isdecimal() else None
+        if cid not in acceptance.CHECKS:
+            raise ConfigError(f"--criteria: no criterion {tok!r} "
+                              f"(choose from {min(acceptance.CHECKS)}-"
+                              f"{max(acceptance.CHECKS)})")
+        ids.append(cid)
+    return ids
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="seqamp",
@@ -79,18 +89,18 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
 
-    if args.command == "check":
-        ids = None
-        if args.criteria:
-            ids = [int(tok) for tok in args.criteria.split(",") if tok.strip()]
-        return 0 if acceptance.run_checks(ids) else 1
-
     try:
-        spec = load_config(args.config, _flags_from_args(args),
-                           desk=args.desk, workers=args.workers)
+        if args.command == "check":
+            ids = _criteria_ids(args.criteria)
+        else:
+            spec = load_config(args.config, _flags_from_args(args),
+                               desk=args.desk, workers=args.workers)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+
+    if args.command == "check":
+        return 0 if acceptance.run_checks(ids) else 1
 
     if args.command == "se":
         rows = run_se(spec)

@@ -28,6 +28,8 @@ __all__ = [
     "metric_nmse",
     "metric_dep",
     "detection_counts",
+    "nmse_db",
+    "dep_from_counts",
 ]
 
 NMSE_FLOOR_DB = -300.0  # sentinel for zero (or absurdly small) error energy
@@ -98,7 +100,16 @@ def metric_nmse(est: np.ndarray, truth: np.ndarray,
     energy = float(np.sum(np.abs(truth) ** 2))
     if energy <= 0.0:
         raise ValueError("NMSE undefined: truth restricted to mask has zero energy")
-    err = float(np.sum(np.abs(est - truth) ** 2))
+    return nmse_db(float(np.sum(np.abs(est - truth) ** 2)), energy)
+
+
+def nmse_db(err: float, energy: float) -> float:
+    """10*log10(err/energy) from pooled sums, floored at -300 dB.
+
+    Zero error returns the floor; zero truth energy returns NaN.
+    """
+    if energy <= 0.0:
+        return float("nan")
     if err == 0.0:
         return NMSE_FLOOR_DB
     return max(10.0 * np.log10(err / energy), NMSE_FLOOR_DB)
@@ -121,7 +132,11 @@ def metric_dep(decisions: np.ndarray, truth_activity: np.ndarray) -> float:
     P_FA = false alarms / truly inactive, P_MD = misses / truly active.
     An empty class contributes zero (nothing to misclassify).
     """
-    fa, md, n_inactive, n_active = detection_counts(decisions, truth_activity)
+    return dep_from_counts(*detection_counts(decisions, truth_activity))
+
+
+def dep_from_counts(fa, md, n_inactive, n_active) -> float:
+    """P_FA + P_MD from pooled counts; an empty class contributes zero."""
     p_fa = fa / n_inactive if n_inactive else 0.0
     p_md = md / n_active if n_active else 0.0
     return p_fa + p_md

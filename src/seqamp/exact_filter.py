@@ -22,7 +22,6 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .config import SystemConfig
-from .scenario import UserProfile
 
 __all__ = [
     "MixturePosterior",
@@ -70,12 +69,13 @@ def _log_cn(y: np.ndarray, mean, var) -> np.ndarray:
     return -np.log(np.pi * var) - np.abs(y - mean) ** 2 / var
 
 
-def exact_sssm_filter(observations, noise_levels, profile: UserProfile,
+def exact_sssm_filter(observations, noise_levels, eta: float, rho: float,
                       cfg: SystemConfig) -> list[MixturePosterior]:
     """Exact filtering posteriors p(a_t, h_t | phi_1..phi_t) for t = 1..T.
 
     ``observations`` are the scalar pseudo-observations phi_t and
-    ``noise_levels`` the matching Gaussian noise variances c_t.  Horizons
+    ``noise_levels`` the matching Gaussian noise variances c_t; ``eta`` and
+    ``rho`` are the user's AR-1 coefficient and channel power.  Horizons
     above MAX_HORIZON are refused (mixture size doubles per step).
     """
     phis = np.asarray(observations, dtype=complex)
@@ -85,7 +85,6 @@ def exact_sssm_filter(observations, noise_levels, profile: UserProfile,
     t_total = phis.shape[0]
     if t_total > MAX_HORIZON:
         raise ValueError(f"horizon {t_total} exceeds exact-filter cap {MAX_HORIZON}")
-    eta, rho = profile.ar_coeff, profile.channel_var
     lam, p01, p10 = cfg.lam, cfg.p01, cfg.p10
 
     # components carried in log-weight form; start from the stationary prior

@@ -6,6 +6,8 @@ Keys mirror the SystemConfig fields (``lambda`` maps to the ``lam`` field;
 etc.).  Exactly one of the sweepable keys (tx_power_dbm, pilot_len, r0,
 lambda, adp_duration_s) may carry a comma-separated list, which becomes the
 sweep axis.  CLI flags override file values, which override defaults.
+``r0`` and ``r_scale`` spell one setting: the file, or the flags, may give
+only one of them, and a flag for either replaces the file's.
 
 Every (sweep point, trial) pair owns hash-derived streams, all requested
 algorithms consume the identical Scenario (paired comparison), and rows are
@@ -17,14 +19,15 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from . import baselines
 from .config import SystemConfig
-from .detection import detect_sequence, detection_counts
+from .detection import dep_from_counts, detect_sequence, detection_counts, nmse_db
 from .scenario import Scenario, make_scenario
 from .sequential import s_amp_run
 from .state_evolution import SE_TRACE_SAMPLES, se_sequential_trace
@@ -39,6 +42,7 @@ __all__ = [
     "write_csv",
     "write_se_csv",
     "ALGORITHMS",
+    "SCALAR_KEYS",
     "SWEEP_KEYS",
 ]
 
@@ -48,15 +52,24 @@ CSV_HEADER = "sweep_axis,sweep_value,algorithm,adt,nmse_x_db,nmse_h_db,dep,trial
 SE_CSV_HEADER = "t,algorithm,nor_ct,pilot_len,tx_power_dbm"
 CALIBRATION_TRIAL = -1  # held-out trial index for soft-threshold tuning
 
-_INT_KEYS = {"n_users", "pilot_len", "n_adts", "amp_iters", "seed", "n_trials"}
-_FLOAT_KEYS = {
-    "lambda", "r_scale", "r0", "tx_power_dbm", "noise_psd_dbm_hz",
-    "bandwidth_hz", "adp_duration_s", "carrier_hz", "dist_min_km",
-    "dist_max_km", "speed_min_kmh", "speed_max_kmh", "pathloss_intercept_db",
-    "pathloss_slope", "c0_factor", "nor_ref_dbm", "soft_alpha",
+# SystemConfig fields whose config keys differ from the field name:
+# ``lambda`` sets ``lam``, ``r0`` is a second spelling of ``r_scale``
+# (r_scale = 1/2**r0), and a range field is set one end at a time.  Every
+# other field is keyed by its own name.
+_FIELD_KEYS = {
+    "lam": ("lambda",),
+    "r_scale": ("r_scale", "r0"),
+    "dist_range_km": ("dist_min_km", "dist_max_km"),
+    "speed_range_kmh": ("speed_min_kmh", "speed_max_kmh"),
 }
+_KEY_FIELD = {key: name for name, keys in _FIELD_KEYS.items() for key in keys}
+SCALAR_KEYS = tuple(key for f in fields(SystemConfig)
+                    for key in _FIELD_KEYS.get(f.name, (f.name,)))
+_INT_KEYS = {name for name, kind in get_type_hints(SystemConfig).items()
+             if kind is int}
+_FLOAT_KEYS = set(SCALAR_KEYS) - _INT_KEYS
 _STR_KEYS = {"algos", "out"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
+_ALL_KEYS = set(SCALAR_KEYS) | _STR_KEYS
 
 
 class ConfigError(ValueError):
@@ -158,7 +171,7 @@ def _parse_entry(key: str, value: str, where: str):
 
 
 def _build_spec(entries: dict, desk: bool, workers: int) -> ExperimentSpec:
-    fields = dict(
+    values_by_field = dict(
         n_users=500, pilot_len=125, n_adts=10, n_trials=20,
     ) if desk else {}
     axis, values = None, ()
@@ -169,28 +182,18 @@ def _build_spec(entries: dict, desk: bool, workers: int) -> ExperimentSpec:
                     f"two sweep axes given ({axis} and {key}); exactly one is allowed")
             axis, values = key, tuple(val)
             continue
-        if key == "lambda":
-            fields["lam"] = val
-        elif key == "r0":
-            fields["r_scale"] = 1.0 / 2.0 ** float(val)
-        elif key == "dist_min_km":
-            lo, hi = fields.get("dist_range_km", SystemConfig.dist_range_km)
-            fields["dist_range_km"] = (val, hi)
-        elif key == "dist_max_km":
-            lo, hi = fields.get("dist_range_km", SystemConfig.dist_range_km)
-            fields["dist_range_km"] = (lo, val)
-        elif key == "speed_min_kmh":
-            lo, hi = fields.get("speed_range_kmh", SystemConfig.speed_range_kmh)
-            fields["speed_range_kmh"] = (val, hi)
-        elif key == "speed_max_kmh":
-            lo, hi = fields.get("speed_range_kmh", SystemConfig.speed_range_kmh)
-            fields["speed_range_kmh"] = (lo, val)
-        elif key in ("algos", "out"):
+        if key in _STR_KEYS:
             continue
-        else:
-            fields[key] = val
+        name = _KEY_FIELD.get(key, key)
+        if key == "r0":
+            val = 1.0 / 2.0 ** float(val)
+        elif name in ("dist_range_km", "speed_range_kmh"):
+            bounds = list(values_by_field.get(name, getattr(SystemConfig, name)))
+            bounds[_FIELD_KEYS[name].index(key)] = val
+            val = tuple(bounds)
+        values_by_field[name] = val
     try:
-        base = SystemConfig(**fields)
+        base = SystemConfig(**values_by_field)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     algos = entries.get("algos", "s_amp,amp_mmse")
@@ -208,14 +211,28 @@ def load_config(path: str | None = None, flags: dict | None = None,
             text = Path(path).read_text()
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        entries.update(parse_config_text(text))
+        entries = parse_config_text(text)
+        _check_one_r_spelling(entries, f"config file {path}")
+    flag_entries = {}
     for key, value in (flags or {}).items():
         if value is None:
             continue
         if key not in _ALL_KEYS:
             raise ConfigError(f"unknown config key {key!r} from flags")
-        entries[key] = _parse_entry(key, str(value), f"flag --{key}")
+        flag_entries[key] = _parse_entry(key, str(value), f"flag --{key}")
+    _check_one_r_spelling(flag_entries, "flags")
+    if any(key in flag_entries for key in _FIELD_KEYS["r_scale"]):
+        # a flag for r overrides the file's r under either spelling
+        for key in _FIELD_KEYS["r_scale"]:
+            entries.pop(key, None)
+    entries.update(flag_entries)
     return _build_spec(entries, desk, workers)
+
+
+def _check_one_r_spelling(entries: dict, where: str) -> None:
+    """r0 and r_scale spell one setting: one source may give only one."""
+    if all(key in entries for key in _FIELD_KEYS["r_scale"]):
+        raise ConfigError(f"{where} set both r_scale and r0; give only one")
 
 
 # ---------------------------------------------------------------------------
@@ -280,19 +297,6 @@ def _trial_raw(cfg: SystemConfig, trial: int, algorithms: tuple[str, ...]) -> di
 def _pooled_records(axis_name: str, value, cfg: SystemConfig, algorithms,
                     trial_results: list[dict], elapsed: float):
     """Aggregate pooled metrics into MetricsRecords (per ADT and overall)."""
-
-    def _nmse(err: float, energy: float) -> float:
-        if energy <= 0.0:
-            return float("nan")
-        if err == 0.0:
-            return -300.0
-        return max(10.0 * float(np.log10(err / energy)), -300.0)
-
-    def _dep(fa, md, n_in, n_act) -> float:
-        p_fa = fa / n_in if n_in else 0.0
-        p_md = md / n_act if n_act else 0.0
-        return p_fa + p_md
-
     records = []
     errors = []
     n_trials = len(trial_results)
@@ -310,12 +314,12 @@ def _pooled_records(axis_name: str, value, cfg: SystemConfig, algorithms,
         for t in range(total.shape[1]):
             records.append(MetricsRecord(
                 axis_name, value_repr, name, t + 1,
-                _nmse(total[0, t], total[1, t]), _nmse(total[2, t], total[3, t]),
-                _dep(*total[4:8, t]), n_trials, elapsed, cfg.seed))
+                nmse_db(total[0, t], total[1, t]), nmse_db(total[2, t], total[3, t]),
+                dep_from_counts(*total[4:8, t]), n_trials, elapsed, cfg.seed))
         s = total.sum(axis=1)
         records.append(MetricsRecord(
             axis_name, value_repr, name, "all",
-            _nmse(s[0], s[1]), _nmse(s[2], s[3]), _dep(*s[4:8]),
+            nmse_db(s[0], s[1]), nmse_db(s[2], s[3]), dep_from_counts(*s[4:8]),
             n_trials, elapsed, cfg.seed))
     return records, errors
 

@@ -23,7 +23,7 @@ from .config import SPEED_OF_LIGHT, SystemConfig
 from .rng import stream
 
 __all__ = [
-    "UserProfile",
+    "Profiles",
     "Scenario",
     "bessel_j0",
     "derive_noise_var",
@@ -41,20 +41,20 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class UserProfile:
-    """Large-scale parameters of one user link.
+class Profiles:
+    """Large-scale parameters of every user link, one (n,) array per field.
 
-    ``channel_var`` is the stationary channel power with the transmit power
-    absorbed: 10**((tx_power_dbm + pathloss_db - 30)/10) watts.
-    ``ar_coeff`` is J0(2*pi*doppler_hz*adp_duration).
+    ``channel_var`` is the stationary channel power rho_n with the transmit
+    power absorbed: 10**((tx_power_dbm + pathloss_db - 30)/10) watts.
+    ``ar_coeff`` is eta_n = J0(2*pi*doppler_hz*adp_duration).
     """
 
-    distance_km: float
-    speed_mps: float
-    pathloss_db: float
-    channel_var: float
-    doppler_hz: float
-    ar_coeff: float
+    distance_km: np.ndarray
+    speed_mps: np.ndarray
+    pathloss_db: np.ndarray
+    channel_var: np.ndarray
+    doppler_hz: np.ndarray
+    ar_coeff: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ class Scenario:
     """One generated problem instance (known + hidden ground truth)."""
 
     pilots: np.ndarray          # (L, N) complex, columns ~ CN(0, I/L)
-    profiles: list[UserProfile]
+    profiles: Profiles
     activity: np.ndarray        # (N, T) int8 in {0, 1}
     channels: np.ndarray        # (N, T) complex
     sparse_signal: np.ndarray   # (N, T) complex, activity * channels
@@ -123,7 +123,7 @@ def derive_noise_var(cfg: SystemConfig) -> float:
 
 
 def gen_user_profiles(cfg: SystemConfig, rng: np.random.Generator,
-                      n: int | None = None) -> list[UserProfile]:
+                      n: int | None = None) -> Profiles:
     """Draw per-user geometry and derived radio parameters.
 
     Distances and speeds are uniform on their configured ranges; path loss
@@ -140,10 +140,7 @@ def gen_user_profiles(cfg: SystemConfig, rng: np.random.Generator,
     # ~3e-9 near x = 0, which would make the AR-1 innovation variance negative.
     eta = np.clip(bessel_j0(2.0 * np.pi * doppler * cfg.adp_duration_s), -1.0, 1.0)
     rho = 10.0 ** ((cfg.tx_power_dbm + pathloss_db - 30.0) / 10.0)
-    return [
-        UserProfile(d_km[i], v_mps[i], pathloss_db[i], rho[i], doppler[i], eta[i])
-        for i in range(n)
-    ]
+    return Profiles(d_km, v_mps, pathloss_db, rho, doppler, eta)
 
 
 def gen_pilots(cfg: SystemConfig, rng: np.random.Generator) -> np.ndarray:
@@ -194,11 +191,10 @@ def ar1_channels(rho: np.ndarray, eta: np.ndarray, n_steps: int,
     return h
 
 
-def simulate_channels(profiles: list[UserProfile], cfg: SystemConfig,
+def simulate_channels(profiles: Profiles, cfg: SystemConfig,
                       rng: np.random.Generator) -> np.ndarray:
     """(N, T) stationary AR-1 channel matrix for the given profiles."""
-    return ar1_channels(channel_vars(profiles), ar_coeffs(profiles),
-                        cfg.n_adts, rng)
+    return ar1_channels(profiles.channel_var, profiles.ar_coeff, cfg.n_adts, rng)
 
 
 def synthesize_received(pilots: np.ndarray, sparse_signal: np.ndarray,
@@ -215,14 +211,18 @@ def synthesize_received(pilots: np.ndarray, sparse_signal: np.ndarray,
     return pilots @ sparse_signal + w
 
 
-def make_scenario(cfg: SystemConfig, trial: int = 0) -> Scenario:
+def make_scenario(cfg: SystemConfig, trial: int = 0,
+                  profiles: Profiles | None = None) -> Scenario:
     """Generate a full Scenario from (cfg, cfg.seed, trial).
 
     Each ingredient draws from its own purpose-tagged stream, so e.g.
     regenerating channels alone reproduces exactly what this call made.
+    ``profiles`` replaces the drawn link profiles (e.g. with eta zeroed);
+    every other ingredient is drawn exactly as without it.
     """
     pilots = gen_pilots(cfg, stream(cfg.seed, trial, "pilots"))
-    profiles = gen_user_profiles(cfg, stream(cfg.seed, trial, "profiles"))
+    if profiles is None:
+        profiles = gen_user_profiles(cfg, stream(cfg.seed, trial, "profiles"))
     activity = simulate_activity(cfg, stream(cfg.seed, trial, "activity"))
     channels = simulate_channels(profiles, cfg, stream(cfg.seed, trial, "channels"))
     sparse = activity * channels
@@ -232,11 +232,11 @@ def make_scenario(cfg: SystemConfig, trial: int = 0) -> Scenario:
     return Scenario(pilots, profiles, activity, channels, sparse, received, noise_var)
 
 
-def channel_vars(profiles: list[UserProfile]) -> np.ndarray:
+def channel_vars(profiles: Profiles) -> np.ndarray:
     """Vector of stationary channel powers rho_n."""
-    return np.array([p.channel_var for p in profiles])
+    return profiles.channel_var
 
 
-def ar_coeffs(profiles: list[UserProfile]) -> np.ndarray:
+def ar_coeffs(profiles: Profiles) -> np.ndarray:
     """Vector of AR-1 coefficients eta_n."""
-    return np.array([p.ar_coeff for p in profiles])
+    return profiles.ar_coeff

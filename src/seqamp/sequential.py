@@ -28,7 +28,7 @@ from scipy.special import expit
 from .amp import AmpDivergenceError, AmpState, amp_run
 from .config import SystemConfig
 from .denoiser import BgPrior, log_evidence_ratio, log_gamma
-from .scenario import Scenario, UserProfile, ar_coeffs, channel_vars
+from .scenario import Profiles, Scenario, ar_coeffs, channel_vars
 
 __all__ = [
     "PosteriorSummary",
@@ -76,7 +76,7 @@ class SequenceResult:
         return np.stack([r.amp.mu for r in self.records], axis=1)
 
 
-def initial_prior(cfg: SystemConfig, profiles: list[UserProfile]) -> BgPrior:
+def initial_prior(cfg: SystemConfig, profiles: Profiles) -> BgPrior:
     """First-frame prior: pi = lam, xi = 0, psi = rho_n for every user."""
     rho = channel_vars(profiles)
     n = rho.shape[0]
@@ -138,7 +138,7 @@ def _propagate_arrays(post: PosteriorSummary, eta: np.ndarray, rho: np.ndarray,
     return BgPrior(pi_next, xi_next, psi_next)
 
 
-def prior_propagate(post: PosteriorSummary, profiles: list[UserProfile],
+def prior_propagate(post: PosteriorSummary, profiles: Profiles,
                     cfg: SystemConfig) -> BgPrior:
     """Push the matched posterior through the transition kernels."""
     return _propagate_arrays(post, ar_coeffs(profiles), channel_vars(profiles), cfg)

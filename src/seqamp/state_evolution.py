@@ -78,13 +78,6 @@ class SeTrace:
     converged: bool
 
 
-def _draw_link_stats(cfg: SystemConfig, rng: np.random.Generator, m: int):
-    profiles = gen_user_profiles(cfg, rng, n=m)
-    rho = np.array([p.channel_var for p in profiles])
-    eta = np.array([p.ar_coeff for p in profiles])
-    return rho, eta
-
-
 def _cn_unit(rng: np.random.Generator, shape) -> np.ndarray:
     return np.sqrt(0.5) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
@@ -97,7 +90,7 @@ def static_sampler(cfg: SystemConfig) -> Callable[[int, np.random.Generator], Se
     """
 
     def draw(m: int, rng: np.random.Generator) -> SeSamples:
-        rho, _ = _draw_link_stats(cfg, rng, m)
+        rho = gen_user_profiles(cfg, rng, n=m).channel_var
         active = rng.random(m) < cfg.lam
         x = active * np.sqrt(rho) * _cn_unit(rng, m)
         prior = BgPrior(np.full(m, cfg.lam), np.zeros(m, dtype=complex), rho)
@@ -145,7 +138,8 @@ def se_sequential_trace(cfg: SystemConfig, n_samples: int = SE_TRACE_SAMPLES,
     if noise_var is None:
         noise_var = derive_noise_var(cfg)
     t_total = cfg.n_adts
-    rho, eta = _draw_link_stats(cfg, stream(cfg.seed, trial, "se-profiles"), n_samples)
+    profiles = gen_user_profiles(cfg, stream(cfg.seed, trial, "se-profiles"), n=n_samples)
+    rho, eta = profiles.channel_var, profiles.ar_coeff
     act = markov_activity(cfg.lam, cfg.p01, cfg.p10, n_samples, t_total,
                           stream(cfg.seed, trial, "se-activity"))
     h = ar1_channels(rho, eta, t_total, stream(cfg.seed, trial, "se-channels"))

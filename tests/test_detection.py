@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqamp.denoiser import BgPrior, gamma, log_gamma
-from seqamp.detection import (bayes_detect, channel_estimate, detect_sequence,
-                              detection_counts, llr_detect, llr_statistic,
-                              metric_dep, metric_nmse)
+from seqamp.detection import (bayes_detect, channel_estimate, dep_from_counts,
+                              detect_sequence, detection_counts, llr_detect,
+                              llr_statistic, metric_dep, metric_nmse, nmse_db)
 from seqamp.sequential import PosteriorSummary
 
 
@@ -149,8 +149,19 @@ class TestNmse:
         with pytest.raises(ValueError):
             metric_nmse(np.ones((2, 2), dtype=complex), np.zeros((2, 2), dtype=complex))
 
+    def test_pooled_sums_form(self):
+        # the harness scores pooled sums: NaN instead of raising on zero energy
+        assert np.isnan(nmse_db(1.0, 0.0))
+        assert nmse_db(0.0, 2.0) == -300.0
+        assert nmse_db(1e-40, 1.0) == -300.0
+        assert nmse_db(0.2, 20.0) == pytest.approx(-20.0, abs=1e-9)
+
 
 class TestDep:
+    def test_pooled_counts_form(self):
+        assert dep_from_counts(3, 1, 10, 4) == pytest.approx(0.3 + 0.25)
+        assert dep_from_counts(2, 0, 8, 0) == pytest.approx(0.25)  # no active users
+
     def test_perfect_detection(self):
         a = np.array([[1, 0], [0, 1]])
         assert metric_dep(a, a) == 0.0

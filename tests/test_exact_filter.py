@@ -8,12 +8,12 @@ from seqamp.denoiser import BgPrior
 from seqamp.exact_filter import (ar1_grid_kernel, exact_sssm_filter, grid_axis,
                                  grid_kl, mixture_on_grid, product_on_grid,
                                  push_transition)
-from seqamp.scenario import UserProfile
 from seqamp.sequential import _propagate_arrays, moment_match
 
 
 def profile(eta, rho=1.0):
-    return UserProfile(0.1, 1.0, -100.0, rho, 10.0, eta)
+    """(eta, rho) link statistics, in exact_sssm_filter's argument order."""
+    return eta, rho
 
 
 def kalman_reference(phis, cs, eta, rho):
@@ -33,7 +33,7 @@ class TestFilterBasics:
     def test_first_step_equals_moment_matching(self):
         cfg = SystemConfig(n_users=4, pilot_len=4, n_adts=1, lam=0.3, r_scale=0.2)
         phi, c = 0.8 + 0.4j, 0.3
-        post = exact_sssm_filter([phi], [c], profile(0.95), cfg)[0]
+        post = exact_sssm_filter([phi], [c], *profile(0.95), cfg)[0]
         mm = moment_match(np.array([phi]), c, BgPrior(cfg.lam, 0j, 1.0))
         assert post.e_a == pytest.approx(mm.pi_bar[0], rel=1e-12)
         assert post.e_h == pytest.approx(mm.xi_bar[0], rel=1e-12)
@@ -44,7 +44,7 @@ class TestFilterBasics:
         rng = np.random.default_rng(3)
         cs = rng.uniform(0.1, 0.5, 6)
         phis = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        posts = exact_sssm_filter(phis, cs, profile(0.0), cfg)
+        posts = exact_sssm_filter(phis, cs, *profile(0.0), cfg)
         prior = BgPrior(cfg.lam, 0j, 1.0)
         for t in range(6):
             mm = moment_match(np.array([phis[t]]), cs[t], prior)
@@ -56,7 +56,7 @@ class TestFilterBasics:
     def test_component_count_doubles(self):
         cfg = SystemConfig(n_users=4, pilot_len=4, n_adts=5, lam=0.2, r_scale=0.3)
         phis = np.ones(5, dtype=complex)
-        posts = exact_sssm_filter(phis, np.full(5, 0.2), profile(0.9), cfg)
+        posts = exact_sssm_filter(phis, np.full(5, 0.2), *profile(0.9), cfg)
         for t, post in enumerate(posts):
             assert post.weights.shape[0] == 2 ** (t + 1)
             assert post.weights.sum() == pytest.approx(1.0)
@@ -65,7 +65,7 @@ class TestFilterBasics:
         cfg = SystemConfig(n_users=4, pilot_len=4, n_adts=13, lam=0.2, r_scale=0.3)
         with pytest.raises(ValueError, match="cap"):
             exact_sssm_filter(np.ones(13, dtype=complex), np.ones(13),
-                              profile(0.9), cfg)
+                              *profile(0.9), cfg)
 
     def test_always_active_limit_matches_kalman(self):
         # lam ~ 1 and p01 ~ 0: the filter must follow the pure Kalman recursion
@@ -75,7 +75,7 @@ class TestFilterBasics:
         eta, rho = 0.95, 1.0
         cs = rng.uniform(0.1, 0.4, 6)
         phis = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        posts = exact_sssm_filter(phis, cs, profile(eta, rho), cfg)
+        posts = exact_sssm_filter(phis, cs, *profile(eta, rho), cfg)
         ref = kalman_reference(phis, cs, eta, rho)
         for post, (m_ref, p_ref) in zip(posts, ref):
             assert post.e_a == pytest.approx(1.0, abs=1e-6)
@@ -127,7 +127,7 @@ class TestGridMachinery:
             cs = rng.uniform(0.05, 0.5, t_total)
             phis = (rng.standard_normal(t_total)
                     + 1j * rng.standard_normal(t_total))
-            post = exact_sssm_filter(phis, cs, profile(eta), cfg)[-1]
+            post = exact_sssm_filter(phis, cs, *profile(eta), cfg)[-1]
             xs = grid_axis(6.0, 201)
             p = mixture_on_grid(post, xs)
             q = product_on_grid(post.e_a, post.e_h, post.var_h, xs)
@@ -141,4 +141,4 @@ class TestGridMachinery:
         cfg = SystemConfig(n_users=4, pilot_len=4, n_adts=3, lam=0.2, r_scale=0.3)
         with pytest.raises(ValueError):
             exact_sssm_filter(np.ones(3, dtype=complex), np.ones(2),
-                              profile(0.9), cfg)
+                              *profile(0.9), cfg)

@@ -1,5 +1,8 @@
 """Config parsing, sweep execution, CSV emission, CLI plumbing."""
 
+from dataclasses import fields
+from typing import get_type_hints
+
 import numpy as np
 import pytest
 
@@ -85,6 +88,40 @@ class TestConfigParsing:
     def test_invalid_field_value_is_config_error(self):
         with pytest.raises(ConfigError):
             load_config(None, {"lambda": "1.5"})
+
+    def test_every_scalar_field_round_trips_with_its_type(self, tmp_path):
+        # lam is keyed as lambda; each value differs from the default
+        types = get_type_hints(SystemConfig)
+        want = {f.name: (f.default + 1 if types[f.name] is int else f.default / 2)
+                for f in fields(SystemConfig) if types[f.name] in (int, float)}
+        path = tmp_path / "all.cfg"
+        path.write_text("".join(f"{'lambda' if name == 'lam' else name} = {value}\n"
+                                for name, value in want.items()))
+        cfg = load_config(str(path), {}).base
+        for name, value in want.items():
+            got = getattr(cfg, name)
+            assert got == value and type(got) is types[name], name
+
+    @pytest.mark.parametrize("text, flags", [
+        ("r0 = 3\nr_scale = 0.5\n", {}),          # the file sets both
+        ("", {"r0": "3", "r_scale": "0.5"}),        # the flags set both
+        ("r0 = 0,1,2\nr_scale = 0.5\n", {}),      # an r0 axis with r_scale
+    ])
+    def test_r0_and_r_scale_together_rejected(self, tmp_path, text, flags):
+        path = tmp_path / "exp.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="both r_scale and r0"):
+            load_config(str(path), flags)
+
+    def test_r_flag_overrides_other_spelling_in_file(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("r0 = 3\n")
+        assert load_config(str(path), {"r_scale": "0.5"}).base.r_scale == 0.5
+        assert load_config(str(path), {"lambda": "0.1"}).base.r_scale == 0.125
+        path.write_text("r_scale = 0.5\n")
+        assert load_config(str(path), {"r0": "2"}).base.r_scale == 0.25
+        spec = load_config(str(path), {"r0": "0,1"})
+        assert spec.axis == "r0" and [c.r_scale for _, c in spec.sweep_points()] == [1.0, 0.5]
 
 
 def tiny_spec(**kw):
@@ -211,6 +248,12 @@ class TestCli:
 
     def test_missing_config_file(self):
         assert cli_main(["run", "--config", "/nonexistent/path.cfg"]) == 1
+
+    @pytest.mark.parametrize("criteria", ["x", "11", "3,x"])
+    def test_bad_criteria_list_is_config_error(self, capsys, criteria):
+        assert cli_main(["check", "--criteria", criteria]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ") and not captured.out
 
     def test_partial_failure_exit_code(self, tmp_path):
         # oracle support exceeds L at lambda = 0.5, L = 2: exit code 2 with

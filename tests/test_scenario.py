@@ -1,5 +1,7 @@
 """Scenario generation: geometry, traffic, channels, received signals."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from scipy.special import j0 as scipy_j0
@@ -64,33 +66,33 @@ class TestUserProfiles:
     def test_pathloss_at_one_km(self):
         cfg = SystemConfig(n_users=4, pilot_len=4, dist_range_km=(1.0, 1.0))
         profiles = gen_user_profiles(cfg, stream(0, 0, "p"))
-        for p in profiles:
-            assert p.pathloss_db == pytest.approx(-128.1, abs=1e-9)
+        for pathloss_db in profiles.pathloss_db:
+            assert pathloss_db == pytest.approx(-128.1, abs=1e-9)
 
     def test_pathloss_at_100m(self):
         cfg = SystemConfig(n_users=4, pilot_len=4, dist_range_km=(0.1, 0.1))
         profiles = gen_user_profiles(cfg, stream(0, 0, "p"))
-        assert profiles[0].pathloss_db == pytest.approx(-91.4, abs=1e-9)
+        assert profiles.pathloss_db[0] == pytest.approx(-91.4, abs=1e-9)
 
     def test_doppler_and_ar_coefficient(self):
         # 50 km/h at 3.5 GHz: D = v*f_c/c ~ 162.1 Hz; eta = J0(2*pi*D*T_b)
         cfg = SystemConfig(n_users=2, pilot_len=2, speed_range_kmh=(50.0, 50.0),
                            carrier_hz=3.5e9, adp_duration_s=100e-6)
-        p = gen_user_profiles(cfg, stream(0, 0, "p"))[0]
-        assert p.doppler_hz == pytest.approx(162.1, abs=0.1)
-        assert p.ar_coeff == pytest.approx(j0_series(2 * np.pi * 162.1 * 100e-6), abs=1e-5)
-        assert p.ar_coeff == pytest.approx(0.99741, abs=2e-4)
+        p = gen_user_profiles(cfg, stream(0, 0, "p"))
+        assert p.doppler_hz[0] == pytest.approx(162.1, abs=0.1)
+        assert p.ar_coeff[0] == pytest.approx(j0_series(2 * np.pi * 162.1 * 100e-6), abs=1e-5)
+        assert p.ar_coeff[0] == pytest.approx(0.99741, abs=2e-4)
 
     def test_channel_var_absorbs_tx_power(self):
         cfg = SystemConfig(n_users=4, pilot_len=4, dist_range_km=(1.0, 1.0),
                            tx_power_dbm=33.0)
-        p = gen_user_profiles(cfg, stream(0, 0, "p"))[0]
-        assert p.channel_var == pytest.approx(10 ** ((33.0 - 128.1 - 30.0) / 10.0))
+        p = gen_user_profiles(cfg, stream(0, 0, "p"))
+        assert p.channel_var[0] == pytest.approx(10 ** ((33.0 - 128.1 - 30.0) / 10.0))
 
     def test_ar_coeff_bounded(self):
         cfg = SystemConfig(n_users=200, pilot_len=100, speed_range_kmh=(0.0, 0.0))
         profiles = gen_user_profiles(cfg, stream(0, 0, "p"))
-        assert all(abs(p.ar_coeff) <= 1.0 for p in profiles)
+        assert all(abs(eta) <= 1.0 for eta in profiles.ar_coeff)
 
 
 class TestActivity:
@@ -181,6 +183,23 @@ class TestScenarioDeterminism:
         assert np.array_equal(a.activity, b.activity)
         assert np.array_equal(a.channels, b.channels)
         assert np.array_equal(a.received, b.received)
+
+    def test_profile_override_with_drawn_profiles_is_bit_identical(self):
+        cfg = desk_config(n_users=60, pilot_len=20, n_adts=4)
+        drawn = gen_user_profiles(cfg, stream(cfg.seed, 3, "profiles"))
+        a, b = make_scenario(cfg, 3, profiles=drawn), make_scenario(cfg, 3)
+
+        def same_bits(x, y):
+            x, y = np.asarray(x), np.asarray(y)
+            return (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+
+        for f in fields(a):
+            if f.name == "profiles":
+                for g in fields(a.profiles):
+                    assert same_bits(getattr(a.profiles, g.name),
+                                     getattr(b.profiles, g.name)), g.name
+            else:
+                assert same_bits(getattr(a, f.name), getattr(b, f.name)), f.name
 
     def test_trials_are_independent_streams(self):
         cfg = desk_config(n_users=60, pilot_len=20, n_adts=4)

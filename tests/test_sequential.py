@@ -154,21 +154,11 @@ class TestSequenceRuns:
     def test_degenerate_structure_collapses_bitwise(self):
         from dataclasses import replace
         from seqamp.rng import stream
-        from seqamp.scenario import (Scenario, derive_noise_var, gen_pilots,
-                                     gen_user_profiles, markov_activity,
-                                     simulate_channels, synthesize_received)
+        from seqamp.scenario import gen_user_profiles
         cfg = desk_config(n_users=100, pilot_len=25, n_adts=5, r_scale=1.0)
-        profiles = [replace(p, ar_coeff=0.0)
-                    for p in gen_user_profiles(cfg, stream(cfg.seed, 0, "profiles"))]
-        pilots = gen_pilots(cfg, stream(cfg.seed, 0, "pilots"))
-        activity = markov_activity(cfg.lam, cfg.p01, cfg.p10, cfg.n_users,
-                                   cfg.n_adts, stream(cfg.seed, 0, "activity"))
-        channels = simulate_channels(profiles, cfg, stream(cfg.seed, 0, "channels"))
-        noise_var = derive_noise_var(cfg)
-        received = synthesize_received(pilots, activity * channels, noise_var,
-                                       stream(cfg.seed, 0, "noise"))
-        scn = Scenario(pilots, profiles, activity, channels,
-                       activity * channels, received, noise_var)
+        drawn = gen_user_profiles(cfg, stream(cfg.seed, 0, "profiles"))
+        scn = make_scenario(cfg, 0,
+                            profiles=replace(drawn, ar_coeff=np.zeros(cfg.n_users)))
         seq, static = s_amp_run(scn, cfg), amp_mmse(scn, cfg)
         for a, b in zip(seq.records, static.records):
             assert np.array_equal(a.amp.mu, b.amp.mu)
