@@ -13,6 +13,9 @@ rather than the true signal law, the theoretical update
 c+ = noise_var + (1/L) sum_n v_n no longer tracks the true effective
 noise, while the residual energy still does.  The theoretical form stays
 available behind ``mode="theoretical"`` for state-evolution comparisons.
+
+S^H z is formed by :func:`adjoint` from S's transpose view, never by
+materialising S^H.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ from .config import SystemConfig
 from .denoiser import BgPrior, denoise_deriv, denoise_mean, denoise_var
 from .scenario import derive_noise_var
 
-__all__ = ["AmpState", "AmpDivergenceError", "amp_init", "amp_iterate", "amp_run"]
+__all__ = ["AmpState", "AmpDivergenceError", "adjoint", "amp_init", "amp_iterate",
+           "amp_run"]
 
 REL_TOL = 1e-6      # early-exit tolerance on relative change of mu
 _REL_FLOOR = 1e-30  # denominator floor for all-zero signals
@@ -51,6 +55,17 @@ class AmpState:
     c: float          # effective noise level
     phi: np.ndarray   # (N,) pseudo-observations
     iter: int
+    converged: bool = False  # True only when the REL_TOL early exit fired
+
+
+def adjoint(s_mat: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """S^H v as conj(S^T conj(v)), allocating vectors only.
+
+    Conjugating S before the product would copy all of S on every call;
+    this form reads S through its transpose view and takes the same
+    complex products.
+    """
+    return np.conj(s_mat.T @ np.conj(v))
 
 
 def amp_init(y: np.ndarray, cfg: SystemConfig, n: int | None = None,
@@ -74,7 +89,7 @@ def amp_iterate(state: AmpState, s_mat: np.ndarray, y: np.ndarray,
                 noise_var: float | None = None) -> AmpState:
     """One full AMP sweep; raises AmpDivergenceError on non-finite output."""
     l_dim = s_mat.shape[0]
-    phi = s_mat.conj().T @ state.z + state.mu
+    phi = adjoint(s_mat, state.z) + state.mu
     mu_new = denoise_mean(phi, state.c, priors)
     v_new = denoise_var(phi, state.c, priors)
     onsager = (state.z / l_dim) * np.sum(denoise_deriv(phi, state.c, priors))
@@ -105,19 +120,23 @@ def amp_run(y: np.ndarray, s_mat: np.ndarray, priors: BgPrior,
             noise_var: float | None = None) -> AmpState:
     """Run sweeps until the mu change falls below REL_TOL or the cap I hits.
 
-    The returned state carries phi refreshed from the final (z, mu); with a
-    zero iteration budget the untouched init state comes back.
+    The returned state carries phi refreshed from the final (z, mu) and
+    ``converged`` set when the REL_TOL exit fired (False at the cap); with
+    a zero iteration budget the untouched init state comes back.
     """
     if noise_var is None:
         noise_var = derive_noise_var(cfg)
     state = amp_init(y, cfg, n=s_mat.shape[1], noise_var=noise_var)
+    converged = False
     for _ in range(cfg.amp_iters):
         prev_mu = state.mu
         state = amp_iterate(state, s_mat, y, priors, mode=mode, noise_var=noise_var)
         num = np.linalg.norm(state.mu - prev_mu)
         den = max(np.linalg.norm(prev_mu), _REL_FLOOR)
         if num / den < REL_TOL:
+            converged = True
             break
     if state.iter > 0:
-        state = replace(state, phi=s_mat.conj().T @ state.z + state.mu)
+        state = replace(state, phi=adjoint(s_mat, state.z) + state.mu,
+                        converged=converged)
     return state

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amp import AmpDivergenceError
+from .amp import AmpDivergenceError, adjoint
 from .config import SystemConfig
 from .detection import metric_nmse
 from .scenario import Scenario, derive_noise_var
@@ -81,7 +81,7 @@ def amp_soft(y: np.ndarray, s_mat: np.ndarray, cfg: SystemConfig,
     c = float(np.linalg.norm(z) ** 2 / l_dim)
     it = 0
     for it in range(1, cfg.amp_iters + 1):
-        phi = s_mat.conj().T @ z + mu
+        phi = adjoint(s_mat, z) + mu
         thr = alpha * math.sqrt(c)
         mu_new = _soft_threshold(phi, thr)
         live = np.abs(phi) > thr
@@ -138,7 +138,7 @@ def omp(y: np.ndarray, s_mat: np.ndarray, cfg: SystemConfig,
     hit_rank_limit = False
     it = 0
     while it < max_iters and np.linalg.norm(residual) > target:
-        scores = np.abs(s_mat.conj().T @ residual)
+        scores = np.abs(adjoint(s_mat, residual))
         scores[selected] = -1.0
         selected.append(int(np.argmax(scores)))
         sub = s_mat[:, selected]

@@ -95,6 +95,8 @@ class ExperimentSpec:
             raise ConfigError(f"{self.axis} is not a sweepable key")
         if not self.algorithms:
             raise ConfigError("at least one algorithm is required")
+        if self.workers < 1:
+            raise ConfigError(f"workers must be at least 1, got {self.workers}")
 
     def sweep_points(self) -> list[tuple[object, SystemConfig]]:
         """(value, config) pairs; a single (None, base) point without an axis."""

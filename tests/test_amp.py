@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from seqamp.amp import AmpDivergenceError, amp_init, amp_iterate, amp_run
-from seqamp.config import SystemConfig
+from seqamp.amp import (AmpDivergenceError, adjoint, amp_init, amp_iterate,
+                        amp_run)
+from seqamp.config import SystemConfig, desk_config
 from seqamp.denoiser import BgPrior
 from seqamp.rng import stream
 from seqamp.scenario import make_scenario
@@ -36,6 +37,28 @@ class TestInit:
         assert np.linalg.norm(st.z) == pytest.approx(np.linalg.norm(y))
         st.z[0] = 0.0
         assert y[0] == 1.0 + 2.0j  # defensive copy
+
+
+class TestAdjoint:
+    def test_matches_conjugate_transpose_product(self):
+        rng = stream(5, 0, "adjoint")
+        s = rng.standard_normal((30, 70)) + 1j * rng.standard_normal((30, 70))
+        v = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+        np.testing.assert_allclose(adjoint(s, v), s.conj().T @ v, rtol=1e-14, atol=0)
+
+    def test_matches_on_desk_pilots(self):
+        scn = make_scenario(desk_config(n_adts=1), 0)
+        y = scn.received[:, 0]
+        np.testing.assert_allclose(adjoint(scn.pilots, y), scn.pilots.conj().T @ y,
+                                   rtol=1e-14, atol=0)
+
+    def test_amp_run_never_copies_pilots(self, peak_traced_bytes):
+        cfg = SystemConfig(n_users=400, pilot_len=100, n_adts=1)
+        scn = make_scenario(cfg, 0)
+        prior = initial_prior(cfg, scn.profiles)
+        peak = peak_traced_bytes(lambda: amp_run(
+            scn.received[:, 0], scn.pilots, prior, cfg, noise_var=scn.noise_var))
+        assert peak < scn.pilots.nbytes / 2
 
 
 class TestScalarFixedPoint:
@@ -107,6 +130,20 @@ class TestRunContract:
         st = amp_run(y, s, BgPrior(np.full(6, 0.5), np.zeros(6, dtype=complex),
                                    np.ones(6)), cfg, noise_var=0.1)
         assert st.iter == 0 and np.all(st.mu == 0) and np.all(st.phi == 0)
+
+    def test_converged_flag(self):
+        cfg = desk_config(n_adts=1)
+        scn = make_scenario(cfg, 0)
+        prior = initial_prior(cfg, scn.profiles)
+
+        def run(iters):
+            return amp_run(scn.received[:, 0], scn.pilots, prior,
+                           cfg.with_(amp_iters=iters), noise_var=scn.noise_var)
+
+        full = run(cfg.amp_iters)
+        assert full.converged and full.iter < cfg.amp_iters
+        assert not run(1).converged
+        assert not run(0).converged
 
     def test_final_phi_consistency(self):
         cfg = SystemConfig(n_users=40, pilot_len=20, amp_iters=30)

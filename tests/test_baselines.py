@@ -12,6 +12,13 @@ from seqamp.scenario import gen_pilots, make_scenario
 from seqamp.sequential import s_amp_run
 
 
+@pytest.fixture(scope="module")
+def guard_case():
+    """A config and scenario whose 100x400 S dwarfs every vector in play."""
+    cfg = SystemConfig(n_users=400, pilot_len=100, n_adts=1)
+    return cfg, make_scenario(cfg, 0)
+
+
 def noise_cfg(noise_var, **kw):
     psd = 30.0 + 10.0 * np.log10(noise_var)
     return SystemConfig(noise_psd_dbm_hz=psd, bandwidth_hz=1.0, **kw)
@@ -44,6 +51,12 @@ class TestAmpSoft:
         with pytest.raises(ValueError):
             amp_soft(np.zeros(4, dtype=complex), np.zeros((4, 8), dtype=complex),
                      cfg, alpha=0.0)
+
+    def test_never_copies_pilots(self, guard_case, peak_traced_bytes):
+        cfg, scn = guard_case
+        peak = peak_traced_bytes(lambda: amp_soft(
+            scn.received[:, 0], scn.pilots, cfg, noise_var=scn.noise_var))
+        assert peak < scn.pilots.nbytes / 2
 
     def test_worse_than_bayesian_amp(self):
         cfg = desk_config(n_users=200, pilot_len=50, n_adts=1, n_trials=4)
@@ -91,6 +104,12 @@ class TestOmp:
         # normal equations: selected columns orthogonal to the residual
         assert np.max(np.abs(scn.pilots[:, sel].conj().T @ residual)) <= 1e-10 * \
             np.linalg.norm(scn.received[:, 0])
+
+    def test_never_copies_pilots(self, guard_case, peak_traced_bytes):
+        cfg, scn = guard_case
+        peak = peak_traced_bytes(lambda: omp(
+            scn.received[:, 0], scn.pilots, cfg, noise_var=scn.noise_var))
+        assert peak < scn.pilots.nbytes / 2
 
     def test_default_iteration_cap(self):
         cfg = noise_cfg(1e-30, n_users=100, pilot_len=30, lam=0.05)

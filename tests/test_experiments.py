@@ -85,6 +85,11 @@ class TestConfigParsing:
         assert (spec.base.n_users, spec.base.pilot_len,
                 spec.base.n_adts, spec.base.n_trials) == (500, 125, 10, 20)
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_worker_count_below_one_rejected(self, workers):
+        with pytest.raises(ConfigError, match="workers"):
+            load_config(None, {}, workers=workers)
+
     def test_invalid_field_value_is_config_error(self):
         with pytest.raises(ConfigError):
             load_config(None, {"lambda": "1.5"})
@@ -252,6 +257,11 @@ class TestCli:
     @pytest.mark.parametrize("criteria", ["x", "11", "3,x"])
     def test_bad_criteria_list_is_config_error(self, capsys, criteria):
         assert cli_main(["check", "--criteria", criteria]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ") and not captured.out
+
+    def test_zero_workers_is_config_error(self, capsys):
+        assert cli_main(["run", "--workers", "0"]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("config error: ") and not captured.out
 
