@@ -1,0 +1,8 @@
+"""``python -m seqamp``: the ``seqamp`` command, also from an uninstalled checkout."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

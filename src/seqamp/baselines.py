@@ -30,6 +30,7 @@ __all__ = [
 
 SOFT_ALPHA_GRID = tuple(round(1.0 + 0.1 * k, 1) for k in range(11))  # 1.0 .. 2.0
 _OMP_RESIDUAL_SLACK = 1.1
+_OMP_DEPENDENT_RTOL = 1e-10
 _PINV_RCOND = 1e-12
 
 
@@ -120,38 +121,66 @@ def calibrate_soft_alpha(scenario: Scenario, cfg: SystemConfig,
 def omp(y: np.ndarray, s_mat: np.ndarray, cfg: SystemConfig,
         noise_var: float | None = None,
         max_iters: int | None = None) -> BaselineResult:
-    """Orthogonal matching pursuit with an LS refit per selection.
+    """Orthogonal matching pursuit with an incremental QR refit.
+
+    Each selected column is orthogonalised against the basis ``Q`` of the
+    columns before it by classical Gram-Schmidt with one reorthogonalisation
+    pass, which appends one column to ``R`` and one entry to ``Q^H y``; the
+    residual is ``y - Q Q^H y`` and the coefficients of the least-squares
+    refit come from one triangular solve ``R coef = Q^H y`` at the end.
 
     Stops once ||r|| <= 1.1 * sqrt(L) * sigma_w or after ceil(3*lam*N)
-    selections; filling all L degrees of freedom stops with a flag."""
+    selections.  Filling all L degrees of freedom, or picking a column whose
+    orthogonalised norm falls to 1e-10 of its own norm (numerically
+    dependent on the selected ones, so the residual is orthogonal to every
+    remaining column), stops with ``hit_rank_limit``; a dependent column is
+    not added."""
     if noise_var is None:
         noise_var = derive_noise_var(cfg)
     l_dim, n = s_mat.shape
     if max_iters is None:
         max_iters = math.ceil(3.0 * cfg.lam * n)
-    max_iters = min(max_iters, l_dim)
+    max_iters = max(0, min(max_iters, l_dim))
     target = _OMP_RESIDUAL_SLACK * math.sqrt(l_dim * noise_var)
 
-    residual = np.asarray(y, dtype=complex).copy()
+    y = np.asarray(y, dtype=complex)
+    residual = y.copy()
+    q_h = np.empty((max_iters, l_dim), dtype=complex)   # rows q_k^H
+    r_mat = np.zeros((max_iters, max_iters), dtype=complex)
+    q_h_y = np.empty(max_iters, dtype=complex)
     selected: list[int] = []
-    coef = np.zeros(0, dtype=complex)
     hit_rank_limit = False
-    it = 0
-    while it < max_iters and np.linalg.norm(residual) > target:
+    k = 0
+    while k < max_iters and np.linalg.norm(residual) > target:
         scores = np.abs(adjoint(s_mat, residual))
         scores[selected] = -1.0
-        selected.append(int(np.argmax(scores)))
-        sub = s_mat[:, selected]
-        coef, *_ = np.linalg.lstsq(sub, y, rcond=None)
-        residual = y - sub @ coef
-        it += 1
-        if len(selected) >= l_dim:
+        j = int(np.argmax(scores))
+        col = np.array(s_mat[:, j], dtype=complex)
+        basis = q_h[:k]
+        # Q h is the adjoint of Q^H applied to h
+        proj = basis @ col
+        v = col - adjoint(basis, proj)
+        again = basis @ v
+        v -= adjoint(basis, again)
+        v_norm = float(np.linalg.norm(v))
+        if v_norm <= _OMP_DEPENDENT_RTOL * np.linalg.norm(col):
+            hit_rank_limit = True
+            break
+        q = v / v_norm
+        q_h[k] = q.conj()
+        r_mat[:k, k] = proj + again
+        r_mat[k, k] = v_norm
+        q_h_y[k] = q_h[k] @ y
+        residual -= q * q_h_y[k]
+        selected.append(j)
+        k += 1
+        if k >= l_dim:
             hit_rank_limit = True
             break
     estimate = np.zeros(n, dtype=complex)
     if selected:
-        estimate[selected] = coef
-    return BaselineResult(estimate, (estimate != 0).astype(np.int8), it,
+        estimate[selected] = np.linalg.solve(r_mat[:k, :k], q_h_y[:k])
+    return BaselineResult(estimate, (estimate != 0).astype(np.int8), k,
                           float(np.linalg.norm(residual)), hit_rank_limit)
 
 

@@ -11,7 +11,8 @@ number of active users per measurement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 __all__ = ["SystemConfig", "desk_config", "SPEED_OF_LIGHT"]
 
@@ -51,6 +52,11 @@ class SystemConfig:
     soft_alpha: float = 1.4         # soft-threshold multiplier (calibratable)
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            ends = value if isinstance(value, tuple) else (value,)
+            if any(isinstance(x, float) and not math.isfinite(x) for x in ends):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if not (self.n_users > 0 and self.pilot_len > 0 and self.n_adts > 0):
             raise ValueError("dimensions must be positive")
         if self.pilot_len > self.n_users:

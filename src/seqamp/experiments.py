@@ -97,6 +97,11 @@ class ExperimentSpec:
             raise ConfigError("at least one algorithm is required")
         if self.workers < 1:
             raise ConfigError(f"workers must be at least 1, got {self.workers}")
+        for value in self.values:
+            try:
+                _apply_axis(self.base, self.axis, value)
+            except ValueError as exc:
+                raise ConfigError(f"sweep point {self.axis} = {value}: {exc}") from exc
 
     def sweep_points(self) -> list[tuple[object, SystemConfig]]:
         """(value, config) pairs; a single (None, base) point without an axis."""
@@ -129,8 +134,15 @@ def _apply_axis(cfg: SystemConfig, axis: str, value) -> SystemConfig:
     if axis == "adp_duration_s":
         return cfg.with_(adp_duration_s=float(value))
     if axis == "r0":
-        return cfg.with_(r_scale=1.0 / 2.0 ** float(value))
+        return cfg.with_(r_scale=_r_scale_from_r0(value))
     raise ConfigError(f"unknown sweep axis {axis}")
+
+
+def _r_scale_from_r0(r0) -> float:
+    try:
+        return 1.0 / 2.0 ** float(r0)
+    except (OverflowError, ZeroDivisionError):
+        raise ConfigError(f"r0 = {r0} is out of range") from None
 
 
 def _parse_scalar(key: str, text: str, where: str):
@@ -188,7 +200,7 @@ def _build_spec(entries: dict, desk: bool, workers: int) -> ExperimentSpec:
             continue
         name = _KEY_FIELD.get(key, key)
         if key == "r0":
-            val = 1.0 / 2.0 ** float(val)
+            val = _r_scale_from_r0(val)
         elif name in ("dist_range_km", "speed_range_kmh"):
             bounds = list(values_by_field.get(name, getattr(SystemConfig, name)))
             bounds[_FIELD_KEYS[name].index(key)] = val
@@ -211,7 +223,7 @@ def load_config(path: str | None = None, flags: dict | None = None,
     if path is not None:
         try:
             text = Path(path).read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         entries = parse_config_text(text)
         _check_one_r_spelling(entries, f"config file {path}")

@@ -1,5 +1,7 @@
 """Comparison algorithms: soft-threshold AMP, OMP, oracle LS, static AMP."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -77,7 +79,62 @@ class TestAmpSoft:
         assert 10 * np.log10(err[0][0] / err[0][1]) > 10 * np.log10(err[1][0] / err[1][1])
 
 
+def lstsq_omp(y, s_mat, max_iters, target):
+    """Reference OMP: a fresh least-squares solve after every selection.
+
+    Returns (estimate, iterations, residual norm)."""
+    residual = y.copy()
+    selected = []
+    coef = np.zeros(0, dtype=complex)
+    while len(selected) < max_iters and np.linalg.norm(residual) > target:
+        scores = np.abs(s_mat.conj().T @ residual)
+        scores[selected] = -1.0
+        selected.append(int(np.argmax(scores)))
+        sub = s_mat[:, selected]
+        coef = np.linalg.lstsq(sub, y, rcond=None)[0]
+        residual = y - sub @ coef
+    estimate = np.zeros(s_mat.shape[1], dtype=complex)
+    estimate[selected] = coef
+    return estimate, len(selected), np.linalg.norm(residual)
+
+
 class TestOmp:
+    # scaling S, y and the noise variance together leaves the estimate
+    # unchanged, so a dependent-column threshold must be relative
+    @pytest.mark.parametrize("scale", [1.0, 1e-100, 1e100])
+    def test_qr_refit_matches_lstsq_reference(self, scale):
+        cfg = desk_config(n_adts=4)
+        max_iters = min(math.ceil(3 * cfg.lam * cfg.n_users), cfg.pilot_len)
+        for trial in range(3):
+            scn = make_scenario(cfg, trial)
+            s_mat = scale * scn.pilots
+            noise_var = scale ** 2 * scn.noise_var
+            target = 1.1 * math.sqrt(cfg.pilot_len * noise_var)
+            for t in range(cfg.n_adts):
+                y = scale * scn.received[:, t]
+                res = omp(y, s_mat, cfg, noise_var=noise_var)
+                ref, iters, res_norm = lstsq_omp(y, s_mat, max_iters, target)
+                assert np.array_equal(res.support, (ref != 0).astype(np.int8))
+                assert res.iterations == iters and not res.hit_rank_limit
+                assert res.residual_norm == pytest.approx(res_norm, rel=1e-10)
+                np.testing.assert_allclose(res.estimate, ref, rtol=1e-10,
+                                           atol=1e-12 * np.linalg.norm(y))
+
+    @pytest.mark.filterwarnings("error")
+    def test_dependent_column_stops_with_flag(self):
+        # columns 0 and 1 are equal and row 3 is zero: once column 0 explains
+        # y's first entry, the residual e_3 is orthogonal to every remaining
+        # column and the next pick, column 1, is dependent on the selected one
+        s = np.zeros((4, 4), dtype=complex)
+        s[0, 0] = s[0, 1] = s[1, 2] = s[2, 3] = 1.0
+        y = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex)
+        cfg = noise_cfg(1e-6, n_users=4, pilot_len=4, lam=0.25)
+        res = omp(y, s, cfg, noise_var=1e-6)
+        assert res.hit_rank_limit and res.iterations == 1
+        assert np.all(np.isfinite(res.estimate))
+        np.testing.assert_array_equal(res.estimate, [1.0, 0.0, 0.0, 0.0])
+        assert res.residual_norm == 1.0
+
     def test_exact_recovery_orthogonal_noiseless(self):
         n = 16
         cfg = noise_cfg(1e-12, n_users=n, pilot_len=n, lam=0.1)

@@ -1,16 +1,52 @@
 """Config parsing, sweep execution, CSV emission, CLI plumbing."""
 
+import math
+import os
+import subprocess
+import sys
+import tempfile
 from dataclasses import fields
+from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqamp.cli import main as cli_main
 from seqamp.config import SystemConfig
-from seqamp.experiments import (CSV_HEADER, ConfigError, ExperimentSpec,
-                                load_config, parse_config_text, run_experiment,
-                                run_se, write_csv, write_se_csv)
+from seqamp.experiments import (ALGORITHMS, CSV_HEADER, SCALAR_KEYS, ConfigError,
+                                ExperimentSpec, load_config, parse_config_text,
+                                run_experiment, run_se, write_csv, write_se_csv)
+
+# every config key that sets a float (the int fields are keyed by their names)
+FLOAT_KEYS = [key for key in SCALAR_KEYS
+              if get_type_hints(SystemConfig).get(key) is not int]
+
+
+def all_finite(cfg: SystemConfig) -> bool:
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        for x in (value if isinstance(value, tuple) else (value,)):
+            if isinstance(x, float) and not math.isfinite(x):
+                return False
+    return True
+
+
+config_floats = st.one_of(st.floats().map(repr),
+                          st.sampled_from(["nan", "inf", "-inf", "1e999"]))
+config_values = st.one_of(
+    config_floats,
+    st.integers().map(str),
+    st.lists(config_floats, min_size=1, max_size=3).map(", ".join),
+    st.sampled_from(ALGORITHMS),
+    st.text(max_size=12),
+)
+known_key_lines = st.tuples(st.sampled_from(SCALAR_KEYS + ("algos", "out")),
+                            config_values).map(" = ".join)
+config_lines = st.one_of(known_key_lines, known_key_lines, known_key_lines,
+                         st.text(max_size=20))
 
 
 class TestConfigParsing:
@@ -90,6 +126,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="workers"):
             load_config(None, {}, workers=workers)
 
+    def test_undecodable_file_is_config_error(self, tmp_path):
+        path = tmp_path / "binary.cfg"
+        path.write_bytes(b"n_users = \xd0\xff\n")
+        with pytest.raises(ConfigError, match="cannot read"):
+            load_config(str(path), {})
+
     def test_invalid_field_value_is_config_error(self):
         with pytest.raises(ConfigError):
             load_config(None, {"lambda": "1.5"})
@@ -117,6 +159,35 @@ class TestConfigParsing:
         path.write_text(text)
         with pytest.raises(ConfigError, match="both r_scale and r0"):
             load_config(str(path), flags)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_float_rejected(self, key, value):
+        with pytest.raises(ConfigError):
+            load_config(None, {key: value})
+
+    @pytest.mark.parametrize("key, values", [
+        ("tx_power_dbm", "30,nan"), ("pilot_len", "100,5000"), ("r0", "3,-5000"),
+        ("lambda", "0.1,2"), ("adp_duration_s", "1e-4,-1")])
+    def test_every_sweep_point_resolved_at_load(self, key, values):
+        with pytest.raises(ConfigError, match=f"sweep point {key} = "):
+            load_config(None, {key: values})
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(config_lines, max_size=4), desk=st.booleans())
+    def test_fuzzed_config_is_finite_or_config_error(self, lines, desk):
+        # any text either resolves to finite configs or is a ConfigError
+        text = "\n".join(lines) + "\n"
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzz.cfg"
+            path.write_text(text, encoding="utf-8")
+            try:
+                parse_config_text(text)
+                spec = load_config(str(path), {}, desk=desk)
+            except ConfigError:
+                return
+        assert all_finite(spec.base)
+        assert all(all_finite(cfg) for _, cfg in spec.sweep_points())
 
     def test_r_flag_overrides_other_spelling_in_file(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -259,6 +330,27 @@ class TestCli:
         assert cli_main(["check", "--criteria", criteria]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("config error: ") and not captured.out
+
+    @pytest.mark.parametrize("sweep", ["lambda = 0.1, 2", "tx_power_dbm = 30, nan"])
+    def test_bad_sweep_point_is_config_error(self, tmp_path, capsys, sweep):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"n_users = 60\npilot_len = 20\nn_adts = 2\nn_trials = 1\n"
+                       f"algos = oracle_ls\n{sweep}\n")
+        out = tmp_path / "r.csv"
+        assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ") and not captured.out
+        assert not out.exists()
+
+    def test_python_m_seqamp(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        done = subprocess.run([sys.executable, "-m", "seqamp", "check", "--criteria", "x"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 1
+        assert done.stderr.startswith("config error: ") and not done.stdout
 
     def test_zero_workers_is_config_error(self, capsys):
         assert cli_main(["run", "--workers", "0"]) == 1
