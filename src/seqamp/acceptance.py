@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from . import quadrature
 from .amp import amp_run
@@ -248,6 +247,10 @@ def check_stationarity() -> CheckResult:
 
 def check_r0_monotonicity(n_trials: int = 12) -> CheckResult:
     """Criterion 8: S-AMP improves with r0; AMP-MMSE flat (Spearman trend)."""
+    # imported here: scipy.stats takes most of the CLI's start-up time and
+    # no other command needs it
+    from scipy.stats import spearmanr
+
     r0s = np.arange(6)
     pooled = _pooled_metrics(ExperimentSpec(desk_config(n_trials=n_trials), axis="r0",
                                             values=tuple(r0s), algorithms=_PAIRED))

@@ -8,6 +8,7 @@ construction.  The non-Bayesian baselines detect by estimator support.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,15 +32,21 @@ __all__ = [
 SOFT_ALPHA_GRID = tuple(round(1.0 + 0.1 * k, 1) for k in range(11))  # 1.0 .. 2.0
 _OMP_RESIDUAL_SLACK = 1.1
 _OMP_DEPENDENT_RTOL = 1e-10
-_PINV_RCOND = 1e-12
+_RANK_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
 class BaselineResult:
-    """Single-ADT output of a non-sequential recovery algorithm."""
+    """Output of a non-sequential recovery algorithm on one ADT or a block.
 
-    estimate: np.ndarray      # (N,) complex
-    support: np.ndarray       # (N,) int8, nonzero-estimate indicator
+    For a column block (one column per ADT or per threshold), ``estimate``
+    and ``support`` are (N, k), ``iterations`` sums the sweeps of all
+    columns and ``residual_norm`` is the Frobenius norm of the residual
+    block.
+    """
+
+    estimate: np.ndarray      # (N,) or (N, k) complex
+    support: np.ndarray       # same shape, int8, nonzero-estimate indicator
     iterations: int
     residual_norm: float
     hit_rank_limit: bool = False
@@ -51,51 +58,90 @@ def amp_mmse(scenario: Scenario, cfg: SystemConfig,
     return _run_sequence(scenario, cfg, propagate=False, mode=mode)
 
 
-def _soft_threshold(phi: np.ndarray, thr: float) -> np.ndarray:
-    mag = np.abs(phi)
-    scale = np.maximum(1.0 - thr / np.maximum(mag, 1e-300), 0.0)
-    return phi * scale
+def _column_alphas(alpha, k: int) -> np.ndarray:
+    """alpha as one finite positive threshold multiplier per column."""
+    alphas = np.asarray(alpha, dtype=float)
+    if alphas.ndim > 1 or alphas.size not in (1, k):
+        raise ValueError(f"alpha must be a scalar or one value per column "
+                         f"({k}), got shape {alphas.shape}")
+    alphas = np.broadcast_to(alphas.reshape(-1), (k,))
+    bad = np.flatnonzero(~(np.isfinite(alphas) & (alphas > 0.0)))
+    if bad.size:
+        raise ValueError(f"threshold multiplier alpha must be finite and "
+                         f"positive; column {bad[0]} has {alphas[bad[0]]}")
+    return alphas
 
 
 def amp_soft(y: np.ndarray, s_mat: np.ndarray, cfg: SystemConfig,
-             alpha: float | None = None,
+             alpha: float | Sequence[float] | None = None,
              noise_var: float | None = None) -> BaselineResult:
     """AMP with the complex soft-threshold denoiser, threshold alpha*sqrt(c).
 
-    The Onsager term uses the a.e. derivative of the denoiser,
-    1 - alpha*sqrt(c)/(2|phi|) on the unclipped set.  alpha defaults to
-    cfg.soft_alpha; the experiment harness calibrates it per sweep point
-    with :func:`calibrate_soft_alpha` on a held-out trial.
+    ``y`` is one observation (L,) or a block (L, k) of independent columns,
+    e.g. every ADT of a scenario or one ADT repeated over a grid of
+    thresholds; ``alpha`` is a scalar or one value per column and defaults
+    to cfg.soft_alpha.  Each column runs its own recursion: its own ``c``,
+    seeded at ||y||^2/L (a noise-scale seed would make the first estimate
+    dense and the Onsager feedback explosive), its own threshold, Onsager
+    sum, divergence check and stop test ||mu_new - mu|| / ||mu_new|| < 1e-6.
+    A column that stops leaves the block, so each sweep is one S^H Z and
+    one S M product over the columns still running.  The Onsager term uses
+    the a.e. derivative of the denoiser, 1 - alpha*sqrt(c)/(2|phi|) on the
+    unclipped set.  ``noise_var`` is unused: the threshold tracks ``c``.
+
+    A 1-D ``y`` returns (N,) arrays; a block returns (N, k) arrays, the
+    summed sweeps and the Frobenius norm of the residual block.  Raises
+    ValueError for an alpha that is not finite and positive, and
+    AmpDivergenceError naming the columns that went non-finite.
     """
-    if alpha is None:
-        alpha = cfg.soft_alpha
-    if alpha <= 0.0:
-        raise ValueError("threshold multiplier alpha must be positive")
-    if noise_var is None:
-        noise_var = derive_noise_var(cfg)
+    y = np.asarray(y, dtype=complex)
+    if y.ndim not in (1, 2):
+        raise ValueError(f"y must be (L,) or (L, k), got shape {y.shape}")
+    block = y.reshape(y.shape[0], -1)
     l_dim, n = s_mat.shape
-    mu = np.zeros(n, dtype=complex)
-    z = np.asarray(y, dtype=complex).copy()
-    # c tracks ||z||^2/L throughout; seeding it the same way keeps the first
-    # threshold at the received-signal scale (a noise-scale seed would make
-    # the first estimate dense and the Onsager feedback explosive).
-    c = float(np.linalg.norm(z) ** 2 / l_dim)
-    it = 0
+    k = block.shape[1]
+    alphas = _column_alphas(cfg.soft_alpha if alpha is None else alpha, k)
+
+    mu = np.zeros((n, k), dtype=complex)
+    z = block.copy()
+    sweeps = np.zeros(k, dtype=np.int64)
+    # the columns still running, and their compacted state
+    run = np.arange(k)
+    y_run, z_run, mu_run, a_run = block, z, mu, alphas
+    c_run = np.linalg.norm(z_run, axis=0) ** 2 / l_dim
     for it in range(1, cfg.amp_iters + 1):
-        phi = adjoint(s_mat, z) + mu
-        thr = alpha * math.sqrt(c)
-        mu_new = _soft_threshold(phi, thr)
-        live = np.abs(phi) > thr
-        deriv_sum = float(np.sum(1.0 - thr / (2.0 * np.abs(phi[live]))))
-        z = y - s_mat @ mu_new + (z / l_dim) * deriv_sum
-        c = float(np.linalg.norm(z) ** 2 / l_dim)
-        if not (np.all(np.isfinite(mu_new)) and np.isfinite(c)):
-            raise AmpDivergenceError(f"soft-threshold AMP diverged at sweep {it}")
-        num = np.linalg.norm(mu_new - mu)
-        mu = mu_new
-        if num / max(np.linalg.norm(mu), 1e-30) < 1e-6:
-            break
-    return BaselineResult(mu, (mu != 0).astype(np.int8), it,
+        phi = adjoint(s_mat, z_run) + mu_run
+        thr = a_run * np.sqrt(c_run)
+        mag = np.abs(phi)
+        ratio = thr / np.maximum(mag, 1e-300)
+        mu_new = phi * np.maximum(1.0 - ratio, 0.0)
+        deriv_sum = np.where(mag > thr, 1.0 - 0.5 * ratio, 0.0).sum(axis=0)
+        z_run = y_run - s_mat @ mu_new + (z_run / l_dim) * deriv_sum
+        c_run = np.linalg.norm(z_run, axis=0) ** 2 / l_dim
+        bad = ~(np.isfinite(mu_new).all(axis=0) & np.isfinite(c_run))
+        if bad.any():
+            cols = run[bad]
+            raise AmpDivergenceError(
+                f"column{'s' if cols.size > 1 else ''} {', '.join(map(str, cols))}: "
+                f"soft-threshold AMP diverged at sweep {it}")
+        step = (np.linalg.norm(mu_new - mu_run, axis=0)
+                / np.maximum(np.linalg.norm(mu_new, axis=0), 1e-30))
+        mu_run = mu_new
+        sweeps[run] = it
+        done = step < 1e-6
+        if done.any():
+            mu[:, run[done]] = mu_run[:, done]
+            z[:, run[done]] = z_run[:, done]
+            keep = ~done
+            run, a_run, c_run = run[keep], a_run[keep], c_run[keep]
+            y_run, z_run, mu_run = y_run[:, keep], z_run[:, keep], mu_run[:, keep]
+            if not run.size:
+                break
+    mu[:, run] = mu_run
+    z[:, run] = z_run
+    if y.ndim == 1:
+        mu = mu.reshape(n)
+    return BaselineResult(mu, (mu != 0).astype(np.int8), int(sweeps.sum()),
                           float(np.linalg.norm(z)))
 
 
@@ -103,19 +149,19 @@ def calibrate_soft_alpha(scenario: Scenario, cfg: SystemConfig,
                          adt: int = 0) -> float:
     """Grid-search alpha in {1.0..2.0 step 0.1} minimising NMSE on one ADT.
 
+    One :func:`amp_soft` call runs the ADT's observation as a block with one
+    column per grid value; the first alpha reaching the lowest NMSE wins.
     Meant to run on a held-out calibration scenario; the winning alpha is
     then fixed for scoring runs.
     """
     truth = scenario.sparse_signal[:, adt]
     y = scenario.received[:, adt]
-    best_alpha, best_nmse = SOFT_ALPHA_GRID[0], np.inf
-    for alpha in SOFT_ALPHA_GRID:
-        res = amp_soft(y, scenario.pilots, cfg, alpha=alpha,
-                       noise_var=scenario.noise_var)
-        nmse = metric_nmse(res.estimate, truth)
-        if nmse < best_nmse:
-            best_alpha, best_nmse = alpha, nmse
-    return best_alpha
+    block = np.repeat(y[:, None], len(SOFT_ALPHA_GRID), axis=1)
+    res = amp_soft(block, scenario.pilots, cfg, alpha=SOFT_ALPHA_GRID,
+                   noise_var=scenario.noise_var)
+    nmse = [metric_nmse(res.estimate[:, j], truth)
+            for j in range(len(SOFT_ALPHA_GRID))]
+    return SOFT_ALPHA_GRID[int(np.argmin(nmse))]
 
 
 def omp(y: np.ndarray, s_mat: np.ndarray, cfg: SystemConfig,
@@ -186,18 +232,30 @@ def omp(y: np.ndarray, s_mat: np.ndarray, cfg: SystemConfig,
 
 def oracle_ls(y: np.ndarray, s_mat: np.ndarray,
               true_support: np.ndarray) -> BaselineResult:
-    """Minimum-norm least squares restricted to the true support.
+    """Least squares restricted to the true support, solved by QR.
 
-    Rank deficiency is handled by pseudo-inverse truncation at
-    1e-12 * largest singular value."""
+    The support columns are factored as ``Q R`` and the coefficients solve
+    ``R coef = Q^H y``.  If the support is numerically rank-deficient
+    (``min |R_kk| <= 1e-12 * max |R_kk|``, e.g. a repeated column), the
+    answer is the minimum-norm pseudo-inverse solution, truncated at
+    1e-12 * largest singular value, and ``hit_rank_limit`` is set."""
     support_idx = np.flatnonzero(np.asarray(true_support))
     l_dim, n = s_mat.shape
     if support_idx.size > l_dim:
         raise ValueError(f"support size {support_idx.size} exceeds L = {l_dim}")
     estimate = np.zeros(n, dtype=complex)
+    residual = np.asarray(y, dtype=complex)
+    rank_deficient = False
     if support_idx.size:
         sub = s_mat[:, support_idx]
-        estimate[support_idx] = np.linalg.pinv(sub, rcond=_PINV_RCOND) @ y
-    residual = y - s_mat @ estimate
+        q, r = np.linalg.qr(sub)
+        diag = np.abs(np.diag(r))
+        rank_deficient = bool(diag.min() <= _RANK_RTOL * diag.max())
+        if rank_deficient:
+            coef = np.linalg.pinv(sub, rcond=_RANK_RTOL) @ y
+        else:
+            coef = np.linalg.solve(r, adjoint(q, y))
+        estimate[support_idx] = coef
+        residual = residual - sub @ coef
     return BaselineResult(estimate, (estimate != 0).astype(np.int8),
-                          1, float(np.linalg.norm(residual)))
+                          1, float(np.linalg.norm(residual)), rank_deficient)

@@ -261,15 +261,17 @@ def _algo_matrices(name: str, scenario: Scenario, cfg: SystemConfig):
     if name == "amp_mmse":
         det = detect_sequence(baselines.amp_mmse(scenario, cfg))
         return det.channel_est, det.decisions
+    if name == "amp_soft":
+        # the ADTs are independent columns of one block
+        res = baselines.amp_soft(scenario.received, scenario.pilots, cfg,
+                                 noise_var=scenario.noise_var)
+        return res.estimate, res.support
     n, t_total = scenario.sparse_signal.shape
     x_hat = np.zeros((n, t_total), dtype=complex)
     dec = np.zeros((n, t_total), dtype=np.int8)
     for t in range(t_total):
         y = scenario.received[:, t]
-        if name == "amp_soft":
-            res = baselines.amp_soft(y, scenario.pilots, cfg,
-                                     noise_var=scenario.noise_var)
-        elif name == "omp":
+        if name == "omp":
             res = baselines.omp(y, scenario.pilots, cfg,
                                 noise_var=scenario.noise_var)
         elif name == "oracle_ls":

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from seqamp.baselines import (amp_mmse, amp_soft, calibrate_soft_alpha, omp,
-                              oracle_ls)
+from seqamp.amp import AmpDivergenceError
+from seqamp.baselines import (SOFT_ALPHA_GRID, amp_mmse, amp_soft,
+                              calibrate_soft_alpha, omp, oracle_ls)
 from seqamp.config import SystemConfig, desk_config
-from seqamp.detection import detect_sequence
+from seqamp.detection import detect_sequence, metric_nmse
 from seqamp.rng import stream
 from seqamp.scenario import gen_pilots, make_scenario
 from seqamp.sequential import s_amp_run
@@ -59,6 +60,73 @@ class TestAmpSoft:
         peak = peak_traced_bytes(lambda: amp_soft(
             scn.received[:, 0], scn.pilots, cfg, noise_var=scn.noise_var))
         assert peak < scn.pilots.nbytes / 2
+        # an (L, k) block of thresholds on the same observation
+        block = np.repeat(scn.received, 4, axis=1)
+        peak = peak_traced_bytes(lambda: amp_soft(
+            block, scn.pilots, cfg, alpha=[1.0, 1.3, 1.6, 2.0], noise_var=scn.noise_var))
+        assert peak < scn.pilots.nbytes / 2
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_non_finite_or_nonpositive_alpha(self, alpha):
+        cfg = noise_cfg(0.01, n_users=8, pilot_len=4)
+        with pytest.raises(ValueError, match="column 0"):
+            amp_soft(np.ones(4, dtype=complex), np.ones((4, 8), dtype=complex),
+                     cfg, alpha=alpha)
+
+    def test_rejects_grid_with_one_bad_alpha(self):
+        cfg = noise_cfg(0.01, n_users=8, pilot_len=4)
+        with pytest.raises(ValueError, match="column 2 has nan"):
+            amp_soft(np.ones((4, 4), dtype=complex), np.ones((4, 8), dtype=complex),
+                     cfg, alpha=[1.0, 1.2, math.nan, 1.5])
+        with pytest.raises(ValueError, match="one value per column"):
+            amp_soft(np.ones((4, 4), dtype=complex), np.ones((4, 8), dtype=complex),
+                     cfg, alpha=[1.0, 1.2])
+
+    @pytest.mark.parametrize("bad_cols, prefix", [([1], "column 1: "),
+                                                  ([0, 2], "columns 0, 2: ")])
+    def test_block_divergence_names_columns(self, bad_cols, prefix):
+        cfg = desk_config(n_adts=3)
+        scn = make_scenario(cfg, 0)
+        y = scn.received.copy()
+        y[0, bad_cols] = np.nan
+        with pytest.raises(AmpDivergenceError, match=f"^{prefix}.*sweep 1$"):
+            amp_soft(y, scn.pilots, cfg)
+
+    @pytest.mark.parametrize("cfg", [desk_config(n_adts=6), SystemConfig(n_adts=6)],
+                             ids=["desk", "full"])
+    def test_block_matches_per_column_calls(self, cfg):
+        scn = make_scenario(cfg, 0)
+        block = amp_soft(scn.received, scn.pilots, cfg, noise_var=scn.noise_var)
+        singles = [amp_soft(scn.received[:, t], scn.pilots, cfg,
+                            noise_var=scn.noise_var) for t in range(cfg.n_adts)]
+        assert block.estimate.shape == (cfg.n_users, cfg.n_adts)
+        assert np.array_equal(block.support, np.stack([r.support for r in singles], 1))
+        assert block.iterations == sum(r.iterations for r in singles)
+        # entries just above the threshold are differences of nearly equal
+        # numbers, so the absolute floor scales with the column's largest entry
+        for t, single in enumerate(singles):
+            np.testing.assert_allclose(block.estimate[:, t], single.estimate, rtol=1e-12,
+                                       atol=1e-12 * np.abs(single.estimate).max())
+        assert block.residual_norm == pytest.approx(
+            math.hypot(*(r.residual_norm for r in singles)), rel=1e-12)
+
+    def test_one_column_block_bit_equal_to_vector_call(self):
+        cfg = desk_config(n_adts=1)
+        scn = make_scenario(cfg, 0)
+        y = scn.received[:, 0]
+        vec = amp_soft(y, scn.pilots, cfg)
+        col = amp_soft(y[:, None], scn.pilots, cfg)
+        assert vec.estimate.shape == (cfg.n_users,)
+        assert col.estimate.shape == (cfg.n_users, 1)
+        assert np.array_equal(col.estimate[:, 0], vec.estimate)
+        assert np.array_equal(col.support[:, 0], vec.support)
+        assert (col.iterations, col.residual_norm) == (vec.iterations, vec.residual_norm)
+
+    @pytest.mark.parametrize("trial", [-1, 0, 1, 2])
+    def test_calibration_matches_per_alpha_loop(self, trial):
+        cfg = desk_config(n_adts=1)
+        scn = make_scenario(cfg, trial)
+        assert calibrate_soft_alpha(scn, cfg) == loop_calibrate(scn, cfg)
 
     def test_worse_than_bayesian_amp(self):
         cfg = desk_config(n_users=200, pilot_len=50, n_adts=1, n_trials=4)
@@ -77,6 +145,21 @@ class TestAmpSoft:
             err[1] += [np.sum(np.abs(bayes - truth) ** 2),
                        np.sum(np.abs(truth) ** 2)]
         assert 10 * np.log10(err[0][0] / err[0][1]) > 10 * np.log10(err[1][0] / err[1][1])
+
+
+def loop_calibrate(scenario, cfg, adt=0):
+    """Reference calibration: one vector amp_soft call per grid value.
+
+    Keeps the first alpha whose NMSE is strictly below every earlier one."""
+    truth = scenario.sparse_signal[:, adt]
+    y = scenario.received[:, adt]
+    best_alpha, best_nmse = SOFT_ALPHA_GRID[0], np.inf
+    for alpha in SOFT_ALPHA_GRID:
+        res = amp_soft(y, scenario.pilots, cfg, alpha=alpha)
+        nmse = metric_nmse(res.estimate, truth)
+        if nmse < best_nmse:
+            best_alpha, best_nmse = alpha, nmse
+    return best_alpha
 
 
 def lstsq_omp(y, s_mat, max_iters, target):
@@ -213,6 +296,29 @@ class TestOracleLs:
         assert np.all(np.isfinite(res.estimate))
         # min-norm solution splits the coefficient across duplicates
         assert res.estimate[0] == pytest.approx(res.estimate[1])
+
+
+    def test_rank_deficient_sets_flag(self):
+        s = np.ones((4, 4), dtype=complex)
+        res = oracle_ls(np.ones(4, dtype=complex), s, np.array([1, 1, 0, 0]))
+        assert res.hit_rank_limit
+        np.testing.assert_allclose(res.estimate, [0.5, 0.5, 0.0, 0.0], atol=1e-12)
+
+    @pytest.mark.parametrize("trial", [0, 1, 2])
+    def test_qr_solve_matches_pinv_reference(self, trial):
+        cfg = desk_config(n_adts=2)
+        scn = make_scenario(cfg, trial)
+        for t in range(cfg.n_adts):
+            y = scn.received[:, t]
+            sel = np.flatnonzero(scn.activity[:, t])
+            sub = scn.pilots[:, sel]
+            ref = np.linalg.pinv(sub, rcond=1e-12) @ y
+            res = oracle_ls(y, scn.pilots, scn.activity[:, t])
+            assert not res.hit_rank_limit
+            np.testing.assert_allclose(res.estimate[sel], ref, rtol=1e-12,
+                                       atol=1e-12 * np.abs(ref).max())
+            assert res.residual_norm == pytest.approx(
+                np.linalg.norm(y - sub @ ref), rel=1e-12)
 
 
 class TestOrdering:

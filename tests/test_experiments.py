@@ -352,6 +352,14 @@ class TestCli:
         assert done.returncode == 1
         assert done.stderr.startswith("config error: ") and not done.stdout
 
+    def test_cli_import_leaves_scipy_stats_unloaded(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import seqamp.cli; "
+                "print('scipy.stats' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", code, str(src)],
+                              capture_output=True, text=True, timeout=120, check=True)
+        assert done.stdout.strip() == "False"
+
     def test_zero_workers_is_config_error(self, capsys):
         assert cli_main(["run", "--workers", "0"]) == 1
         captured = capsys.readouterr()
