@@ -159,8 +159,7 @@ def calibrate_soft_alpha(scenario: Scenario, cfg: SystemConfig,
     block = np.repeat(y[:, None], len(SOFT_ALPHA_GRID), axis=1)
     res = amp_soft(block, scenario.pilots, cfg, alpha=SOFT_ALPHA_GRID,
                    noise_var=scenario.noise_var)
-    nmse = [metric_nmse(res.estimate[:, j], truth)
-            for j in range(len(SOFT_ALPHA_GRID))]
+    nmse = [metric_nmse(est, truth) for est in res.estimate.T]
     return SOFT_ALPHA_GRID[int(np.argmin(nmse))]
 
 
