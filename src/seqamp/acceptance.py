@@ -57,9 +57,10 @@ def _draw_model(rng: np.random.Generator):
     return phi, c, pi, xi, psi
 
 
-def check_denoiser_oracle(n_draws: int = 200) -> CheckResult:
+def check_denoiser_oracle() -> CheckResult:
     """Criterion 1: F and G match 2-D quadrature to relative 1e-5, < 30 s."""
     start = time.perf_counter()
+    n_draws = 200
     rng = np.random.default_rng(1001)
     worst = 0.0
     for _ in range(n_draws):
@@ -78,12 +79,12 @@ def check_denoiser_oracle(n_draws: int = 200) -> CheckResult:
                        f"{elapsed:.1f}s (limit 30s)")
 
 
-def check_moment_matching(n_draws: int = 200) -> CheckResult:
+def check_moment_matching() -> CheckResult:
     """Criterion 2: matched moments vs quadrature (1e-6) and pi identity (1e-12)."""
     rng = np.random.default_rng(1002)
     worst_mom = 0.0
     worst_id = 0.0
-    for _ in range(n_draws):
+    for _ in range(200):
         phi, c, pi, xi, psi = _draw_model(rng)
         prior = BgPrior(pi, xi, psi)
         mm = moment_match(np.array([phi]), c, prior)
@@ -100,8 +101,9 @@ def check_moment_matching(n_draws: int = 200) -> CheckResult:
                        f"pi identity dev {worst_id:.2e} (tol 1e-12)")
 
 
-def check_degenerate_collapse(n_instances: int = 10) -> CheckResult:
+def check_degenerate_collapse() -> CheckResult:
     """Criterion 3: with p01 = 1-lam, p10 = lam, eta = 0, S-AMP == AMP-MMSE bitwise."""
+    n_instances = 10
     cfg = desk_config(r_scale=1.0)
     for trial in range(n_instances):
         drawn = gen_user_profiles(cfg, stream(cfg.seed, trial, "profiles"))
@@ -168,8 +170,7 @@ def check_se_consistency() -> CheckResult:
     for trial in range(cfg.n_trials):
         scn = make_scenario(cfg, trial)
         prior = initial_prior(cfg, scn.profiles)
-        state = amp_run(scn.received[:, 0], scn.pilots, prior, cfg,
-                        noise_var=scn.noise_var)
+        state = amp_run(scn.received[:, 0], scn.pilots, prior, cfg)
         cs.append(state.c)
     mean_c = float(np.mean(cs))
     samples = static_sampler(cfg)(SE_STEP_SAMPLES, stream(cfg.seed, 0, "se-acceptance"))
@@ -189,8 +190,9 @@ def check_se_consistency() -> CheckResult:
                        f"{elapsed:.0f}s (limit 180s)")
 
 
-def check_kl_contraction(n_instances: int = 100) -> CheckResult:
+def check_kl_contraction() -> CheckResult:
     """Criterion 6: KL(exact || matched) never grows through a transition."""
+    n_instances = 100
     rng = np.random.default_rng(1006)
     worst = -np.inf
     for _ in range(n_instances):
@@ -245,14 +247,14 @@ def check_stationarity() -> CheckResult:
                        f"{var_dev:.4f} (tol 0.02), lag-1 dev {corr_dev:.5f} (tol 0.005)")
 
 
-def check_r0_monotonicity(n_trials: int = 12) -> CheckResult:
+def check_r0_monotonicity() -> CheckResult:
     """Criterion 8: S-AMP improves with r0; AMP-MMSE flat (Spearman trend)."""
     # imported here: scipy.stats takes most of the CLI's start-up time and
     # no other command needs it
     from scipy.stats import spearmanr
 
     r0s = np.arange(6)
-    pooled = _pooled_metrics(ExperimentSpec(desk_config(n_trials=n_trials), axis="r0",
+    pooled = _pooled_metrics(ExperimentSpec(desk_config(n_trials=12), axis="r0",
                                             values=tuple(r0s), algorithms=_PAIRED))
     # [k, i, 0] is NMSE and [k, i, 1] DEP of algorithm k at r0s[i]
     metrics = np.array([[pooled[r0, a] for r0 in r0s] for a in _PAIRED])
@@ -281,11 +283,11 @@ def check_r0_monotonicity(n_trials: int = 12) -> CheckResult:
                        f"{np.ptp(nmse[1]) / np.ptp(nmse[0]):.2f} (flat)")
 
 
-def check_baseline_ordering(n_trials: int = 12) -> CheckResult:
+def check_baseline_ordering() -> CheckResult:
     """Criterion 9: oracle LS <= OMP/soft in channel NMSE; S-AMP < oracle LS."""
     # the harness calibrates amp_soft's threshold on its held-out trial
     algorithms = ("s_amp", "oracle_ls", "omp", "amp_soft")
-    cfg = desk_config(r_scale=1.0 / 32.0, n_trials=n_trials)
+    cfg = desk_config(r_scale=1.0 / 32.0, n_trials=12)
     pooled = _pooled_metrics(ExperimentSpec(cfg, algorithms=algorithms))
     nmse = {a: pooled[0, a][0] for a in algorithms}
     passed = (nmse["oracle_ls"] <= nmse["omp"]

@@ -6,13 +6,15 @@ prior triple per user, the sweep is
     phi = S^H z + mu
     mu+ = F(phi, c),  v+ = G(phi, c)
     z+  = y - S mu+ + (z/L) * sum_n F'(phi_n, c)      (Onsager correction)
-    c+  = ||z+||^2 / L                                (empirical mode)
+    c+  = ||z+||^2 / L
 
-The empirical c update is the default: once the prior is an approximation
-rather than the true signal law, the theoretical update
-c+ = noise_var + (1/L) sum_n v_n no longer tracks the true effective
-noise, while the residual energy still does.  The theoretical form stays
-available behind ``mode="theoretical"`` for state-evolution comparisons.
+c is updated from the residual energy rather than by the theoretical rule
+c+ = noise_var + (1/L) sum_n v_n: once the prior is an approximation
+rather than the true signal law, the theoretical form no longer tracks the
+true effective noise, while the residual energy still does.  State
+evolution predicts this empirical c.  The noise variance is the system
+constant derive_noise_var(cfg) and enters only through the seed
+c0 = c0_factor * noise_var.
 
 S^H z is formed by :func:`adjoint` from S's transpose view, never by
 materialising S^H.
@@ -68,25 +70,21 @@ def adjoint(s_mat: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.conj(s_mat.T @ np.conj(v))
 
 
-def amp_init(y: np.ndarray, cfg: SystemConfig, n: int | None = None,
-             noise_var: float | None = None) -> AmpState:
+def amp_init(y: np.ndarray, cfg: SystemConfig, n: int | None = None) -> AmpState:
     """Initial state: mu = 0, z = y, c = c0_factor * noise_var, phi = 0."""
     n = cfg.n_users if n is None else n
-    if noise_var is None:
-        noise_var = derive_noise_var(cfg)
     return AmpState(
         mu=np.zeros(n, dtype=complex),
         v=np.zeros(n, dtype=float),
         z=np.asarray(y, dtype=complex).copy(),
-        c=float(cfg.c0_factor * noise_var),
+        c=float(cfg.c0_factor * derive_noise_var(cfg)),
         phi=np.zeros(n, dtype=complex),
         iter=0,
     )
 
 
 def amp_iterate(state: AmpState, s_mat: np.ndarray, y: np.ndarray,
-                priors: BgPrior, mode: str = "empirical",
-                noise_var: float | None = None) -> AmpState:
+                priors: BgPrior) -> AmpState:
     """One full AMP sweep; raises AmpDivergenceError on non-finite output."""
     l_dim = s_mat.shape[0]
     phi = adjoint(s_mat, state.z) + state.mu
@@ -94,19 +92,11 @@ def amp_iterate(state: AmpState, s_mat: np.ndarray, y: np.ndarray,
     v_new = denoise_var(phi, state.c, priors)
     onsager = (state.z / l_dim) * np.sum(denoise_deriv(phi, state.c, priors))
     z_new = y - s_mat @ mu_new + onsager
-    if mode == "empirical":
-        # ||z||^2/L: the residual-energy estimate of the effective noise
-        # VARIANCE (c pairs with psi and noise_var everywhere, so it must
-        # carry variance units).  The tiny floor only engages when z is
-        # exactly zero (all-zero observations) and keeps c > 0.
-        c_new = float(max(np.linalg.norm(z_new) ** 2 / l_dim,
-                          np.finfo(float).tiny))
-    elif mode == "theoretical":
-        if noise_var is None:
-            raise ValueError("theoretical mode needs noise_var")
-        c_new = float(noise_var + np.sum(v_new) / l_dim)
-    else:
-        raise ValueError(f"unknown c-update mode {mode!r}")
+    # ||z||^2/L: the residual-energy estimate of the effective noise
+    # VARIANCE (c pairs with psi and noise_var everywhere, so it must
+    # carry variance units).  The tiny floor only engages when z is
+    # exactly zero (all-zero observations) and keeps c > 0.
+    c_new = float(max(np.linalg.norm(z_new) ** 2 / l_dim, np.finfo(float).tiny))
     if not (np.isfinite(c_new) and c_new > 0.0
             and np.all(np.isfinite(mu_new)) and np.all(np.isfinite(z_new))):
         raise AmpDivergenceError(
@@ -116,21 +106,18 @@ def amp_iterate(state: AmpState, s_mat: np.ndarray, y: np.ndarray,
 
 
 def amp_run(y: np.ndarray, s_mat: np.ndarray, priors: BgPrior,
-            cfg: SystemConfig, mode: str = "empirical",
-            noise_var: float | None = None) -> AmpState:
+            cfg: SystemConfig) -> AmpState:
     """Run sweeps until the mu change falls below REL_TOL or the cap I hits.
 
     The returned state carries phi refreshed from the final (z, mu) and
     ``converged`` set when the REL_TOL exit fired (False at the cap); with
     a zero iteration budget the untouched init state comes back.
     """
-    if noise_var is None:
-        noise_var = derive_noise_var(cfg)
-    state = amp_init(y, cfg, n=s_mat.shape[1], noise_var=noise_var)
+    state = amp_init(y, cfg, n=s_mat.shape[1])
     converged = False
     for _ in range(cfg.amp_iters):
         prev_mu = state.mu
-        state = amp_iterate(state, s_mat, y, priors, mode=mode, noise_var=noise_var)
+        state = amp_iterate(state, s_mat, y, priors)
         num = np.linalg.norm(state.mu - prev_mu)
         den = max(np.linalg.norm(prev_mu), _REL_FLOOR)
         if num / den < REL_TOL:

@@ -52,10 +52,9 @@ class BaselineResult:
     hit_rank_limit: bool = False
 
 
-def amp_mmse(scenario: Scenario, cfg: SystemConfig,
-             mode: str = "empirical") -> SequenceResult:
+def amp_mmse(scenario: Scenario, cfg: SystemConfig) -> SequenceResult:
     """Static-prior AMP per ADT: (lam, 0, rho_n) everywhere, no propagation."""
-    return _run_sequence(scenario, cfg, propagate=False, mode=mode)
+    return _run_sequence(scenario, cfg, propagate=False)
 
 
 def _column_alphas(alpha, k: int) -> np.ndarray:
@@ -73,8 +72,7 @@ def _column_alphas(alpha, k: int) -> np.ndarray:
 
 
 def amp_soft(y: np.ndarray, s_mat: np.ndarray, cfg: SystemConfig,
-             alpha: float | Sequence[float] | None = None,
-             noise_var: float | None = None) -> BaselineResult:
+             alpha: float | Sequence[float] | None = None) -> BaselineResult:
     """AMP with the complex soft-threshold denoiser, threshold alpha*sqrt(c).
 
     ``y`` is one observation (L,) or a block (L, k) of independent columns,
@@ -87,7 +85,7 @@ def amp_soft(y: np.ndarray, s_mat: np.ndarray, cfg: SystemConfig,
     A column that stops leaves the block, so each sweep is one S^H Z and
     one S M product over the columns still running.  The Onsager term uses
     the a.e. derivative of the denoiser, 1 - alpha*sqrt(c)/(2|phi|) on the
-    unclipped set.  ``noise_var`` is unused: the threshold tracks ``c``.
+    unclipped set.
 
     A 1-D ``y`` returns (N,) arrays; a block returns (N, k) arrays, the
     summed sweeps and the Frobenius norm of the residual block.  Raises
@@ -145,27 +143,24 @@ def amp_soft(y: np.ndarray, s_mat: np.ndarray, cfg: SystemConfig,
                           float(np.linalg.norm(z)))
 
 
-def calibrate_soft_alpha(scenario: Scenario, cfg: SystemConfig,
-                         adt: int = 0) -> float:
-    """Grid-search alpha in {1.0..2.0 step 0.1} minimising NMSE on one ADT.
+def calibrate_soft_alpha(scenario: Scenario, cfg: SystemConfig) -> float:
+    """Grid-search alpha in {1.0..2.0 step 0.1} minimising NMSE on ADT 0.
 
-    One :func:`amp_soft` call runs the ADT's observation as a block with one
-    column per grid value; the first alpha reaching the lowest NMSE wins.
+    One :func:`amp_soft` call runs the first ADT's observation as a block
+    with one column per grid value; the first alpha reaching the lowest
+    NMSE wins.
     Meant to run on a held-out calibration scenario; the winning alpha is
     then fixed for scoring runs.
     """
-    truth = scenario.sparse_signal[:, adt]
-    y = scenario.received[:, adt]
+    truth = scenario.sparse_signal[:, 0]
+    y = scenario.received[:, 0]
     block = np.repeat(y[:, None], len(SOFT_ALPHA_GRID), axis=1)
-    res = amp_soft(block, scenario.pilots, cfg, alpha=SOFT_ALPHA_GRID,
-                   noise_var=scenario.noise_var)
+    res = amp_soft(block, scenario.pilots, cfg, alpha=SOFT_ALPHA_GRID)
     nmse = [metric_nmse(est, truth) for est in res.estimate.T]
     return SOFT_ALPHA_GRID[int(np.argmin(nmse))]
 
 
-def omp(y: np.ndarray, s_mat: np.ndarray, cfg: SystemConfig,
-        noise_var: float | None = None,
-        max_iters: int | None = None) -> BaselineResult:
+def omp(y: np.ndarray, s_mat: np.ndarray, cfg: SystemConfig) -> BaselineResult:
     """Orthogonal matching pursuit with an incremental QR refit.
 
     Each selected column is orthogonalised against the basis ``Q`` of the
@@ -174,19 +169,16 @@ def omp(y: np.ndarray, s_mat: np.ndarray, cfg: SystemConfig,
     residual is ``y - Q Q^H y`` and the coefficients of the least-squares
     refit come from one triangular solve ``R coef = Q^H y`` at the end.
 
-    Stops once ||r|| <= 1.1 * sqrt(L) * sigma_w or after ceil(3*lam*N)
-    selections.  Filling all L degrees of freedom, or picking a column whose
+    Stops once ||r|| <= 1.1 * sqrt(L) * sigma_w, with sigma_w^2 the
+    configured noise variance, or after min(ceil(3*lam*N), L) selections.
+    Filling all L degrees of freedom, or picking a column whose
     orthogonalised norm falls to 1e-10 of its own norm (numerically
     dependent on the selected ones, so the residual is orthogonal to every
     remaining column), stops with ``hit_rank_limit``; a dependent column is
     not added."""
-    if noise_var is None:
-        noise_var = derive_noise_var(cfg)
     l_dim, n = s_mat.shape
-    if max_iters is None:
-        max_iters = math.ceil(3.0 * cfg.lam * n)
-    max_iters = max(0, min(max_iters, l_dim))
-    target = _OMP_RESIDUAL_SLACK * math.sqrt(l_dim * noise_var)
+    max_iters = min(math.ceil(3.0 * cfg.lam * n), l_dim)
+    target = _OMP_RESIDUAL_SLACK * math.sqrt(l_dim * derive_noise_var(cfg))
 
     y = np.asarray(y, dtype=complex)
     residual = y.copy()

@@ -104,19 +104,20 @@ def main(argv=None) -> int:
 
     if args.command == "se":
         rows = run_se(spec)
-        out = spec.out if spec.out != "results.csv" else "se_trace.csv"
+        out = spec.out or "se_trace.csv"
         write_se_csv(rows, out)
         print(f"wrote {len(rows)} rows to {out}")
         return 0
 
     # run
     records, errors = run_experiment(spec)
-    write_csv(records, spec.out)
+    out = spec.out or "results.csv"
+    write_csv(records, out)
     if "se_trace" in spec.algorithms:
-        se_out = spec.out + ".se.csv"
+        se_out = out + ".se.csv"
         write_se_csv(run_se(spec), se_out)
         print(f"wrote state-evolution rows to {se_out}")
-    print(f"wrote {len(records)} rows to {spec.out}")
+    print(f"wrote {len(records)} rows to {out}")
     for line in errors:
         print(f"algorithm error: {line}", file=sys.stderr)
     return 2 if errors else 0

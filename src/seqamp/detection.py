@@ -1,11 +1,10 @@
 """Active-user detection, channel estimation and scoring metrics.
 
 Detection is the Bayes rule on the matched activity posterior: declare
-active iff pi_bar >= 1/2 (posterior odds >= 1, ties to active).  The
-equivalent LLR form thresholds the sufficient statistic
-T(phi) = |phi + c * xi/psi|^2, which degenerates to the classical energy
-detector |phi|^2 when the prior mean is zero.  The channel estimate is the
-recovered sparse entry itself.
+active iff pi_bar >= 1/2 (posterior odds >= 1, ties to active), which is
+the log-likelihood ratio of active vs idle thresholded at the prior odds
+log((1-pi)/pi).  The channel estimate is the recovered sparse entry
+itself.
 """
 
 from __future__ import annotations
@@ -15,13 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amp import AmpState
-from .denoiser import BgPrior, log_evidence_ratio
 from .sequential import PosteriorSummary, SequenceResult
 
 __all__ = [
     "DetectionResult",
-    "llr_statistic",
-    "llr_detect",
     "bayes_detect",
     "channel_estimate",
     "detect_sequence",
@@ -39,29 +35,8 @@ NMSE_FLOOR_DB = -300.0  # sentinel for zero (or absurdly small) error energy
 class DetectionResult:
     """Per-user, per-ADT outputs of a sequential run."""
 
-    decisions: np.ndarray         # (N, T) int8
-    channel_est: np.ndarray       # (N, T) complex, hat h = hat x
-    sufficient_stats: np.ndarray  # (N, T) real, T(phi)
-
-
-def llr_statistic(phi, c, prior: BgPrior):
-    """Sufficient statistic T(phi) = |phi + c * xi/psi|^2."""
-    return np.abs(np.asarray(phi, dtype=complex) + c * prior.xi / prior.psi) ** 2
-
-
-def llr_detect(phi, c, prior: BgPrior, threshold=None) -> np.ndarray:
-    """Threshold the log-likelihood ratio of active vs idle.
-
-    ``threshold`` defaults to the Bayes prior-odds value log((1-pi)/pi),
-    under which this rule coincides with :func:`bayes_detect`; a custom
-    value trades false alarms against misses (calibrating it per user and
-    ADT is out of scope here).
-    """
-    llr = -log_evidence_ratio(phi, c, prior.xi, prior.psi)
-    if threshold is None:
-        with np.errstate(divide="ignore"):
-            threshold = np.log1p(-prior.pi) - np.log(prior.pi)
-    return (llr >= threshold).astype(np.int8)
+    decisions: np.ndarray    # (N, T) int8
+    channel_est: np.ndarray  # (N, T) complex, hat h = hat x
 
 
 def bayes_detect(post: PosteriorSummary) -> np.ndarray:
@@ -75,31 +50,22 @@ def channel_estimate(amp_out: AmpState) -> np.ndarray:
 
 
 def detect_sequence(result: SequenceResult) -> DetectionResult:
-    """Assemble decisions, channel estimates and statistics for a whole run."""
+    """Assemble decisions and channel estimates for a whole run."""
     decisions = np.stack([bayes_detect(r.posterior) for r in result.records], axis=1)
     channel_est = np.stack([channel_estimate(r.amp) for r in result.records], axis=1)
-    stats = np.stack(
-        [llr_statistic(r.amp.phi, r.amp.c, r.prior) for r in result.records], axis=1
-    )
-    return DetectionResult(decisions, channel_est, stats)
+    return DetectionResult(decisions, channel_est)
 
 
-def metric_nmse(est: np.ndarray, truth: np.ndarray,
-                mask: np.ndarray | None = None) -> float:
-    """10*log10(sum |est-truth|^2 / sum |truth|^2) over masked entries.
+def metric_nmse(est: np.ndarray, truth: np.ndarray) -> float:
+    """10*log10(sum |est-truth|^2 / sum |truth|^2) over every entry.
 
-    No mask scores every entry (sparse-vector NMSE); the true activity
-    matrix as mask scores channel estimation over truly active user-ADT
-    pairs.  Zero truth energy is undefined and raises; zero error energy
-    returns the -300 dB sentinel.
+    To score a subset, such as the truly active user-ADT pairs, index both
+    arrays with it first.  Zero truth energy is undefined and raises; zero
+    error energy returns the -300 dB sentinel.
     """
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        est = est[mask]
-        truth = truth[mask]
     energy = float(np.sum(np.abs(truth) ** 2))
     if energy <= 0.0:
-        raise ValueError("NMSE undefined: truth restricted to mask has zero energy")
+        raise ValueError("NMSE undefined: truth has zero energy")
     return nmse_db(float(np.sum(np.abs(est - truth) ** 2)), energy)
 
 

@@ -78,13 +78,17 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A resolved experiment: base config, one optional sweep axis, outputs."""
+    """A resolved experiment: base config, one optional sweep axis, outputs.
+
+    ``out`` is the CSV path; None leaves the choice to the command, which
+    writes ``results.csv`` for ``run`` and ``se_trace.csv`` for ``se``.
+    """
 
     base: SystemConfig
     axis: str | None = None
     values: tuple = ()
     algorithms: tuple[str, ...] = ("s_amp", "amp_mmse")
-    out: str = "results.csv"
+    out: str | None = None
     workers: int = 1
 
     def __post_init__(self):
@@ -212,7 +216,7 @@ def _build_spec(entries: dict, desk: bool, workers: int) -> ExperimentSpec:
         raise ConfigError(str(exc)) from exc
     algos = entries.get("algos", "s_amp,amp_mmse")
     algorithms = tuple(a.strip() for a in algos.split(",") if a.strip())
-    out = entries.get("out", "results.csv")
+    out = entries.get("out")
     return ExperimentSpec(base, axis, values, algorithms, out, workers)
 
 
@@ -263,8 +267,7 @@ def _algo_matrices(name: str, scenario: Scenario, cfg: SystemConfig):
         return det.channel_est, det.decisions
     if name == "amp_soft":
         # the ADTs are independent columns of one block
-        res = baselines.amp_soft(scenario.received, scenario.pilots, cfg,
-                                 noise_var=scenario.noise_var)
+        res = baselines.amp_soft(scenario.received, scenario.pilots, cfg)
         return res.estimate, res.support
     n, t_total = scenario.sparse_signal.shape
     x_hat = np.zeros((n, t_total), dtype=complex)
@@ -272,8 +275,7 @@ def _algo_matrices(name: str, scenario: Scenario, cfg: SystemConfig):
     for t in range(t_total):
         y = scenario.received[:, t]
         if name == "omp":
-            res = baselines.omp(y, scenario.pilots, cfg,
-                                noise_var=scenario.noise_var)
+            res = baselines.omp(y, scenario.pilots, cfg)
         elif name == "oracle_ls":
             res = baselines.oracle_ls(y, scenario.pilots, scenario.activity[:, t])
         else:

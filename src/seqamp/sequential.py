@@ -27,7 +27,7 @@ from scipy.special import expit
 
 from .amp import AmpDivergenceError, AmpState, amp_run
 from .config import SystemConfig
-from .denoiser import BgPrior, log_evidence_ratio, log_gamma
+from .denoiser import BgPrior, log_gamma
 from .scenario import Profiles, Scenario, ar_coeffs, channel_vars
 
 __all__ = [
@@ -84,17 +84,13 @@ def initial_prior(cfg: SystemConfig, profiles: Profiles) -> BgPrior:
 
 
 def moment_intermediates(phi, c, prior: BgPrior):
-    """(pi_tilde, kappa_tilde, tau_tilde) of the two-component posterior.
+    """(kappa_tilde, tau_tilde) of the active branch of the posterior.
 
-    pi_tilde = (1 + (pi/(1-pi)) * gamma)^{-1}; the prior odds cancel inside
-    gamma, leaving the pure evidence ratio, so pi_tilde is computed as a
-    logistic of it.  kappa_tilde = c*psi/(c+psi) and
-    tau_tilde = kappa_tilde * (phi/c + xi/psi).
+    kappa_tilde = c*psi/(c+psi) and tau_tilde = kappa_tilde * (phi/c + xi/psi).
     """
-    pi_tilde = expit(-log_evidence_ratio(phi, c, prior.xi, prior.psi))
     kappa = c * prior.psi / (c + prior.psi)
     tau = kappa * (np.asarray(phi, dtype=complex) / c + prior.xi / prior.psi)
-    return pi_tilde, kappa, tau
+    return kappa, tau
 
 
 def moment_match(phi, c, prior: BgPrior,
@@ -113,7 +109,7 @@ def moment_match(phi, c, prior: BgPrior,
     pi_safe = np.where(interior, np.clip(pi, _PI_CLIP, 1.0 - _PI_CLIP), pi)
     prior_safe = BgPrior(pi_safe, prior.xi, prior.psi)
 
-    _, kappa, tau = moment_intermediates(phi, c, prior_safe)
+    kappa, tau = moment_intermediates(phi, c, prior_safe)
     pi_bar = expit(-log_gamma(phi, c, prior_safe))
     xi_bar = pi_bar * tau + (1.0 - pi_bar) * prior.xi
     second = (pi_bar * (np.abs(tau) ** 2 + kappa)
@@ -125,27 +121,26 @@ def moment_match(phi, c, prior: BgPrior,
 
 
 def posterior_update(amp_out: AmpState, prior: BgPrior,
-                     rho: np.ndarray | None = None) -> PosteriorSummary:
+                     rho: np.ndarray) -> PosteriorSummary:
     """Moment-matched summary at the converged AMP point (phi^I, c^I)."""
     return moment_match(amp_out.phi, amp_out.c, prior, rho=rho)
 
 
-def _propagate_arrays(post: PosteriorSummary, eta: np.ndarray, rho: np.ndarray,
-                      cfg: SystemConfig) -> BgPrior:
+def prior_propagate(post: PosteriorSummary, eta: np.ndarray, rho: np.ndarray,
+                    cfg: SystemConfig) -> BgPrior:
+    """Push the matched posterior through the transition kernels.
+
+    ``eta`` and ``rho`` are the per-user AR-1 coefficients and channel
+    variances.
+    """
     pi_next = cfg.p10 + (1.0 - cfg.r_scale) * post.pi_bar
     xi_next = eta * post.xi_bar
     psi_next = eta**2 * post.psi_bar + (1.0 - eta**2) * rho
     return BgPrior(pi_next, xi_next, psi_next)
 
 
-def prior_propagate(post: PosteriorSummary, profiles: Profiles,
-                    cfg: SystemConfig) -> BgPrior:
-    """Push the matched posterior through the transition kernels."""
-    return _propagate_arrays(post, ar_coeffs(profiles), channel_vars(profiles), cfg)
-
-
 def _run_sequence(scenario: Scenario, cfg: SystemConfig,
-                  propagate: bool, mode: str = "empirical") -> SequenceResult:
+                  propagate: bool) -> SequenceResult:
     """Shared driver: AMP per ADT, moment matching, optional propagation.
 
     ``propagate=False`` reuses the first-frame prior at every ADT, which is
@@ -158,20 +153,18 @@ def _run_sequence(scenario: Scenario, cfg: SystemConfig,
     records = []
     for t in range(cfg.n_adts):
         try:
-            amp_out = amp_run(scenario.received[:, t], scenario.pilots, prior,
-                              cfg, mode=mode, noise_var=scenario.noise_var)
+            amp_out = amp_run(scenario.received[:, t], scenario.pilots, prior, cfg)
             post = posterior_update(amp_out, prior, rho=rho)
         except AmpDivergenceError as exc:
             raise AmpDivergenceError(f"ADT {t + 1}: {exc}") from exc
         records.append(AdtRecord(prior, amp_out, post))
         if propagate:
-            prior = _propagate_arrays(post, eta, rho, cfg)
+            prior = prior_propagate(post, eta, rho, cfg)
         else:
             prior = static_prior
     return SequenceResult(records)
 
 
-def s_amp_run(scenario: Scenario, cfg: SystemConfig,
-              mode: str = "empirical") -> SequenceResult:
+def s_amp_run(scenario: Scenario, cfg: SystemConfig) -> SequenceResult:
     """Full sequential run over all ADTs with historical priors."""
-    return _run_sequence(scenario, cfg, propagate=True, mode=mode)
+    return _run_sequence(scenario, cfg, propagate=True)

@@ -4,7 +4,8 @@ The scalar recursion
 
     c+ = noise_var + (N/L) * E |F(X + sqrt(c) V, c; prior) - X|^2
 
-predicts the AMP effective noise level when the denoiser matches the prior.
+predicts the AMP effective noise level when the denoiser matches the prior;
+noise_var is the configured noise power derive_noise_var(cfg).
 The expectation is estimated over a frozen batch of (X, prior, V) samples;
 freezing the batch makes the fixed-point map deterministic, so plain
 successive substitution converges to the 1e-4 relative tolerance instead of
@@ -29,7 +30,7 @@ from .config import SystemConfig
 from .denoiser import BgPrior, denoise_mean
 from .rng import stream
 from .scenario import ar1_channels, derive_noise_var, gen_user_profiles, markov_activity
-from .sequential import _propagate_arrays, moment_match
+from .sequential import moment_match, prior_propagate
 
 __all__ = [
     "SeSamples",
@@ -100,30 +101,24 @@ def static_sampler(cfg: SystemConfig) -> Callable[[int, np.random.Generator], Se
 
 
 def se_step(c: float, samples: SeSamples, cfg: SystemConfig,
-            denoiser: Callable | None = None,
-            noise_var: float | None = None) -> float:
+            denoiser: Callable | None = None) -> float:
     """One state-evolution step: noise_var + (N/L) * mean |f(X+sqrt(c)V) - X|^2."""
-    if noise_var is None:
-        noise_var = derive_noise_var(cfg)
     f = denoise_mean if denoiser is None else denoiser
     phi = samples.x + np.sqrt(c) * samples.v
     mse = float(np.mean(np.abs(f(phi, c, samples.prior) - samples.x) ** 2))
-    return noise_var + (cfg.n_users / cfg.pilot_len) * mse
+    return derive_noise_var(cfg) + (cfg.n_users / cfg.pilot_len) * mse
 
 
 def se_fixpoint(samples: SeSamples, cfg: SystemConfig,
-                denoiser: Callable | None = None,
-                noise_var: float | None = None) -> SeFixpoint:
+                denoiser: Callable | None = None) -> SeFixpoint:
     """Successive substitution from c0 = c0_factor * noise_var.
 
     Stops at |dc|/c < 1e-4; past 200 iterations the last iterate is
     returned flagged non-converged rather than hidden.
     """
-    if noise_var is None:
-        noise_var = derive_noise_var(cfg)
-    c = cfg.c0_factor * noise_var
+    c = cfg.c0_factor * derive_noise_var(cfg)
     for it in range(1, FIXPOINT_MAX_ITERS + 1):
-        c_next = se_step(c, samples, cfg, denoiser=denoiser, noise_var=noise_var)
+        c_next = se_step(c, samples, cfg, denoiser=denoiser)
         done = abs(c_next - c) / c_next < FIXPOINT_TOL
         c = c_next
         if done:
@@ -131,19 +126,19 @@ def se_fixpoint(samples: SeSamples, cfg: SystemConfig,
     return SeFixpoint(c, FIXPOINT_MAX_ITERS, False)
 
 
-def se_sequential_trace(cfg: SystemConfig, n_samples: int = SE_TRACE_SAMPLES,
-                        trial: int = 0,
-                        noise_var: float | None = None) -> SeTrace:
-    """Paired sequential / static fixpoint traces over cfg.n_adts ADTs."""
-    if noise_var is None:
-        noise_var = derive_noise_var(cfg)
+def se_sequential_trace(cfg: SystemConfig,
+                        n_samples: int = SE_TRACE_SAMPLES) -> SeTrace:
+    """Paired sequential / static fixpoint traces over cfg.n_adts ADTs.
+
+    The trajectories come from trial 0's streams of cfg.seed.
+    """
     t_total = cfg.n_adts
-    profiles = gen_user_profiles(cfg, stream(cfg.seed, trial, "se-profiles"), n=n_samples)
+    profiles = gen_user_profiles(cfg, stream(cfg.seed, 0, "se-profiles"), n=n_samples)
     rho, eta = profiles.channel_var, profiles.ar_coeff
     act = markov_activity(cfg.lam, cfg.p01, cfg.p10, n_samples, t_total,
-                          stream(cfg.seed, trial, "se-activity"))
-    h = ar1_channels(rho, eta, t_total, stream(cfg.seed, trial, "se-channels"))
-    v = _cn_unit(stream(cfg.seed, trial, "se-noise"), (n_samples, t_total))
+                          stream(cfg.seed, 0, "se-activity"))
+    h = ar1_channels(rho, eta, t_total, stream(cfg.seed, 0, "se-channels"))
+    v = _cn_unit(stream(cfg.seed, 0, "se-noise"), (n_samples, t_total))
     x = act * h
 
     static_prior = BgPrior(np.full(n_samples, cfg.lam),
@@ -156,18 +151,18 @@ def se_sequential_trace(cfg: SystemConfig, n_samples: int = SE_TRACE_SAMPLES,
     all_converged = True
     for t in range(t_total):
         seq_batch = SeSamples(x[:, t], prior, v[:, t])
-        fp = se_fixpoint(seq_batch, cfg, noise_var=noise_var)
+        fp = se_fixpoint(seq_batch, cfg)
         c_seq[t], iters_seq[t] = fp.c, fp.iters
         all_converged &= fp.converged
 
         static_batch = SeSamples(x[:, t], static_prior, v[:, t])
-        fp_s = se_fixpoint(static_batch, cfg, noise_var=noise_var)
+        fp_s = se_fixpoint(static_batch, cfg)
         c_static[t], iters_static[t] = fp_s.c, fp_s.iters
         all_converged &= fp_s.converged
 
         phi = x[:, t] + np.sqrt(c_seq[t]) * v[:, t]
         post = moment_match(phi, c_seq[t], prior, rho=rho)
-        prior = _propagate_arrays(post, eta, rho, cfg)
+        prior = prior_propagate(post, eta, rho, cfg)
 
     nor = 10.0 ** ((cfg.tx_power_dbm - cfg.nor_ref_dbm) / 10.0)
     return SeTrace(np.arange(1, t_total + 1), c_seq, c_static,

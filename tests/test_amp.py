@@ -13,11 +13,11 @@ from seqamp.sequential import initial_prior
 from seqamp.state_evolution import se_fixpoint, static_sampler
 
 
-def scalar_cfg(noise_var=0.1, iters=50):
+def scalar_cfg(noise_var):
     # psd/bandwidth chosen so derive_noise_var(cfg) == noise_var
     psd = 30.0 + 10.0 * np.log10(noise_var)
     return SystemConfig(n_users=1, pilot_len=1, n_adts=1,
-                        noise_psd_dbm_hz=psd, bandwidth_hz=1.0, amp_iters=iters)
+                        noise_psd_dbm_hz=psd, bandwidth_hz=1.0)
 
 
 class TestInit:
@@ -26,9 +26,8 @@ class TestInit:
         assert np.all(st.z == 0) and np.all(st.mu == 0) and st.iter == 0
 
     def test_c0_product(self):
-        st = amp_init(np.zeros(2, dtype=complex),
-                      SystemConfig(n_users=4, pilot_len=2, c0_factor=100.0),
-                      noise_var=1e-13)
+        st = amp_init(np.zeros(1, dtype=complex),
+                      scalar_cfg(1e-13).with_(c0_factor=100.0))
         assert st.c == pytest.approx(1e-11)
 
     def test_residual_is_observation_copy(self):
@@ -57,39 +56,8 @@ class TestAdjoint:
         scn = make_scenario(cfg, 0)
         prior = initial_prior(cfg, scn.profiles)
         peak = peak_traced_bytes(lambda: amp_run(
-            scn.received[:, 0], scn.pilots, prior, cfg, noise_var=scn.noise_var))
+            scn.received[:, 0], scn.pilots, prior, cfg))
         assert peak < scn.pilots.nbytes / 2
-
-
-class TestScalarFixedPoint:
-    """N = L = 1 with a pure Gaussian prior: the theoretical-mode recursion
-    has the linear-MMSE estimate psi*y/(psi + noise_var) as its fixed point.
-    (The empirical ||z||^2/L estimate needs large L and is not expected to
-    settle there for a 1x1 system.)"""
-
-    def test_converges_to_linear_mmse(self):
-        cfg = scalar_cfg(0.1)
-        y = np.array([0.7 - 0.3j])
-        s = np.array([[1.0 + 0j]])
-        prior = BgPrior(np.array([1.0]), np.array([0j]), np.array([1.0]))
-        st = amp_run(y, s, prior, cfg, mode="theoretical", noise_var=0.1)
-        expected = 1.0 * y / (1.0 + 0.1)
-        assert st.iter <= 50
-        assert np.max(np.abs(st.mu - expected)) <= 1e-6
-
-    def test_iterate_and_run_agree(self):
-        cfg = scalar_cfg(0.1)
-        y = np.array([0.7 - 0.3j])
-        s = np.array([[1.0 + 0j]])
-        prior = BgPrior(np.array([1.0]), np.array([0j]), np.array([1.0]))
-        st = amp_init(y, cfg, noise_var=0.1)
-        for _ in range(60):
-            st = amp_iterate(st, s, y, prior, mode="theoretical", noise_var=0.1)
-        run = amp_run(y, s, prior, cfg.with_(amp_iters=60), mode="theoretical",
-                      noise_var=0.1)
-        # amp_run may stop early once the relative change drops below 1e-6,
-        # so the two paths agree only to that tolerance around the fixed point
-        assert np.max(np.abs(st.mu - run.mu)) <= 2e-6
 
 
 class TestZeroPreservation:
@@ -98,9 +66,9 @@ class TestZeroPreservation:
         s = np.full((8, 16), 0.1 + 0.1j)
         y = np.zeros(8, dtype=complex)
         prior = BgPrior(np.full(16, 0.3), np.zeros(16, dtype=complex), np.ones(16))
-        st = amp_init(y, cfg, noise_var=0.01)
+        st = amp_init(y, cfg)
         for _ in range(5):
-            st = amp_iterate(st, s, y, prior, noise_var=0.01)
+            st = amp_iterate(st, s, y, prior)
             assert np.all(st.mu == 0)
 
 
@@ -112,12 +80,11 @@ class TestOracleSupportRecovery:
                                     + 1j * rng.standard_normal((l_dim, n)))
         x = np.zeros(n, dtype=complex)
         x[[2, 9]] = [1.0 + 0.5j, -0.7 + 0.2j]
-        noise_var = 1e-12
         y = s @ x
         pi = np.where(np.arange(n) == 2, 1.0, 0.0) + np.where(np.arange(n) == 9, 1.0, 0.0)
         prior = BgPrior(pi, np.zeros(n, dtype=complex), np.full(n, 1.0))
         cfg = SystemConfig(n_users=n, pilot_len=l_dim, amp_iters=100)
-        st = amp_run(y, s, prior, cfg, noise_var=noise_var)
+        st = amp_run(y, s, prior, cfg)
         nmse = 10 * np.log10(np.sum(np.abs(st.mu - x) ** 2) / np.sum(np.abs(x) ** 2))
         assert nmse < -30.0
 
@@ -128,7 +95,7 @@ class TestRunContract:
         y = np.array([1.0, 2.0, -1.0j])
         s = np.zeros((3, 6), dtype=complex)
         st = amp_run(y, s, BgPrior(np.full(6, 0.5), np.zeros(6, dtype=complex),
-                                   np.ones(6)), cfg, noise_var=0.1)
+                                   np.ones(6)), cfg)
         assert st.iter == 0 and np.all(st.mu == 0) and np.all(st.phi == 0)
 
     def test_converged_flag(self):
@@ -138,7 +105,7 @@ class TestRunContract:
 
         def run(iters):
             return amp_run(scn.received[:, 0], scn.pilots, prior,
-                           cfg.with_(amp_iters=iters), noise_var=scn.noise_var)
+                           cfg.with_(amp_iters=iters))
 
         full = run(cfg.amp_iters)
         assert full.converged and full.iter < cfg.amp_iters
@@ -149,8 +116,7 @@ class TestRunContract:
         cfg = SystemConfig(n_users=40, pilot_len=20, amp_iters=30)
         scn = make_scenario(cfg.with_(n_adts=1), 0)
         prior = initial_prior(cfg, scn.profiles)
-        st = amp_run(scn.received[:, 0], scn.pilots, prior, cfg,
-                     noise_var=scn.noise_var)
+        st = amp_run(scn.received[:, 0], scn.pilots, prior, cfg)
         recomputed = scn.pilots.conj().T @ st.z + st.mu
         assert np.array_equal(st.phi, recomputed)
 
@@ -158,8 +124,8 @@ class TestRunContract:
         cfg = SystemConfig(n_users=40, pilot_len=20, amp_iters=25)
         scn = make_scenario(cfg.with_(n_adts=1), 1)
         prior = initial_prior(cfg, scn.profiles)
-        a = amp_run(scn.received[:, 0], scn.pilots, prior, cfg, noise_var=scn.noise_var)
-        b = amp_run(scn.received[:, 0], scn.pilots, prior, cfg, noise_var=scn.noise_var)
+        a = amp_run(scn.received[:, 0], scn.pilots, prior, cfg)
+        b = amp_run(scn.received[:, 0], scn.pilots, prior, cfg)
         assert np.array_equal(a.mu, b.mu) and a.c == b.c
 
     @pytest.mark.filterwarnings("ignore:invalid value")
@@ -170,15 +136,25 @@ class TestRunContract:
         s = np.ones((2, 4), dtype=complex)
         prior = BgPrior(np.full(4, 0.5), np.zeros(4, dtype=complex), np.ones(4))
         with pytest.raises(AmpDivergenceError, match="sweep"):
-            amp_run(y, s, prior, cfg, noise_var=0.1)
+            amp_run(y, s, prior, cfg)
 
-    def test_unknown_mode_rejected(self):
-        cfg = SystemConfig(n_users=4, pilot_len=2, amp_iters=2)
-        y = np.zeros(2, dtype=complex)
-        s = np.zeros((2, 4), dtype=complex)
-        prior = BgPrior(np.full(4, 0.5), np.zeros(4, dtype=complex), np.ones(4))
-        with pytest.raises(ValueError):
-            amp_iterate(amp_init(y, cfg, noise_var=0.1), s, y, prior, mode="bogus")
+    def test_run_equals_repeated_iterate(self):
+        # below convergence amp_run is amp_init followed by k amp_iterate
+        # sweeps, bit for bit; only its final phi refresh differs
+        cfg = desk_config(n_users=200, pilot_len=50, n_adts=1)
+        scn = make_scenario(cfg, 0)
+        y = scn.received[:, 0]
+        prior = initial_prior(cfg, scn.profiles)
+        n_sweeps = amp_run(y, scn.pilots, prior, cfg).iter
+        assert n_sweeps > 3
+        st = amp_init(y, cfg)
+        for k in range(1, n_sweeps):
+            st = amp_iterate(st, scn.pilots, y, prior)
+            run = amp_run(y, scn.pilots, prior, cfg.with_(amp_iters=k))
+            assert run.iter == k and not run.converged
+            assert np.array_equal(run.mu, st.mu)
+            assert np.array_equal(run.z, st.z)
+            assert run.c == st.c
 
 
 class TestSweepInvariants:
@@ -186,14 +162,13 @@ class TestSweepInvariants:
         cfg = SystemConfig(n_users=60, pilot_len=30, amp_iters=1)
         scn = make_scenario(cfg.with_(n_adts=1), 2)
         prior = initial_prior(cfg, scn.profiles)
-        st = amp_init(scn.received[:, 0], cfg, noise_var=scn.noise_var)
+        st = amp_init(scn.received[:, 0], cfg)
         from seqamp.denoiser import denoise_deriv
         for _ in range(6):
             onsager_sum = float(np.sum(denoise_deriv(
                 scn.pilots.conj().T @ st.z + st.mu, st.c, prior)))
             assert np.isfinite(onsager_sum) and onsager_sum >= 0.0
-            st = amp_iterate(st, scn.pilots, scn.received[:, 0], prior,
-                             noise_var=scn.noise_var)
+            st = amp_iterate(st, scn.pilots, scn.received[:, 0], prior)
             assert st.c == pytest.approx(np.linalg.norm(st.z) ** 2 / cfg.pilot_len,
                                          rel=1e-12)
 
@@ -205,8 +180,7 @@ class TestSweepInvariants:
         for trial in range(10):
             scn = make_scenario(cfg, trial)
             prior = initial_prior(cfg, scn.profiles)
-            cs.append(amp_run(scn.received[:, 0], scn.pilots, prior, cfg,
-                              noise_var=scn.noise_var).c)
+            cs.append(amp_run(scn.received[:, 0], scn.pilots, prior, cfg).c)
         samples = static_sampler(cfg)(100_000, stream(cfg.seed, 0, "se-test"))
         fp = se_fixpoint(samples, cfg)
         assert fp.converged

@@ -11,7 +11,7 @@ from seqamp.baselines import (SOFT_ALPHA_GRID, amp_mmse, amp_soft,
 from seqamp.config import SystemConfig, desk_config
 from seqamp.detection import detect_sequence, metric_nmse
 from seqamp.rng import stream
-from seqamp.scenario import gen_pilots, make_scenario
+from seqamp.scenario import derive_noise_var, gen_pilots, make_scenario
 from seqamp.sequential import s_amp_run
 
 
@@ -32,7 +32,7 @@ class TestAmpSoft:
         cfg = noise_cfg(0.01, n_users=32, pilot_len=16, amp_iters=20)
         scn_pilots = gen_pilots(cfg, stream(0, 0, "s"))
         y = scn_pilots @ (np.arange(32) == 3).astype(complex)
-        res = amp_soft(y, scn_pilots, cfg, alpha=1e6, noise_var=0.01)
+        res = amp_soft(y, scn_pilots, cfg, alpha=1e6)
         assert np.all(res.estimate == 0)
         assert np.all(res.support == 0)
 
@@ -44,7 +44,7 @@ class TestAmpSoft:
         rng = stream(1, 0, "y")
         y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         alpha = 1.3
-        res = amp_soft(y, s, cfg, alpha=alpha, noise_var=0.01)
+        res = amp_soft(y, s, cfg, alpha=alpha)
         thr = alpha * np.linalg.norm(y) / np.sqrt(n)
         expected = y * np.maximum(1 - thr / np.abs(y), 0.0)
         assert np.allclose(res.estimate, expected)
@@ -58,12 +58,12 @@ class TestAmpSoft:
     def test_never_copies_pilots(self, guard_case, peak_traced_bytes):
         cfg, scn = guard_case
         peak = peak_traced_bytes(lambda: amp_soft(
-            scn.received[:, 0], scn.pilots, cfg, noise_var=scn.noise_var))
+            scn.received[:, 0], scn.pilots, cfg))
         assert peak < scn.pilots.nbytes / 2
         # an (L, k) block of thresholds on the same observation
         block = np.repeat(scn.received, 4, axis=1)
         peak = peak_traced_bytes(lambda: amp_soft(
-            block, scn.pilots, cfg, alpha=[1.0, 1.3, 1.6, 2.0], noise_var=scn.noise_var))
+            block, scn.pilots, cfg, alpha=[1.0, 1.3, 1.6, 2.0]))
         assert peak < scn.pilots.nbytes / 2
 
     @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
@@ -96,9 +96,8 @@ class TestAmpSoft:
                              ids=["desk", "full"])
     def test_block_matches_per_column_calls(self, cfg):
         scn = make_scenario(cfg, 0)
-        block = amp_soft(scn.received, scn.pilots, cfg, noise_var=scn.noise_var)
-        singles = [amp_soft(scn.received[:, t], scn.pilots, cfg,
-                            noise_var=scn.noise_var) for t in range(cfg.n_adts)]
+        block = amp_soft(scn.received, scn.pilots, cfg)
+        singles = [amp_soft(scn.received[:, t], scn.pilots, cfg) for t in range(cfg.n_adts)]
         assert block.estimate.shape == (cfg.n_users, cfg.n_adts)
         assert np.array_equal(block.support, np.stack([r.support for r in singles], 1))
         assert block.iterations == sum(r.iterations for r in singles)
@@ -137,7 +136,7 @@ class TestAmpSoft:
         for trial in range(4):
             scn = make_scenario(cfg, trial)
             soft = amp_soft(scn.received[:, 0], scn.pilots,
-                            cfg.with_(soft_alpha=alpha), noise_var=scn.noise_var)
+                            cfg.with_(soft_alpha=alpha))
             bayes = detect_sequence(amp_mmse(scn, cfg)).channel_est[:, 0]
             truth = scn.sparse_signal[:, 0]
             err[0] += [np.sum(np.abs(soft.estimate - truth) ** 2),
@@ -147,12 +146,12 @@ class TestAmpSoft:
         assert 10 * np.log10(err[0][0] / err[0][1]) > 10 * np.log10(err[1][0] / err[1][1])
 
 
-def loop_calibrate(scenario, cfg, adt=0):
-    """Reference calibration: one vector amp_soft call per grid value.
+def loop_calibrate(scenario, cfg):
+    """Reference calibration on ADT 0: one vector amp_soft call per grid value.
 
     Keeps the first alpha whose NMSE is strictly below every earlier one."""
-    truth = scenario.sparse_signal[:, adt]
-    y = scenario.received[:, adt]
+    truth = scenario.sparse_signal[:, 0]
+    y = scenario.received[:, 0]
     best_alpha, best_nmse = SOFT_ALPHA_GRID[0], np.inf
     for alpha in SOFT_ALPHA_GRID:
         res = amp_soft(y, scenario.pilots, cfg, alpha=alpha)
@@ -182,20 +181,21 @@ def lstsq_omp(y, s_mat, max_iters, target):
 
 
 class TestOmp:
-    # scaling S, y and the noise variance together leaves the estimate
+    # scaling S, y and the noise amplitude together leaves the estimate
     # unchanged, so a dependent-column threshold must be relative
     @pytest.mark.parametrize("scale", [1.0, 1e-100, 1e100])
     def test_qr_refit_matches_lstsq_reference(self, scale):
         cfg = desk_config(n_adts=4)
+        scaled_cfg = cfg.with_(
+            noise_psd_dbm_hz=cfg.noise_psd_dbm_hz + 20.0 * math.log10(scale))
         max_iters = min(math.ceil(3 * cfg.lam * cfg.n_users), cfg.pilot_len)
+        target = 1.1 * math.sqrt(cfg.pilot_len * derive_noise_var(scaled_cfg))
         for trial in range(3):
             scn = make_scenario(cfg, trial)
             s_mat = scale * scn.pilots
-            noise_var = scale ** 2 * scn.noise_var
-            target = 1.1 * math.sqrt(cfg.pilot_len * noise_var)
             for t in range(cfg.n_adts):
                 y = scale * scn.received[:, t]
-                res = omp(y, s_mat, cfg, noise_var=noise_var)
+                res = omp(y, s_mat, scaled_cfg)
                 ref, iters, res_norm = lstsq_omp(y, s_mat, max_iters, target)
                 assert np.array_equal(res.support, (ref != 0).astype(np.int8))
                 assert res.iterations == iters and not res.hit_rank_limit
@@ -212,7 +212,7 @@ class TestOmp:
         s[0, 0] = s[0, 1] = s[1, 2] = s[2, 3] = 1.0
         y = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex)
         cfg = noise_cfg(1e-6, n_users=4, pilot_len=4, lam=0.25)
-        res = omp(y, s, cfg, noise_var=1e-6)
+        res = omp(y, s, cfg)
         assert res.hit_rank_limit and res.iterations == 1
         assert np.all(np.isfinite(res.estimate))
         np.testing.assert_array_equal(res.estimate, [1.0, 0.0, 0.0, 0.0])
@@ -224,20 +224,20 @@ class TestOmp:
         s = np.eye(n, dtype=complex)
         x = np.zeros(n, dtype=complex)
         x[[2, 7, 11]] = [1.0, -0.5 + 0.2j, 0.8j]
-        res = omp(s @ x, s, cfg, noise_var=1e-12, max_iters=3)
+        res = omp(s @ x, s, cfg)
         assert np.allclose(res.estimate, x, atol=1e-10)
         assert res.iterations == 3
 
     def test_zero_observation_empty_support(self):
         cfg = noise_cfg(0.01, n_users=16, pilot_len=8)
         s = gen_pilots(cfg, stream(0, 0, "s"))
-        res = omp(np.zeros(8, dtype=complex), s, cfg, noise_var=0.01)
+        res = omp(np.zeros(8, dtype=complex), s, cfg)
         assert res.iterations == 0 and np.all(res.support == 0)
 
     def test_ls_optimality_of_refit(self):
         cfg = desk_config(n_users=120, pilot_len=40, n_adts=1)
         scn = make_scenario(cfg, 0)
-        res = omp(scn.received[:, 0], scn.pilots, cfg, noise_var=scn.noise_var)
+        res = omp(scn.received[:, 0], scn.pilots, cfg)
         sel = np.flatnonzero(res.support)
         assert sel.size > 0
         residual = scn.received[:, 0] - scn.pilots @ res.estimate
@@ -248,7 +248,7 @@ class TestOmp:
     def test_never_copies_pilots(self, guard_case, peak_traced_bytes):
         cfg, scn = guard_case
         peak = peak_traced_bytes(lambda: omp(
-            scn.received[:, 0], scn.pilots, cfg, noise_var=scn.noise_var))
+            scn.received[:, 0], scn.pilots, cfg))
         assert peak < scn.pilots.nbytes / 2
 
     def test_default_iteration_cap(self):
@@ -256,7 +256,7 @@ class TestOmp:
         s = gen_pilots(cfg, stream(0, 0, "s"))
         rng = stream(1, 0, "x")
         x = (rng.random(100) < 0.5) * (rng.standard_normal(100) + 0j)
-        res = omp(s @ x, s, cfg, noise_var=1e-30)
+        res = omp(s @ x, s, cfg)
         assert res.iterations <= int(np.ceil(3 * 0.05 * 100))
 
 
@@ -334,9 +334,8 @@ class TestOrdering:
                 truth = scn.sparse_signal[:, t]
                 outs = {
                     "ls": oracle_ls(y, scn.pilots, scn.activity[:, t]).estimate,
-                    "omp": omp(y, scn.pilots, cfg, noise_var=scn.noise_var).estimate,
-                    "soft": amp_soft(y, scn.pilots, cfg,
-                                     noise_var=scn.noise_var).estimate,
+                    "omp": omp(y, scn.pilots, cfg).estimate,
+                    "soft": amp_soft(y, scn.pilots, cfg).estimate,
                 }
                 for key, est in outs.items():
                     err[key] += [np.sum(np.abs(est - truth) ** 2),

@@ -8,7 +8,7 @@ from seqamp.denoiser import BgPrior
 from seqamp.exact_filter import (ar1_grid_kernel, exact_sssm_filter, grid_axis,
                                  grid_kl, mixture_on_grid, product_on_grid,
                                  push_transition)
-from seqamp.sequential import _propagate_arrays, moment_match
+from seqamp.sequential import moment_match, prior_propagate
 
 
 def profile(eta, rho=1.0):
@@ -51,7 +51,7 @@ class TestFilterBasics:
             assert posts[t].e_a == pytest.approx(mm.pi_bar[0], abs=1e-12)
             assert posts[t].e_h == pytest.approx(mm.xi_bar[0], abs=1e-12)
             assert posts[t].var_h == pytest.approx(mm.psi_bar[0], abs=1e-12)
-            prior = _propagate_arrays(mm, np.array([0.0]), np.array([1.0]), cfg)
+            prior = prior_propagate(mm, np.array([0.0]), np.array([1.0]), cfg)
 
     def test_component_count_doubles(self):
         cfg = SystemConfig(n_users=4, pilot_len=4, n_adts=5, lam=0.2, r_scale=0.3)

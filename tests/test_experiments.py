@@ -322,6 +322,20 @@ class TestCli:
         assert code == 0
         assert out.exists()
 
+    @pytest.mark.parametrize("command, out_args, written", [
+        ("se", ["--out", "results.csv"], "results.csv"),
+        ("se", [], "se_trace.csv"),
+        ("run", [], "results.csv"),
+    ])
+    def test_out_path_default_per_command(self, tmp_path, monkeypatch, command,
+                                          out_args, written):
+        monkeypatch.chdir(tmp_path)
+        code = cli_main([command, "--n-users", "100", "--pilot-len", "25",
+                         "--n-adts", "1", "--trials", "1", "--algos", "oracle_ls",
+                         *out_args])
+        assert code == 0
+        assert [p.name for p in tmp_path.iterdir()] == [written]
+
     def test_missing_config_file(self):
         assert cli_main(["run", "--config", "/nonexistent/path.cfg"]) == 1
 

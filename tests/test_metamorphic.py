@@ -33,7 +33,7 @@ def shifted_run(delta_db: float):
         sums[0] += [np.sum(np.abs(det.channel_est - truth) ** 2),
                     np.sum(np.abs(truth) ** 2)]
         for t in range(cfg.n_adts):
-            res = omp(scn.received[:, t], scn.pilots, cfg, noise_var=scn.noise_var)
+            res = omp(scn.received[:, t], scn.pilots, cfg)
             supports.append(res.support)
             sums[1] += [np.sum(np.abs(res.estimate - truth[:, t]) ** 2),
                         np.sum(np.abs(truth[:, t]) ** 2)]

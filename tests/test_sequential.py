@@ -8,19 +8,18 @@ from seqamp.config import SystemConfig, desk_config
 from seqamp.denoiser import BgPrior, gamma
 from seqamp.detection import detect_sequence
 from seqamp.quadrature import h_moments
-from seqamp.scenario import ar_coeffs, channel_vars, make_scenario
+from seqamp.scenario import channel_vars, make_scenario
 from seqamp.sequential import (initial_prior, moment_intermediates,
                                moment_match, posterior_update,
-                               prior_propagate, s_amp_run, _propagate_arrays)
+                               prior_propagate, s_amp_run)
 
 
 class TestMomentMatch:
     def test_symmetric_hand_chain(self):
-        # gamma = 2 -> pi_tilde = 1/3, pi_bar = 1/3, tau = 0, xi_bar = 0,
+        # gamma = 2 -> pi_bar = 1/3, tau = 0, xi_bar = 0,
         # psi_bar = (1/3)*0.5 + (2/3)*1 = 5/6
         prior = BgPrior(0.5, 0.0, 1.0)
-        pi_t, kappa, tau = moment_intermediates(np.array([0.0 + 0j]), 1.0, prior)
-        assert pi_t[0] == pytest.approx(1 / 3)
+        kappa, tau = moment_intermediates(np.array([0.0 + 0j]), 1.0, prior)
         assert kappa == pytest.approx(0.5)
         assert tau[0] == 0.0
         mm = moment_match(np.array([0.0 + 0j]), 1.0, prior)
@@ -38,7 +37,7 @@ class TestMomentMatch:
         assert mm.xi_bar[0] == 0.4 + 0j
         assert mm.psi_bar[0] == pytest.approx(0.8)
         # pi = 1: posterior is the active branch (tau, kappa)
-        _, kappa, tau = moment_intermediates(phi, 0.5, prior)
+        kappa, tau = moment_intermediates(phi, 0.5, prior)
         assert mm.pi_bar[1] == 1.0
         assert mm.xi_bar[1] == pytest.approx(tau[1])
         assert mm.psi_bar[1] == pytest.approx(kappa)
@@ -75,7 +74,7 @@ class TestMomentMatch:
             c = rng.uniform(1e-3, 5.0)
             psi = rng.uniform(1e-3, 5.0)
             prior = BgPrior(0.3, 0.0, psi)
-            _, kappa, _ = moment_intermediates(np.array([0.7 + 0.1j]), c, prior)
+            kappa, _ = moment_intermediates(np.array([0.7 + 0.1j]), c, prior)
             assert 0.0 < kappa < min(c, psi)
 
     def test_psi_bar_never_negative(self):
@@ -90,16 +89,16 @@ class TestPriorPropagate:
     def test_stationary_fixed_point(self):
         cfg = SystemConfig(lam=0.05, r_scale=0.1)
         post = _fake_post(pi=0.05, xi=0.0, psi=1.0)
-        nxt = _propagate_arrays(post, np.array([0.5]), np.array([1.0]), cfg)
+        nxt = prior_propagate(post, np.array([0.5]), np.array([1.0]), cfg)
         assert nxt.pi[0] == pytest.approx(cfg.lam, abs=1e-15)
 
     def test_ar_limits(self):
         cfg = SystemConfig(lam=0.3, r_scale=0.5)
         post = _fake_post(pi=0.4, xi=1.0 - 0.5j, psi=0.2)
-        frozen = _propagate_arrays(post, np.array([1.0]), np.array([2.0]), cfg)
+        frozen = prior_propagate(post, np.array([1.0]), np.array([2.0]), cfg)
         assert frozen.xi[0] == 1.0 - 0.5j
         assert frozen.psi[0] == pytest.approx(0.2)
-        reset = _propagate_arrays(post, np.array([0.0]), np.array([2.0]), cfg)
+        reset = prior_propagate(post, np.array([0.0]), np.array([2.0]), cfg)
         assert reset.xi[0] == 0.0
         assert reset.psi[0] == pytest.approx(2.0)
 
@@ -108,7 +107,7 @@ class TestPriorPropagate:
         # eta=0.9974, xi_bar=1, psi_bar=0.2, rho=1 -> (0.9974, 0.20416)
         cfg = SystemConfig(lam=0.05, r_scale=0.1)
         post = _fake_post(pi=0.3, xi=1.0, psi=0.2)
-        nxt = _propagate_arrays(post, np.array([0.9974]), np.array([1.0]), cfg)
+        nxt = prior_propagate(post, np.array([0.9974]), np.array([1.0]), cfg)
         assert nxt.pi[0] == pytest.approx(0.275, abs=1e-12)
         assert nxt.xi[0] == pytest.approx(0.9974)
         assert nxt.psi[0] == pytest.approx(0.20416, abs=1e-5)
@@ -119,19 +118,9 @@ class TestPriorPropagate:
         prior = BgPrior(np.array([cfg.lam]), np.array([0j]), np.array([0.01]))
         for _ in range(400):
             post = _fake_post(prior.pi[0], prior.xi[0], prior.psi[0])
-            prior = _propagate_arrays(post, eta, rho, cfg)
+            prior = prior_propagate(post, eta, rho, cfg)
             assert 0.0 < prior.psi[0] <= rho[0] + 1e-9
         assert prior.psi[0] == pytest.approx(rho[0], rel=1e-6)
-
-    def test_profiles_wrapper_matches_arrays(self):
-        cfg = desk_config(n_users=20, pilot_len=10)
-        scn = make_scenario(cfg, 0)
-        post = _fake_post(np.full(20, 0.2), np.zeros(20, dtype=complex),
-                          np.full(20, 0.3))
-        a = prior_propagate(post, scn.profiles, cfg)
-        b = _propagate_arrays(post, ar_coeffs(scn.profiles),
-                              channel_vars(scn.profiles), cfg)
-        assert np.array_equal(a.pi, b.pi) and np.array_equal(a.psi, b.psi)
 
 
 def _fake_post(pi, xi, psi):
