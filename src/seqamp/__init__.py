@@ -16,8 +16,8 @@ from .baselines import (BaselineResult, amp_mmse, amp_soft,
 from .config import SystemConfig, desk_config
 from .denoiser import (BgPrior, denoise_deriv, denoise_mean, denoise_var,
                        gamma, log_gamma)
-from .detection import (DetectionResult, bayes_detect, channel_estimate,
-                        detect_sequence, metric_dep, metric_nmse)
+from .detection import (DetectionResult, bayes_detect, detect_sequence,
+                        metric_dep, metric_nmse)
 from .exact_filter import MixturePosterior, exact_sssm_filter
 from .experiments import (ConfigError, ExperimentSpec, MetricsRecord,
                           load_config, run_experiment, run_se, write_csv)

@@ -13,13 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amp import AmpState
 from .sequential import PosteriorSummary, SequenceResult
 
 __all__ = [
     "DetectionResult",
     "bayes_detect",
-    "channel_estimate",
     "detect_sequence",
     "metric_nmse",
     "metric_dep",
@@ -44,16 +42,14 @@ def bayes_detect(post: PosteriorSummary) -> np.ndarray:
     return (post.pi_bar >= 0.5).astype(np.int8)
 
 
-def channel_estimate(amp_out: AmpState) -> np.ndarray:
-    """hat h = hat x = converged AMP posterior means (all users reported)."""
-    return amp_out.mu
-
-
 def detect_sequence(result: SequenceResult) -> DetectionResult:
-    """Assemble decisions and channel estimates for a whole run."""
+    """Assemble decisions and channel estimates for a whole run.
+
+    The channel estimate of every user, active or not, is its converged AMP
+    posterior mean, so ``channel_est`` is ``result.x_hat``.
+    """
     decisions = np.stack([bayes_detect(r.posterior) for r in result.records], axis=1)
-    channel_est = np.stack([channel_estimate(r.amp) for r in result.records], axis=1)
-    return DetectionResult(decisions, channel_est)
+    return DetectionResult(decisions, result.x_hat)
 
 
 def metric_nmse(est: np.ndarray, truth: np.ndarray) -> float:

@@ -26,7 +26,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import baselines
-from .config import SystemConfig
+from .config import SystemConfig, desk_config
 from .detection import dep_from_counts, detect_sequence, detection_counts, nmse_db
 from .scenario import Scenario, make_scenario
 from .sequential import s_amp_run
@@ -189,9 +189,8 @@ def _parse_entry(key: str, value: str, where: str):
 
 
 def _build_spec(entries: dict, desk: bool, workers: int) -> ExperimentSpec:
-    values_by_field = dict(
-        n_users=500, pilot_len=125, n_adts=10, n_trials=20,
-    ) if desk else {}
+    defaults = desk_config() if desk else SystemConfig()
+    values_by_field: dict = {}
     axis, values = None, ()
     for key, val in entries.items():
         if isinstance(val, list):
@@ -206,12 +205,12 @@ def _build_spec(entries: dict, desk: bool, workers: int) -> ExperimentSpec:
         if key == "r0":
             val = _r_scale_from_r0(val)
         elif name in ("dist_range_km", "speed_range_kmh"):
-            bounds = list(values_by_field.get(name, getattr(SystemConfig, name)))
+            bounds = list(values_by_field.get(name, getattr(defaults, name)))
             bounds[_FIELD_KEYS[name].index(key)] = val
             val = tuple(bounds)
         values_by_field[name] = val
     try:
-        base = SystemConfig(**values_by_field)
+        base = defaults.with_(**values_by_field)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     algos = entries.get("algos", "s_amp,amp_mmse")
@@ -347,7 +346,9 @@ def run_experiment(spec: ExperimentSpec):
 
     All algorithms at a sweep point consume identical scenarios (paired
     trials).  The soft-threshold multiplier is calibrated per sweep point on
-    a held-out calibration trial before any scoring run.
+    a held-out calibration trial before any scoring run; a failed
+    calibration becomes amp_soft's error row at that point, and the other
+    algorithms still run.
     """
     mc_algos = tuple(a for a in spec.algorithms if a != "se_trace")
     records: list[MetricsRecord] = []
@@ -356,17 +357,25 @@ def run_experiment(spec: ExperimentSpec):
         if not mc_algos:
             continue
         t0 = time.perf_counter()
+        run_algos, cal_error = mc_algos, None
         if "amp_soft" in mc_algos:
             cal = make_scenario(cfg, CALIBRATION_TRIAL)
-            cfg = cfg.with_(soft_alpha=baselines.calibrate_soft_alpha(cal, cfg))
+            try:
+                cfg = cfg.with_(soft_alpha=baselines.calibrate_soft_alpha(cal, cfg))
+            except Exception as exc:  # error row downstream; other algos continue
+                cal_error = f"calibration: {type(exc).__name__}: {exc}"
+                run_algos = tuple(a for a in mc_algos if a != "amp_soft")
         trials = list(range(cfg.n_trials))
         if spec.workers > 1:
             with ProcessPoolExecutor(max_workers=spec.workers) as pool:
                 trial_results = list(pool.map(
                     _trial_raw, [cfg] * len(trials), trials,
-                    [mc_algos] * len(trials)))
+                    [run_algos] * len(trials)))
         else:
-            trial_results = [_trial_raw(cfg, tr, mc_algos) for tr in trials]
+            trial_results = [_trial_raw(cfg, tr, run_algos) for tr in trials]
+        if cal_error is not None:
+            for tr in trial_results:
+                tr["amp_soft"] = cal_error
         elapsed = time.perf_counter() - t0
         axis_name = spec.axis if spec.axis is not None else "none"
         recs, errs = _pooled_records(axis_name, value, cfg, mc_algos,

@@ -49,8 +49,6 @@ class Profiles:
     ``ar_coeff`` is eta_n = J0(2*pi*doppler_hz*adp_duration).
     """
 
-    distance_km: np.ndarray
-    speed_mps: np.ndarray
     pathloss_db: np.ndarray
     channel_var: np.ndarray
     doppler_hz: np.ndarray
@@ -67,7 +65,6 @@ class Scenario:
     channels: np.ndarray        # (N, T) complex
     sparse_signal: np.ndarray   # (N, T) complex, activity * channels
     received: np.ndarray        # (L, T) complex
-    noise_var: float
 
 
 # Rational minimax coefficients for J0 (Hart-style two-regime fit:
@@ -133,14 +130,13 @@ def gen_user_profiles(cfg: SystemConfig, rng: np.random.Generator,
     n = cfg.n_users if n is None else n
     d_km = rng.uniform(cfg.dist_range_km[0], cfg.dist_range_km[1], n)
     v_kmh = rng.uniform(cfg.speed_range_kmh[0], cfg.speed_range_kmh[1], n)
-    v_mps = v_kmh / 3.6
     pathloss_db = cfg.pathloss_intercept_db + cfg.pathloss_slope * np.log10(d_km)
-    doppler = v_mps * cfg.carrier_hz / SPEED_OF_LIGHT
+    doppler = v_kmh / 3.6 * cfg.carrier_hz / SPEED_OF_LIGHT
     # |eta| <= 1 must hold exactly: the J0 approximation can overshoot 1 by
     # ~3e-9 near x = 0, which would make the AR-1 innovation variance negative.
     eta = np.clip(bessel_j0(2.0 * np.pi * doppler * cfg.adp_duration_s), -1.0, 1.0)
     rho = 10.0 ** ((cfg.tx_power_dbm + pathloss_db - 30.0) / 10.0)
-    return Profiles(d_km, v_mps, pathloss_db, rho, doppler, eta)
+    return Profiles(pathloss_db, rho, doppler, eta)
 
 
 def gen_pilots(cfg: SystemConfig, rng: np.random.Generator) -> np.ndarray:
@@ -226,10 +222,9 @@ def make_scenario(cfg: SystemConfig, trial: int = 0,
     activity = simulate_activity(cfg, stream(cfg.seed, trial, "activity"))
     channels = simulate_channels(profiles, cfg, stream(cfg.seed, trial, "channels"))
     sparse = activity * channels
-    noise_var = derive_noise_var(cfg)
-    received = synthesize_received(pilots, sparse, noise_var,
+    received = synthesize_received(pilots, sparse, derive_noise_var(cfg),
                                    stream(cfg.seed, trial, "noise"))
-    return Scenario(pilots, profiles, activity, channels, sparse, received, noise_var)
+    return Scenario(pilots, profiles, activity, channels, sparse, received)
 
 
 def channel_vars(profiles: Profiles) -> np.ndarray:

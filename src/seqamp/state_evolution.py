@@ -74,8 +74,6 @@ class SeTrace:
     nor_seq: np.ndarray      # (P/P0) * c_t
     nor_static: np.ndarray
     n_samples: int
-    iters_seq: np.ndarray
-    iters_static: np.ndarray
     converged: bool
 
 
@@ -146,18 +144,16 @@ def se_sequential_trace(cfg: SystemConfig,
     prior = static_prior
     c_seq = np.empty(t_total)
     c_static = np.empty(t_total)
-    iters_seq = np.empty(t_total, dtype=int)
-    iters_static = np.empty(t_total, dtype=int)
     all_converged = True
     for t in range(t_total):
         seq_batch = SeSamples(x[:, t], prior, v[:, t])
         fp = se_fixpoint(seq_batch, cfg)
-        c_seq[t], iters_seq[t] = fp.c, fp.iters
+        c_seq[t] = fp.c
         all_converged &= fp.converged
 
         static_batch = SeSamples(x[:, t], static_prior, v[:, t])
         fp_s = se_fixpoint(static_batch, cfg)
-        c_static[t], iters_static[t] = fp_s.c, fp_s.iters
+        c_static[t] = fp_s.c
         all_converged &= fp_s.converged
 
         phi = x[:, t] + np.sqrt(c_seq[t]) * v[:, t]
@@ -166,5 +162,4 @@ def se_sequential_trace(cfg: SystemConfig,
 
     nor = 10.0 ** ((cfg.tx_power_dbm - cfg.nor_ref_dbm) / 10.0)
     return SeTrace(np.arange(1, t_total + 1), c_seq, c_static,
-                   nor * c_seq, nor * c_static, n_samples,
-                   iters_seq, iters_static, all_converged)
+                   nor * c_seq, nor * c_static, n_samples, all_converged)

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqamp.denoiser import BgPrior, gamma, log_evidence_ratio, log_gamma
-from seqamp.detection import (bayes_detect, channel_estimate, dep_from_counts,
-                              detect_sequence, detection_counts, metric_dep,
-                              metric_nmse, nmse_db)
-from seqamp.sequential import PosteriorSummary
+from seqamp.amp import AmpState
+from seqamp.detection import (bayes_detect, dep_from_counts, detect_sequence,
+                              detection_counts, metric_dep, metric_nmse, nmse_db)
+from seqamp.sequential import AdtRecord, PosteriorSummary, SequenceResult
 
 
 def summary(pi_values):
@@ -95,19 +95,27 @@ class TestBayesDetect:
 
 
 class TestChannelEstimate:
+    """detect_sequence reports every user's AMP posterior mean as hat h."""
+
+    @staticmethod
+    def run_with_means(*mus):
+        records = []
+        for mu in mus:
+            n = mu.shape[0]
+            amp = AmpState(mu, np.zeros(n), np.zeros(2, dtype=complex), 1.0,
+                           np.zeros(n, dtype=complex), 1)
+            records.append(AdtRecord(None, amp, summary(np.zeros(n))))
+        return SequenceResult(records)
+
     def test_zero_means(self):
-        from seqamp.amp import AmpState
-        st_ = AmpState(np.zeros(4, dtype=complex), np.zeros(4),
-                       np.zeros(2, dtype=complex), 1.0,
-                       np.zeros(4, dtype=complex), 3)
-        assert np.all(channel_estimate(st_) == 0)
+        det = detect_sequence(self.run_with_means(np.zeros(4, dtype=complex)))
+        assert det.channel_est.shape == (4, 1)
+        assert np.all(det.channel_est == 0)
 
     def test_is_posterior_mean_vector(self):
-        from seqamp.amp import AmpState
-        mu = np.array([1.0 + 1j, -2.0])
-        st_ = AmpState(mu, np.zeros(2), np.zeros(2, dtype=complex), 1.0,
-                       np.zeros(2, dtype=complex), 1)
-        assert np.array_equal(channel_estimate(st_), mu)
+        mus = (np.array([1.0 + 1j, -2.0]), np.array([0.5j, 3.0 - 1j]))
+        det = detect_sequence(self.run_with_means(*mus))
+        assert np.array_equal(det.channel_est, np.stack(mus, axis=1))
 
 
 class TestNmse:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqamp.cli import main as cli_main
-from seqamp.config import SystemConfig
+from seqamp.config import SystemConfig, desk_config
 from seqamp.experiments import (ALGORITHMS, CSV_HEADER, SCALAR_KEYS, ConfigError,
                                 ExperimentSpec, load_config, parse_config_text,
                                 run_experiment, run_se, write_csv, write_se_csv)
@@ -120,6 +120,7 @@ class TestConfigParsing:
         spec = load_config(None, {}, desk=True)
         assert (spec.base.n_users, spec.base.pilot_len,
                 spec.base.n_adts, spec.base.n_trials) == (500, 125, 10, 20)
+        assert spec.base == desk_config()
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_worker_count_below_one_rejected(self, workers):
@@ -389,3 +390,20 @@ class TestCli:
                          "--out", str(out)])
         assert code == 2
         assert "omp" in out.read_text()
+
+    def test_failed_calibration_is_amp_soft_error_row(self, tmp_path, capsys):
+        # lam = 0.01 leaves calibration ADT 0 without an active user, so the
+        # calibration NMSE is undefined: amp_soft gets an error row, exit
+        # code 2, and S-AMP's rows are still written
+        out = tmp_path / "r.csv"
+        code = cli_main(["run", "--n-users", "100", "--pilot-len", "40",
+                         "--n-adts", "3", "--trials", "1", "--lambda", "0.01",
+                         "--seed", "2", "--algos", "s_amp,amp_soft",
+                         "--out", str(out)])
+        assert code == 2
+        assert "amp_soft @ none=0: calibration: ValueError" in capsys.readouterr().err
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        soft = [r for r in rows if r[2] == "amp_soft"]
+        assert [r[3:7] for r in soft] == [["all", "nan", "nan", "nan"]]
+        s_amp = [r for r in rows if r[2] == "s_amp"]
+        assert len(s_amp) == 4 and all(math.isfinite(float(r[4])) for r in s_amp)

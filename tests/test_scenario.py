@@ -166,7 +166,7 @@ class TestReceived:
         scn = make_scenario(cfg, 0)
         resid = scn.received - scn.pilots @ scn.sparse_signal
         emp = np.mean(np.abs(resid) ** 2)
-        assert emp == pytest.approx(scn.noise_var, rel=0.05)
+        assert emp == pytest.approx(derive_noise_var(cfg), rel=0.05)
 
     def test_dimension_mismatch_rejected(self):
         s = gen_pilots(SystemConfig(n_users=8, pilot_len=4), stream(0, 0, "s"))
