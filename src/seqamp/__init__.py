@@ -22,9 +22,9 @@ from .exact_filter import MixturePosterior, exact_sssm_filter
 from .experiments import (ConfigError, ExperimentSpec, MetricsRecord,
                           load_config, run_experiment, run_se, write_csv)
 from .rng import stream
-from .scenario import (Profiles, Scenario, bessel_j0, derive_noise_var,
-                       gen_user_profiles, make_scenario, simulate_activity,
-                       simulate_channels, synthesize_received)
+from .scenario import (Profiles, Scenario, derive_noise_var, gen_user_profiles,
+                       make_scenario, simulate_activity, simulate_channels,
+                       synthesize_received)
 from .sequential import (PosteriorSummary, SequenceResult, initial_prior,
                          moment_match, posterior_update, prior_propagate,
                          s_amp_run)

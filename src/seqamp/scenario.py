@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import j0
 
 from .config import SPEED_OF_LIGHT, SystemConfig
 from .rng import stream
@@ -25,7 +26,6 @@ from .rng import stream
 __all__ = [
     "Profiles",
     "Scenario",
-    "bessel_j0",
     "derive_noise_var",
     "gen_user_profiles",
     "gen_pilots",
@@ -67,53 +67,6 @@ class Scenario:
     received: np.ndarray        # (L, T) complex
 
 
-# Rational minimax coefficients for J0 (Hart-style two-regime fit:
-# polynomial ratio below |x| = 8, cosine asymptotic form above).
-_J0_NUM = (57568490574.0, -13362590354.0, 651619640.7,
-           -11214424.18, 77392.33017, -184.9052456)
-_J0_DEN = (57568490411.0, 1029532985.0, 9494680.718,
-           59272.64853, 267.8532712, 1.0)
-_J0_P = (1.0, -0.1098628627e-2, 0.2734510407e-4,
-         -0.2073370639e-5, 0.2093887211e-6)
-_J0_Q = (-0.1562499995e-1, 0.1430488765e-3, -0.6911147651e-5,
-         0.7621095161e-6, -0.934935152e-7)
-
-
-def _poly(coeffs, y):
-    acc = np.zeros_like(y) + coeffs[-1]
-    for c in coeffs[-2::-1]:
-        acc = acc * y + c
-    return acc
-
-
-def bessel_j0(x):
-    """Zeroth-order Bessel function of the first kind.
-
-    Two-regime rational approximation, absolute error below 1e-7 across
-    the operating range (here 2*pi*D*T_b << 1, far inside the small-x
-    regime).  Accepts scalars or arrays.
-    """
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    ax = np.abs(np.atleast_1d(x))
-
-    small = ax < 8.0
-    out = np.empty_like(ax)
-
-    y = ax[small] ** 2
-    out[small] = _poly(_J0_NUM, y) / _poly(_J0_DEN, y)
-
-    axl = ax[~small]
-    if axl.size:
-        z = 8.0 / axl
-        y = z * z
-        xx = axl - 0.785398164
-        out[~small] = np.sqrt(0.636619772 / axl) * (
-            np.cos(xx) * _poly(_J0_P, y) - z * np.sin(xx) * _poly(_J0_Q, y)
-        )
-    return float(out[0]) if scalar else out.reshape(x.shape)
-
-
 def derive_noise_var(cfg: SystemConfig) -> float:
     """Noise power in watts: 10**((psd_dbm_hz - 30)/10) * bandwidth."""
     return 10.0 ** ((cfg.noise_psd_dbm_hz - 30.0) / 10.0) * cfg.bandwidth_hz
@@ -132,9 +85,9 @@ def gen_user_profiles(cfg: SystemConfig, rng: np.random.Generator,
     v_kmh = rng.uniform(cfg.speed_range_kmh[0], cfg.speed_range_kmh[1], n)
     pathloss_db = cfg.pathloss_intercept_db + cfg.pathloss_slope * np.log10(d_km)
     doppler = v_kmh / 3.6 * cfg.carrier_hz / SPEED_OF_LIGHT
-    # |eta| <= 1 must hold exactly: the J0 approximation can overshoot 1 by
-    # ~3e-9 near x = 0, which would make the AR-1 innovation variance negative.
-    eta = np.clip(bessel_j0(2.0 * np.pi * doppler * cfg.adp_duration_s), -1.0, 1.0)
+    # the AR-1 innovation variance (1 - eta^2)*rho must not go negative, so
+    # |eta| <= 1 is enforced rather than trusted to the last ulp of j0
+    eta = np.clip(j0(2.0 * np.pi * doppler * cfg.adp_duration_s), -1.0, 1.0)
     rho = 10.0 ** ((cfg.tx_power_dbm + pathloss_db - 30.0) / 10.0)
     return Profiles(pathloss_db, rho, doppler, eta)
 

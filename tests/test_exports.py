@@ -12,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "seqamp"
+import seqamp
+
+SRC = Path(seqamp.__file__).parent
 MODULES = sorted(m.name for m in pkgutil.iter_modules([str(SRC)])
                  if m.name != "__main__")
 
