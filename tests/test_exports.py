@@ -15,8 +15,7 @@ import pytest
 import seqamp
 
 SRC = Path(seqamp.__file__).parent
-MODULES = sorted(m.name for m in pkgutil.iter_modules([str(SRC)])
-                 if m.name != "__main__")
+MODULES = sorted(m.name for m in pkgutil.iter_modules([str(SRC)]))
 
 
 def package_imports():
