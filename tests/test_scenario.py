@@ -4,8 +4,9 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from scipy.special import j0 as scipy_j0
 
-from seqamp.config import SystemConfig, desk_config
+from seqamp.config import SPEED_OF_LIGHT, SystemConfig, desk_config
 from seqamp.rng import stream
 from seqamp.scenario import (ar1_channels, derive_noise_var, gen_pilots,
                              gen_user_profiles, make_scenario, markov_activity,
@@ -21,6 +22,48 @@ def j0_series(x, terms=60):
         acc += term
         term *= -((x / 2.0) ** 2) / ((k + 1.0) ** 2)
     return acc
+
+
+def eta_at(x):
+    """eta that gen_user_profiles gives a user whose Doppler argument
+    2*pi*D*T_b is x, reached by pinning the speed range to one speed."""
+    cfg = SystemConfig(n_users=1, pilot_len=1)
+    doppler = x / (2.0 * np.pi * cfg.adp_duration_s)
+    v_kmh = doppler * SPEED_OF_LIGHT / cfg.carrier_hz * 3.6
+    p = gen_user_profiles(cfg.with_(speed_range_kmh=(v_kmh, v_kmh)),
+                          stream(0, 0, "p"))
+    return float(p.ar_coeff[0])
+
+
+class TestBesselJ0:
+    """J0 as the model uses it: eta = J0(2*pi*D*T_b) from gen_user_profiles."""
+
+    def test_zero_argument(self):
+        assert abs(eta_at(0.0) - 1.0) <= 1e-7
+
+    def test_first_zero_against_series(self):
+        x = 2.404825557695773
+        assert abs(j0_series(x)) < 1e-12  # oracle sanity
+        assert abs(eta_at(x)) <= 1e-6
+
+    def test_small_argument_against_truncated_series(self):
+        x = 0.1018
+        expected = 1.0 - x**2 / 4.0 + x**4 / 64.0
+        assert abs(expected - 0.997411) < 1e-5
+        assert abs(eta_at(x) - expected) <= 1e-5
+
+    def test_operating_range_accuracy(self):
+        # Doppler arguments 0..20 over 100001 users
+        cfg = SystemConfig(n_users=100001, pilot_len=1)
+        v_max = 20.0 / (2.0 * np.pi * cfg.adp_duration_s) * SPEED_OF_LIGHT / cfg.carrier_hz * 3.6
+        p = gen_user_profiles(cfg.with_(speed_range_kmh=(0.0, v_max)), stream(0, 0, "p"))
+        x = 2.0 * np.pi * p.doppler_hz * cfg.adp_duration_s
+        assert x.max() > 19.0
+        assert np.max(np.abs(p.ar_coeff - scipy_j0(x))) <= 1e-7
+
+    def test_series_agreement_midrange(self):
+        for x in (0.5, 1.7, 3.3, 6.9):
+            assert abs(eta_at(x) - j0_series(x)) <= 1e-7
 
 
 class TestNoiseVar:
