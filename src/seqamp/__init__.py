@@ -17,14 +17,13 @@ from .config import SystemConfig, desk_config
 from .denoiser import (BgPrior, denoise_deriv, denoise_mean, denoise_var,
                        gamma, log_gamma)
 from .detection import (DetectionResult, bayes_detect, detect_sequence,
-                        metric_dep, metric_nmse)
+                        metric_nmse)
 from .exact_filter import MixturePosterior, exact_sssm_filter
 from .experiments import (ConfigError, ExperimentSpec, MetricsRecord,
                           load_config, run_experiment, run_se, write_csv)
 from .rng import stream
 from .scenario import (Profiles, Scenario, derive_noise_var, gen_user_profiles,
-                       make_scenario, simulate_activity, simulate_channels,
-                       synthesize_received)
+                       make_scenario, synthesize_received)
 from .sequential import (PosteriorSummary, SequenceResult, initial_prior,
                          moment_match, posterior_update, prior_propagate,
                          s_amp_run)

@@ -144,16 +144,22 @@ def amp_soft(y: np.ndarray, s_mat: np.ndarray, cfg: SystemConfig,
 
 
 def calibrate_soft_alpha(scenario: Scenario, cfg: SystemConfig) -> float:
-    """Grid-search alpha in {1.0..2.0 step 0.1} minimising NMSE on ADT 0.
+    """Grid-search alpha in {1.0..2.0 step 0.1} minimising NMSE on one ADT.
 
-    One :func:`amp_soft` call runs the first ADT's observation as a block
-    with one column per grid value; the first alpha reaching the lowest
-    NMSE wins.
+    The ADT is the first one with an active user, since NMSE is undefined
+    on an all-zero truth; a scenario without any active user raises
+    ValueError.  One :func:`amp_soft` call runs that ADT's observation as a
+    block with one column per grid value; the first alpha reaching the
+    lowest NMSE wins.
     Meant to run on a held-out calibration scenario; the winning alpha is
     then fixed for scoring runs.
     """
-    truth = scenario.sparse_signal[:, 0]
-    y = scenario.received[:, 0]
+    active_adts = np.flatnonzero(scenario.activity.any(axis=0))
+    if active_adts.size == 0:
+        raise ValueError("no calibration ADT has an active user")
+    t = active_adts[0]
+    truth = scenario.sparse_signal[:, t]
+    y = scenario.received[:, t]
     block = np.repeat(y[:, None], len(SOFT_ALPHA_GRID), axis=1)
     res = amp_soft(block, scenario.pilots, cfg, alpha=SOFT_ALPHA_GRID)
     nmse = [metric_nmse(est, truth) for est in res.estimate.T]

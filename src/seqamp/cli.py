@@ -15,46 +15,33 @@ import argparse
 import sys
 
 from . import acceptance
-from .experiments import (SCALAR_KEYS, ConfigError, load_config,
+from .experiments import (ALGORITHMS, SCALAR_KEYS, ConfigError, load_config,
                           run_experiment, run_se, write_csv, write_se_csv)
-
-# config keys that may be set straight from the command line; seed and
-# n_trials have their own --seed and --trials flags
-_FLAG_KEYS = tuple(k for k in SCALAR_KEYS if k not in ("seed", "n_trials"))
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="key = value config file")
     parser.add_argument("--seed", type=int, help="master seed (64-bit)")
-    parser.add_argument("--trials", type=int, help="Monte-Carlo trials per point")
+    parser.add_argument("--trials", dest="n_trials", type=int,
+                        help="Monte-Carlo trials per point")
     parser.add_argument("--desk", action="store_true",
                         help="desk-scale profile (N=500, L=125, T=10, 20 trials)")
     parser.add_argument("--out", metavar="PATH", help="output CSV path")
     parser.add_argument("--algos", metavar="LIST",
-                        help="comma list from: s_amp amp_mmse amp_soft omp "
-                             "oracle_ls se_trace")
+                        help="comma list from: " + " ".join(ALGORITHMS))
     parser.add_argument("--workers", type=int, default=1,
                         help="parallel trial workers (default 1)")
-    for key in _FLAG_KEYS:
-        parser.add_argument(f"--{key.replace('_', '-')}", dest=key, metavar="V",
-                            help=argparse.SUPPRESS)
+    # every other config key has a hidden flag of its own name
+    for key in SCALAR_KEYS:
+        if key not in ("seed", "n_trials"):
+            parser.add_argument(f"--{key.replace('_', '-')}", dest=key, metavar="V",
+                                help=argparse.SUPPRESS)
 
 
 def _flags_from_args(args: argparse.Namespace) -> dict:
-    flags = {}
-    for key in _FLAG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            flags[key] = value
-    if args.seed is not None:
-        flags["seed"] = args.seed
-    if args.trials is not None:
-        flags["n_trials"] = args.trials
-    if args.algos is not None:
-        flags["algos"] = args.algos
-    if args.out is not None:
-        flags["out"] = args.out
-    return flags
+    """Config entries of the config-key flags given on the command line."""
+    return {key: getattr(args, key) for key in SCALAR_KEYS + ("algos", "out")
+            if getattr(args, key) is not None}
 
 
 def _criteria_ids(text: str | None) -> list[int] | None:
@@ -113,10 +100,6 @@ def main(argv=None) -> int:
     records, errors = run_experiment(spec)
     out = spec.out or "results.csv"
     write_csv(records, out)
-    if "se_trace" in spec.algorithms:
-        se_out = out + ".se.csv"
-        write_se_csv(run_se(spec), se_out)
-        print(f"wrote state-evolution rows to {se_out}")
     print(f"wrote {len(records)} rows to {out}")
     for line in errors:
         print(f"algorithm error: {line}", file=sys.stderr)

@@ -20,7 +20,6 @@ __all__ = [
     "bayes_detect",
     "detect_sequence",
     "metric_nmse",
-    "metric_dep",
     "detection_counts",
     "nmse_db",
     "dep_from_counts",
@@ -88,17 +87,12 @@ def detection_counts(decisions: np.ndarray, truth_activity: np.ndarray):
     return fa, md, int(np.sum(~act)), int(np.sum(act))
 
 
-def metric_dep(decisions: np.ndarray, truth_activity: np.ndarray) -> float:
-    """DEP = P_FA + P_MD with per-class rates pooled over all entries.
+def dep_from_counts(fa, md, n_inactive, n_active) -> float:
+    """DEP = P_FA + P_MD from pooled counts.
 
     P_FA = false alarms / truly inactive, P_MD = misses / truly active.
     An empty class contributes zero (nothing to misclassify).
     """
-    return dep_from_counts(*detection_counts(decisions, truth_activity))
-
-
-def dep_from_counts(fa, md, n_inactive, n_active) -> float:
-    """P_FA + P_MD from pooled counts; an empty class contributes zero."""
     p_fa = fa / n_inactive if n_inactive else 0.0
     p_md = md / n_active if n_active else 0.0
     return p_fa + p_md

@@ -46,7 +46,7 @@ __all__ = [
     "SWEEP_KEYS",
 ]
 
-ALGORITHMS = ("s_amp", "amp_mmse", "amp_soft", "omp", "oracle_ls", "se_trace")
+ALGORITHMS = ("s_amp", "amp_mmse", "amp_soft", "omp", "oracle_ls")
 SWEEP_KEYS = ("tx_power_dbm", "pilot_len", "r0", "lambda", "adp_duration_s")
 CSV_HEADER = "sweep_axis,sweep_value,algorithm,adt,nmse_x_db,nmse_h_db,dep,trials,seed"
 SE_CSV_HEADER = "t,algorithm,nor_ct,pilot_len,tx_power_dbm"
@@ -65,9 +65,8 @@ _FIELD_KEYS = {
 _KEY_FIELD = {key: name for name, keys in _FIELD_KEYS.items() for key in keys}
 SCALAR_KEYS = tuple(key for f in fields(SystemConfig)
                     for key in _FIELD_KEYS.get(f.name, (f.name,)))
-_INT_KEYS = {name for name, kind in get_type_hints(SystemConfig).items()
-             if kind is int}
-_FLOAT_KEYS = set(SCALAR_KEYS) - _INT_KEYS
+_FIELD_TYPES = get_type_hints(SystemConfig)
+_INT_KEYS = {name for name, kind in _FIELD_TYPES.items() if kind is int}
 _STR_KEYS = {"algos", "out"}
 _ALL_KEYS = set(SCALAR_KEYS) | _STR_KEYS
 
@@ -95,7 +94,7 @@ class ExperimentSpec:
         bad = [a for a in self.algorithms if a not in ALGORITHMS]
         if bad:
             raise ConfigError(f"unknown algorithm(s): {', '.join(bad)}")
-        if self.axis is not None and self.axis not in SWEEP_KEYS:
+        if (self.axis is not None or self.values) and self.axis not in SWEEP_KEYS:
             raise ConfigError(f"{self.axis} is not a sweepable key")
         if not self.algorithms:
             raise ConfigError("at least one algorithm is required")
@@ -103,15 +102,18 @@ class ExperimentSpec:
             raise ConfigError(f"workers must be at least 1, got {self.workers}")
         for value in self.values:
             try:
-                _apply_axis(self.base, self.axis, value)
-            except ValueError as exc:
+                self._point(value)
+            except (TypeError, ValueError) as exc:
                 raise ConfigError(f"sweep point {self.axis} = {value}: {exc}") from exc
+
+    def _point(self, value) -> SystemConfig:
+        return self.base.with_(**_field_values(self.base, {self.axis: value}))
 
     def sweep_points(self) -> list[tuple[object, SystemConfig]]:
         """(value, config) pairs; a single (None, base) point without an axis."""
         if self.axis is None:
             return [(None, self.base)]
-        return [(v, _apply_axis(self.base, self.axis, v)) for v in self.values]
+        return [(v, self._point(v)) for v in self.values]
 
 
 @dataclass(frozen=True)
@@ -128,18 +130,25 @@ class MetricsRecord:
     seed: int
 
 
-def _apply_axis(cfg: SystemConfig, axis: str, value) -> SystemConfig:
-    if axis == "pilot_len":
-        return cfg.with_(pilot_len=int(value))
-    if axis == "tx_power_dbm":
-        return cfg.with_(tx_power_dbm=float(value))
-    if axis == "lambda":
-        return cfg.with_(lam=float(value))
-    if axis == "adp_duration_s":
-        return cfg.with_(adp_duration_s=float(value))
-    if axis == "r0":
-        return cfg.with_(r_scale=_r_scale_from_r0(value))
-    raise ConfigError(f"unknown sweep axis {axis}")
+def _field_values(base: SystemConfig, entries: dict) -> dict:
+    """SystemConfig field values set by scalar config ``entries``.
+
+    Each value is cast by its field's type; ``r0`` becomes ``r_scale`` and
+    a range end replaces its end of ``base``'s range.
+    """
+    values: dict = {}
+    for key, val in entries.items():
+        name = _KEY_FIELD.get(key, key)
+        if key == "r0":
+            val = _r_scale_from_r0(val)
+        elif name in ("dist_range_km", "speed_range_kmh"):
+            bounds = list(values.get(name, getattr(base, name)))
+            bounds[_FIELD_KEYS[name].index(key)] = float(val)
+            val = tuple(bounds)
+        else:
+            val = _FIELD_TYPES[name](val)
+        values[name] = val
+    return values
 
 
 def _r_scale_from_r0(r0) -> float:
@@ -150,12 +159,10 @@ def _r_scale_from_r0(r0) -> float:
 
 
 def _parse_scalar(key: str, text: str, where: str):
-    try:
-        if key in _INT_KEYS:
-            return int(text)
-        if key in _FLOAT_KEYS:
-            return float(text)
+    if key in _STR_KEYS:
         return text
+    try:
+        return int(text) if key in _INT_KEYS else float(text)
     except ValueError:
         raise ConfigError(f"{where}: malformed value {text!r} for key {key!r}") from None
 
@@ -190,27 +197,16 @@ def _parse_entry(key: str, value: str, where: str):
 
 def _build_spec(entries: dict, desk: bool, workers: int) -> ExperimentSpec:
     defaults = desk_config() if desk else SystemConfig()
-    values_by_field: dict = {}
-    axis, values = None, ()
-    for key, val in entries.items():
-        if isinstance(val, list):
-            if axis is not None:
-                raise ConfigError(
-                    f"two sweep axes given ({axis} and {key}); exactly one is allowed")
-            axis, values = key, tuple(val)
-            continue
-        if key in _STR_KEYS:
-            continue
-        name = _KEY_FIELD.get(key, key)
-        if key == "r0":
-            val = _r_scale_from_r0(val)
-        elif name in ("dist_range_km", "speed_range_kmh"):
-            bounds = list(values_by_field.get(name, getattr(defaults, name)))
-            bounds[_FIELD_KEYS[name].index(key)] = val
-            val = tuple(bounds)
-        values_by_field[name] = val
+    sweeps = [key for key, val in entries.items() if isinstance(val, list)]
+    if len(sweeps) > 1:
+        raise ConfigError(f"two sweep axes given ({sweeps[0]} and {sweeps[1]}); "
+                          "exactly one is allowed")
+    axis = sweeps[0] if sweeps else None
+    values = tuple(entries[axis]) if sweeps else ()
+    scalars = {key: val for key, val in entries.items()
+               if key != axis and key not in _STR_KEYS}
     try:
-        base = defaults.with_(**values_by_field)
+        base = defaults.with_(**_field_values(defaults, scalars))
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     algos = entries.get("algos", "s_amp,amp_mmse")
@@ -258,11 +254,9 @@ def _check_one_r_spelling(entries: dict, where: str) -> None:
 
 def _algo_matrices(name: str, scenario: Scenario, cfg: SystemConfig):
     """(x_hat, decisions) as (N, T) matrices for one algorithm on one scenario."""
-    if name == "s_amp":
-        det = detect_sequence(s_amp_run(scenario, cfg))
-        return det.channel_est, det.decisions
-    if name == "amp_mmse":
-        det = detect_sequence(baselines.amp_mmse(scenario, cfg))
+    if name in ("s_amp", "amp_mmse"):
+        run = s_amp_run if name == "s_amp" else baselines.amp_mmse
+        det = detect_sequence(run(scenario, cfg))
         return det.channel_est, det.decisions
     if name == "amp_soft":
         # the ADTs are independent columns of one block
@@ -275,10 +269,8 @@ def _algo_matrices(name: str, scenario: Scenario, cfg: SystemConfig):
         y = scenario.received[:, t]
         if name == "omp":
             res = baselines.omp(y, scenario.pilots, cfg)
-        elif name == "oracle_ls":
-            res = baselines.oracle_ls(y, scenario.pilots, scenario.activity[:, t])
         else:
-            raise ConfigError(f"unknown algorithm {name!r}")
+            res = baselines.oracle_ls(y, scenario.pilots, scenario.activity[:, t])
         x_hat[:, t] = res.estimate
         dec[:, t] = res.support
     return x_hat, dec
@@ -313,7 +305,10 @@ def _trial_raw(cfg: SystemConfig, trial: int, algorithms: tuple[str, ...]) -> di
 
 def _pooled_records(axis_name: str, value, cfg: SystemConfig, algorithms,
                     trial_results: list[dict], elapsed: float):
-    """Aggregate pooled metrics into MetricsRecords (per ADT and overall)."""
+    """Aggregate pooled metrics into MetricsRecords (per ADT and overall).
+
+    An algorithm that failed in any trial gets one all-NaN ``all`` row.
+    """
     records = []
     errors = []
     n_trials = len(trial_results)
@@ -322,22 +317,17 @@ def _pooled_records(axis_name: str, value, cfg: SystemConfig, algorithms,
         raws = [tr[name] for tr in trial_results]
         failures = [r for r in raws if isinstance(r, str)]
         if failures:
-            records.append(MetricsRecord(axis_name, value_repr, name, "all",
-                                         float("nan"), float("nan"), float("nan"),
-                                         n_trials, elapsed, cfg.seed))
             errors.append(f"{name} @ {axis_name}={value_repr}: {failures[0]}")
-            continue
-        total = np.sum(np.stack(raws), axis=0)  # (8, T)
-        for t in range(total.shape[1]):
-            records.append(MetricsRecord(
-                axis_name, value_repr, name, t + 1,
-                nmse_db(total[0, t], total[1, t]), nmse_db(total[2, t], total[3, t]),
-                dep_from_counts(*total[4:8, t]), n_trials, elapsed, cfg.seed))
-        s = total.sum(axis=1)
-        records.append(MetricsRecord(
-            axis_name, value_repr, name, "all",
-            nmse_db(s[0], s[1]), nmse_db(s[2], s[3]), dep_from_counts(*s[4:8]),
-            n_trials, elapsed, cfg.seed))
+            rows = [("all", (float("nan"),) * 3)]
+        else:
+            total = np.sum(np.stack(raws), axis=0)  # (8, T)
+            columns = [*enumerate(total.T, start=1), ("all", total.sum(axis=1))]
+            rows = [(adt, (nmse_db(s[0], s[1]), nmse_db(s[2], s[3]),
+                           dep_from_counts(*s[4:8])))
+                    for adt, s in columns]
+        records.extend(MetricsRecord(axis_name, value_repr, name, adt, *metrics,
+                                     n_trials, elapsed, cfg.seed)
+                       for adt, metrics in rows)
     return records, errors
 
 
@@ -350,21 +340,18 @@ def run_experiment(spec: ExperimentSpec):
     calibration becomes amp_soft's error row at that point, and the other
     algorithms still run.
     """
-    mc_algos = tuple(a for a in spec.algorithms if a != "se_trace")
     records: list[MetricsRecord] = []
     errors: list[str] = []
     for value, cfg in spec.sweep_points():
-        if not mc_algos:
-            continue
         t0 = time.perf_counter()
-        run_algos, cal_error = mc_algos, None
-        if "amp_soft" in mc_algos:
+        run_algos, cal_error = spec.algorithms, None
+        if "amp_soft" in run_algos:
             cal = make_scenario(cfg, CALIBRATION_TRIAL)
             try:
                 cfg = cfg.with_(soft_alpha=baselines.calibrate_soft_alpha(cal, cfg))
             except Exception as exc:  # error row downstream; other algos continue
                 cal_error = f"calibration: {type(exc).__name__}: {exc}"
-                run_algos = tuple(a for a in mc_algos if a != "amp_soft")
+                run_algos = tuple(a for a in run_algos if a != "amp_soft")
         trials = list(range(cfg.n_trials))
         if spec.workers > 1:
             with ProcessPoolExecutor(max_workers=spec.workers) as pool:
@@ -378,18 +365,14 @@ def run_experiment(spec: ExperimentSpec):
                 tr["amp_soft"] = cal_error
         elapsed = time.perf_counter() - t0
         axis_name = spec.axis if spec.axis is not None else "none"
-        recs, errs = _pooled_records(axis_name, value, cfg, mc_algos,
+        recs, errs = _pooled_records(axis_name, value, cfg, spec.algorithms,
                                      trial_results, elapsed)
         records.extend(recs)
         errors.extend(errs)
-    records.sort(key=_record_sort_key)
+    # the "all" row sorts before ADT 1
+    records.sort(key=lambda r: (float(r.sweep_value), r.algorithm,
+                                0 if r.adt == "all" else r.adt))
     return records, errors
-
-
-def _record_sort_key(rec: MetricsRecord):
-    value = rec.sweep_value if rec.sweep_value is not None else 0
-    adt_key = 0 if rec.adt == "all" else int(rec.adt)
-    return (float(value), rec.algorithm, adt_key, rec.seed)
 
 
 def _fmt(x) -> str:

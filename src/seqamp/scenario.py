@@ -30,9 +30,7 @@ __all__ = [
     "gen_user_profiles",
     "gen_pilots",
     "markov_activity",
-    "simulate_activity",
     "ar1_channels",
-    "simulate_channels",
     "synthesize_received",
     "make_scenario",
     "channel_vars",
@@ -115,11 +113,6 @@ def markov_activity(lam: float, p01: float, p10: float, n: int, n_steps: int,
     return a
 
 
-def simulate_activity(cfg: SystemConfig, rng: np.random.Generator) -> np.ndarray:
-    """(N, T) activity matrix for the configured traffic statistics."""
-    return markov_activity(cfg.lam, cfg.p01, cfg.p10, cfg.n_users, cfg.n_adts, rng)
-
-
 def ar1_channels(rho: np.ndarray, eta: np.ndarray, n_steps: int,
                  rng: np.random.Generator) -> np.ndarray:
     """(n, n_steps) stationary AR-1 samples per row.
@@ -138,12 +131,6 @@ def ar1_channels(rho: np.ndarray, eta: np.ndarray, n_steps: int,
     for t in range(1, n_steps):
         h[:, t] = eta * h[:, t - 1] + innov_std * w[:, t]
     return h
-
-
-def simulate_channels(profiles: Profiles, cfg: SystemConfig,
-                      rng: np.random.Generator) -> np.ndarray:
-    """(N, T) stationary AR-1 channel matrix for the given profiles."""
-    return ar1_channels(profiles.channel_var, profiles.ar_coeff, cfg.n_adts, rng)
 
 
 def synthesize_received(pilots: np.ndarray, sparse_signal: np.ndarray,
@@ -172,8 +159,10 @@ def make_scenario(cfg: SystemConfig, trial: int = 0,
     pilots = gen_pilots(cfg, stream(cfg.seed, trial, "pilots"))
     if profiles is None:
         profiles = gen_user_profiles(cfg, stream(cfg.seed, trial, "profiles"))
-    activity = simulate_activity(cfg, stream(cfg.seed, trial, "activity"))
-    channels = simulate_channels(profiles, cfg, stream(cfg.seed, trial, "channels"))
+    activity = markov_activity(cfg.lam, cfg.p01, cfg.p10, cfg.n_users, cfg.n_adts,
+                               stream(cfg.seed, trial, "activity"))
+    channels = ar1_channels(profiles.channel_var, profiles.ar_coeff, cfg.n_adts,
+                            stream(cfg.seed, trial, "channels"))
     sparse = activity * channels
     received = synthesize_received(pilots, sparse, derive_noise_var(cfg),
                                    stream(cfg.seed, trial, "noise"))

@@ -127,6 +127,19 @@ class TestAmpSoft:
         scn = make_scenario(cfg, trial)
         assert calibrate_soft_alpha(scn, cfg) == loop_calibrate(scn, cfg)
 
+    def test_calibration_skips_adts_without_active_users(self):
+        cfg = SystemConfig(n_users=100, pilot_len=40, n_adts=3, lam=0.01, seed=8)
+        cal = make_scenario(cfg, -1)
+        assert cal.activity.sum(axis=0).tolist() == [0, 0, 1]
+        assert calibrate_soft_alpha(cal, cfg) == loop_calibrate(cal, cfg, adt=2)
+
+    def test_calibration_without_active_users_raises(self):
+        cfg = SystemConfig(n_users=100, pilot_len=40, n_adts=3, lam=0.01, seed=2)
+        cal = make_scenario(cfg, -1)
+        assert not cal.activity.any()
+        with pytest.raises(ValueError, match="no calibration ADT has an active user"):
+            calibrate_soft_alpha(cal, cfg)
+
     def test_worse_than_bayesian_amp(self):
         cfg = desk_config(n_users=200, pilot_len=50, n_adts=1, n_trials=4)
         cal = make_scenario(cfg, -1)
@@ -146,12 +159,12 @@ class TestAmpSoft:
         assert 10 * np.log10(err[0][0] / err[0][1]) > 10 * np.log10(err[1][0] / err[1][1])
 
 
-def loop_calibrate(scenario, cfg):
-    """Reference calibration on ADT 0: one vector amp_soft call per grid value.
+def loop_calibrate(scenario, cfg, adt=0):
+    """Reference calibration on one ADT: one vector amp_soft call per grid value.
 
     Keeps the first alpha whose NMSE is strictly below every earlier one."""
-    truth = scenario.sparse_signal[:, 0]
-    y = scenario.received[:, 0]
+    truth = scenario.sparse_signal[:, adt]
+    y = scenario.received[:, adt]
     best_alpha, best_nmse = SOFT_ALPHA_GRID[0], np.inf
     for alpha in SOFT_ALPHA_GRID:
         res = amp_soft(y, scenario.pilots, cfg, alpha=alpha)

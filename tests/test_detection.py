@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from seqamp.denoiser import BgPrior, gamma, log_evidence_ratio, log_gamma
 from seqamp.amp import AmpState
 from seqamp.detection import (bayes_detect, dep_from_counts, detect_sequence,
-                              detection_counts, metric_dep, metric_nmse, nmse_db)
+                              detection_counts, metric_nmse, nmse_db)
 from seqamp.sequential import AdtRecord, PosteriorSummary, SequenceResult
 
 
@@ -157,12 +157,12 @@ class TestDep:
 
     def test_perfect_detection(self):
         a = np.array([[1, 0], [0, 1]])
-        assert metric_dep(a, a) == 0.0
+        assert dep_from_counts(*detection_counts(a, a)) == 0.0
 
     def test_all_declared_active(self):
         truth = np.array([[1, 0], [0, 0]])
         dec = np.ones_like(truth)
-        assert metric_dep(dec, truth) == pytest.approx(1.0)
+        assert dep_from_counts(*detection_counts(dec, truth)) == pytest.approx(1.0)
 
     def test_count_arithmetic(self):
         # 2 misses among 100 active, 5 false alarms among 1900 inactive
@@ -171,7 +171,8 @@ class TestDep:
         dec = truth.copy()
         dec[:2] = 0
         dec[100:105] = 1
-        assert metric_dep(dec, truth) == pytest.approx(0.02 + 5 / 1900.0)
+        assert dep_from_counts(*detection_counts(dec, truth)) == pytest.approx(
+            0.02 + 5 / 1900.0)
         assert detection_counts(dec, truth) == (5, 2, 1900, 100)
 
     def test_permutation_invariance(self):
@@ -179,12 +180,12 @@ class TestDep:
         truth = (rng.random((50, 4)) < 0.2).astype(int)
         dec = (rng.random((50, 4)) < 0.25).astype(int)
         perm = rng.permutation(50)
-        assert metric_dep(dec, truth) == pytest.approx(
-            metric_dep(dec[perm], truth[perm]))
+        assert dep_from_counts(*detection_counts(dec, truth)) == pytest.approx(
+            dep_from_counts(*detection_counts(dec[perm], truth[perm])))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            metric_dep(np.zeros((2, 2)), np.zeros((3, 2)))
+            dep_from_counts(*detection_counts(np.zeros((2, 2)), np.zeros((3, 2))))
 
 
 class TestDetectSequence:

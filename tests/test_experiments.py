@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 
 from seqamp.cli import main as cli_main
 from seqamp.config import SystemConfig, desk_config
-from seqamp.experiments import (ALGORITHMS, CSV_HEADER, SCALAR_KEYS, ConfigError,
-                                ExperimentSpec, load_config, parse_config_text,
-                                run_experiment, run_se, write_csv, write_se_csv)
+from seqamp.experiments import (ALGORITHMS, CSV_HEADER, SCALAR_KEYS, SWEEP_KEYS,
+                                ConfigError, ExperimentSpec, load_config,
+                                parse_config_text, run_experiment, run_se,
+                                write_csv, write_se_csv)
 
 # every config key that sets a float (the int fields are keyed by their names)
 FLOAT_KEYS = [key for key in SCALAR_KEYS
@@ -33,6 +34,10 @@ def all_finite(cfg: SystemConfig) -> bool:
                 return False
     return True
 
+
+# two points per sweep key, both off the defaults
+SWEEP_VALUES = {"tx_power_dbm": "27,30", "pilot_len": "100,200", "r0": "0,3",
+                "lambda": "0.1,0.2", "adp_duration_s": "2e-4,5e-5"}
 
 config_floats = st.one_of(st.floats().map(repr),
                           st.sampled_from(["nan", "inf", "-inf", "1e999"]))
@@ -190,6 +195,25 @@ class TestConfigParsing:
         assert all_finite(spec.base)
         assert all(all_finite(cfg) for _, cfg in spec.sweep_points())
 
+    @pytest.mark.parametrize("key", SWEEP_KEYS)
+    def test_sweep_point_config_equals_scalar_config(self, key):
+        # a sweep point resolves its key exactly as a scalar entry does
+        points = load_config(None, {key: SWEEP_VALUES[key]}).sweep_points()
+        assert len(points) == 2
+        for value, cfg in points:
+            assert cfg == load_config(None, {key: value}).base
+
+    def test_direct_spec_values_cast_by_field_type(self):
+        spec = ExperimentSpec(SystemConfig(), axis="pilot_len",
+                              values=("100", np.int64(200), 300.0))
+        pilot_lens = [cfg.pilot_len for _, cfg in spec.sweep_points()]
+        assert pilot_lens == [100, 200, 300]
+        assert all(type(n) is int for n in pilot_lens)
+        spec = ExperimentSpec(SystemConfig(), axis="tx_power_dbm",
+                              values=("30", np.float32(27.5)))
+        powers = [cfg.tx_power_dbm for _, cfg in spec.sweep_points()]
+        assert powers == [30.0, 27.5] and all(type(p) is float for p in powers)
+
     def test_r_flag_overrides_other_spelling_in_file(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("r0 = 3\n")
@@ -291,7 +315,7 @@ class TestRunExperiment:
 class TestRunSe:
     def test_rows_and_t1_equality(self, tmp_path):
         base = SystemConfig(n_users=200, pilot_len=50, n_adts=3, n_trials=1)
-        spec = ExperimentSpec(base, algorithms=("se_trace",), out="unused")
+        spec = ExperimentSpec(base, out="unused")
         rows = run_se(spec, n_samples=3000)
         assert len(rows) == 6  # 3 ADTs x 2 algorithms
         t1 = {r[1]: r[2] for r in rows if r[0] == 1}
@@ -336,6 +360,14 @@ class TestCli:
                          *out_args])
         assert code == 0
         assert [p.name for p in tmp_path.iterdir()] == [written]
+
+    def test_se_trace_is_not_a_run_algorithm(self, tmp_path, capsys):
+        # state-evolution traces come from the se command only
+        out = tmp_path / "r.csv"
+        assert cli_main(["run", "--algos", "s_amp,se_trace", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "config error: unknown algorithm(s): se_trace\n"
+        assert not captured.out and not out.exists()
 
     def test_missing_config_file(self):
         assert cli_main(["run", "--config", "/nonexistent/path.cfg"]) == 1
@@ -407,3 +439,18 @@ class TestCli:
         assert [r[3:7] for r in soft] == [["all", "nan", "nan", "nan"]]
         s_amp = [r for r in rows if r[2] == "s_amp"]
         assert len(s_amp) == 4 and all(math.isfinite(float(r[4])) for r in s_amp)
+
+    def test_calibration_uses_first_adt_with_an_active_user(self, tmp_path, capsys):
+        # at seed 8 the calibration scenario has active users in ADT 3 only,
+        # which is enough to calibrate the threshold
+        out = tmp_path / "r.csv"
+        code = cli_main(["run", "--n-users", "100", "--pilot-len", "40",
+                         "--n-adts", "3", "--trials", "1", "--lambda", "0.01",
+                         "--seed", "8", "--algos", "s_amp,amp_soft",
+                         "--out", str(out)])
+        assert code == 0
+        assert not capsys.readouterr().err
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        soft = [r for r in rows if r[2] == "amp_soft"]
+        assert [r[3] for r in soft] == ["all", "1", "2", "3"]
+        assert all(math.isfinite(float(x)) for r in soft for x in r[4:7])

@@ -2,12 +2,16 @@
 
 A deleted function whose name stays in a module's ``__all__`` breaks
 ``from seqamp.<module> import *`` only; one that stays in the package's
-``__init__`` breaks ``import seqamp`` for everybody.
+``__init__`` breaks ``import seqamp`` for everybody.  Likewise every
+binding the benchmark's tracing wraps (``perfbench/bench_trace.SITES``)
+must exist, or the benchmark fails inside its run.
 """
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +20,7 @@ import seqamp
 
 SRC = Path(seqamp.__file__).parent
 MODULES = sorted(m.name for m in pkgutil.iter_modules([str(SRC)]))
+BENCH_TRACE = Path(__file__).resolve().parents[1] / "perfbench" / "bench_trace.py"
 
 
 def package_imports():
@@ -24,6 +29,15 @@ def package_imports():
     return [(node.module, alias.name) for node in tree.body
             if isinstance(node, ast.ImportFrom) and node.level == 1
             for alias in node.names]
+
+
+def bench_trace_sites():
+    """(module, attribute) of every lookup site the benchmark traces."""
+    spec = importlib.util.spec_from_file_location("_bench_trace", BENCH_TRACE)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
+    spec.loader.exec_module(module)
+    return [site[:2] for site in module.SITES]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -40,3 +54,9 @@ def test_package_imports_are_exported_names():
         module = importlib.import_module(f"seqamp.{module_name}")
         assert hasattr(module, name), f"seqamp.{module_name} has no {name}"
         assert name in module.__all__, f"{name} missing from seqamp.{module_name}.__all__"
+
+
+@pytest.mark.parametrize("module_name, attr", bench_trace_sites())
+def test_bench_trace_site_resolves(module_name, attr):
+    module = importlib.import_module(module_name)
+    assert callable(getattr(module, attr, None)), f"{module_name} has no {attr}"

@@ -10,7 +10,6 @@ from seqamp.config import SPEED_OF_LIGHT, SystemConfig, desk_config
 from seqamp.rng import stream
 from seqamp.scenario import (ar1_channels, derive_noise_var, gen_pilots,
                              gen_user_profiles, make_scenario, markov_activity,
-                             simulate_activity, simulate_channels,
                              synthesize_received)
 
 
@@ -148,7 +147,8 @@ class TestActivity:
     def test_long_run_active_fraction(self):
         cfg = SystemConfig(n_users=2000, pilot_len=400, n_adts=2000,
                            lam=0.05, r_scale=0.1)
-        a = simulate_activity(cfg, stream(1, 0, "a"))
+        a = markov_activity(cfg.lam, cfg.p01, cfg.p10, cfg.n_users, cfg.n_adts,
+                            stream(1, 0, "a"))
         assert abs(a.mean() - 0.05) <= 0.005
 
 
@@ -170,10 +170,11 @@ class TestChannels:
         lag = np.real(np.conj(h[:, :-1]) * h[:, 1:]).sum()
         assert lag / np.sum(np.abs(h[:, :-1]) ** 2) == pytest.approx(eta, abs=0.005)
 
-    def test_profiles_drive_simulate_channels(self):
+    def test_profiles_drive_ar1_channels(self):
         cfg = desk_config()
         profiles = gen_user_profiles(cfg, stream(0, 0, "p"))
-        h = simulate_channels(profiles, cfg, stream(0, 0, "h"))
+        h = ar1_channels(profiles.channel_var, profiles.ar_coeff, cfg.n_adts,
+                         stream(0, 0, "h"))
         assert h.shape == (cfg.n_users, cfg.n_adts)
 
 
