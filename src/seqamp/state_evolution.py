@@ -146,17 +146,20 @@ def se_sequential_trace(cfg: SystemConfig,
     c_static = np.empty(t_total)
     all_converged = True
     for t in range(t_total):
-        seq_batch = SeSamples(x[:, t], prior, v[:, t])
+        # contiguous copies of the columns: each fixpoint makes ~30
+        # elementwise passes per iteration over them
+        x_t, v_t = x[:, t].copy(), v[:, t].copy()
+        seq_batch = SeSamples(x_t, prior, v_t)
         fp = se_fixpoint(seq_batch, cfg)
         c_seq[t] = fp.c
         all_converged &= fp.converged
 
-        static_batch = SeSamples(x[:, t], static_prior, v[:, t])
+        static_batch = SeSamples(x_t, static_prior, v_t)
         fp_s = se_fixpoint(static_batch, cfg)
         c_static[t] = fp_s.c
         all_converged &= fp_s.converged
 
-        phi = x[:, t] + np.sqrt(c_seq[t]) * v[:, t]
+        phi = x_t + np.sqrt(c_seq[t]) * v_t
         post = moment_match(phi, c_seq[t], prior, rho=rho)
         prior = prior_propagate(post, eta, rho, cfg)
 

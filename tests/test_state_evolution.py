@@ -143,3 +143,34 @@ class TestSequentialTrace:
         floor = 10.0 ** ((cfg.tx_power_dbm - cfg.nor_ref_dbm) / 10.0) \
             * derive_noise_var(cfg)
         assert tr.nor_static[-1] == pytest.approx(floor, rel=0.05)
+
+
+class TestContiguousColumns:
+    def test_strided_column_fixpoint_bit_equal_to_contiguous(self):
+        cfg = desk_config()
+        rng = stream(6, 0, "se-layout")
+        wide = [bg_samples(5_000, cfg.lam, 1.0, rng) for _ in range(3)]
+        x = np.stack([s.x for s in wide], axis=1)
+        v = np.stack([s.v for s in wide], axis=1)
+        prior = wide[1].prior
+        strided = se_fixpoint(SeSamples(x[:, 1], prior, v[:, 1]), cfg)
+        contiguous = se_fixpoint(
+            SeSamples(np.ascontiguousarray(x[:, 1]), prior,
+                      np.ascontiguousarray(v[:, 1])), cfg)
+        assert not x[:, 1].flags.c_contiguous
+        assert strided.c == contiguous.c
+        assert strided.iters == contiguous.iters
+
+    def test_trace_hands_fixpoint_contiguous_columns(self, monkeypatch):
+        import seqamp.state_evolution as se
+        layouts = []
+        original = se.se_fixpoint
+
+        def probed(samples, cfg, denoiser=None):
+            layouts.append((samples.x.flags.c_contiguous,
+                            samples.v.flags.c_contiguous))
+            return original(samples, cfg, denoiser=denoiser)
+
+        monkeypatch.setattr(se, "se_fixpoint", probed)
+        se_sequential_trace(desk_config(n_adts=3), n_samples=1000)
+        assert layouts == [(True, True)] * 6
