@@ -23,11 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .amp import AmpDivergenceError, AmpState, amp_run
 from .config import SystemConfig
-from .denoiser import BgPrior, log_gamma
+from .denoiser import BgPrior, log_gamma, logistic
 from .scenario import Profiles, Scenario, ar_coeffs, channel_vars
 
 __all__ = [
@@ -110,7 +109,7 @@ def moment_match(phi, c, prior: BgPrior,
     prior_safe = BgPrior(pi_safe, prior.xi, prior.psi)
 
     kappa, tau = moment_intermediates(phi, c, prior_safe)
-    pi_bar = expit(-log_gamma(phi, c, prior_safe))
+    pi_bar = logistic(-log_gamma(phi, c, prior_safe))
     xi_bar = pi_bar * tau + (1.0 - pi_bar) * prior.xi
     second = (pi_bar * (np.abs(tau) ** 2 + kappa)
               + (1.0 - pi_bar) * (np.abs(prior.xi) ** 2 + prior.psi))

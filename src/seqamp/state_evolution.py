@@ -103,7 +103,8 @@ def se_step(c: float, samples: SeSamples, cfg: SystemConfig,
     """One state-evolution step: noise_var + (N/L) * mean |f(X+sqrt(c)V) - X|^2."""
     f = denoise_mean if denoiser is None else denoiser
     phi = samples.x + np.sqrt(c) * samples.v
-    mse = float(np.mean(np.abs(f(phi, c, samples.prior) - samples.x) ** 2))
+    err = f(phi, c, samples.prior) - samples.x
+    mse = float(np.mean(err.real ** 2 + err.imag ** 2))
     return derive_noise_var(cfg) + (cfg.n_users / cfg.pilot_len) * mse
 
 

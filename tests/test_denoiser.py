@@ -1,13 +1,51 @@
 """Bernoulli-Gaussian denoiser kernels against hand values and quadrature."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqamp.denoiser import (BgPrior, denoise_deriv, denoise_mean, denoise_var,
-                             gamma, log_gamma)
+                             gamma, log_gamma, logistic)
 from seqamp.quadrature import x_moments
+
+
+class TestLogistic:
+    def test_within_four_ulp_of_scipy_expit(self):
+        from scipy.special import expit
+        t = np.linspace(-745.0, 745.0, 400_001)
+        ref = expit(t)
+        assert np.all(np.abs(logistic(t) - ref) <= 4 * np.spacing(ref))
+
+    def test_exact_saturation(self):
+        t = np.array([-np.inf, -800.0, 800.0, np.inf])
+        assert logistic(t).tolist() == [0.0, 0.0, 1.0, 1.0]
+
+    def test_no_floating_point_warning(self):
+        t = np.array([-np.inf, -800.0, -710.0, 0.0, 710.0, 800.0, np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            logistic(t)
+            logistic(-800.0)
+
+
+class TestPriorLogOdds:
+    def test_boundaries_are_infinite(self):
+        prior = BgPrior(np.array([1.0, 0.0]), 0.0, 1.0)
+        assert prior.log_odds.tolist() == [-np.inf, np.inf]
+
+    def test_equals_formula_inside(self):
+        pi = np.array([1e-12, 0.05, 0.5, 0.9, 1.0 - 1e-12])
+        prior = BgPrior(pi, np.zeros(5, dtype=complex), np.ones(5))
+        np.testing.assert_array_equal(prior.log_odds, np.log1p(-pi) - np.log(pi))
+
+    def test_replace_recomputes(self):
+        prior = dataclasses.replace(BgPrior(0.5, 0.0, 1.0), pi=0.2)
+        assert float(prior.log_odds) == np.log1p(-0.2) - np.log(0.2)
+        assert prior == BgPrior(0.2, 0.0, 1.0)
 
 
 class TestGamma:
