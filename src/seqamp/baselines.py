@@ -42,7 +42,8 @@ class BaselineResult:
     For a column block (one column per ADT or per threshold), ``estimate``
     and ``support`` are (N, k), ``iterations`` sums the sweeps of all
     columns and ``residual_norm`` is the Frobenius norm of the residual
-    block.
+    block.  ``cap_hits`` counts the columns of soft-threshold AMP still
+    running when the sweep budget ran out; OMP and oracle LS leave it 0.
     """
 
     estimate: np.ndarray      # (N,) or (N, k) complex
@@ -50,6 +51,7 @@ class BaselineResult:
     iterations: int
     residual_norm: float
     hit_rank_limit: bool = False
+    cap_hits: int = 0
 
 
 def amp_mmse(scenario: Scenario, cfg: SystemConfig) -> SequenceResult:
@@ -88,7 +90,9 @@ def amp_soft(y: np.ndarray, s_mat: np.ndarray, cfg: SystemConfig,
     unclipped set.
 
     A 1-D ``y`` returns (N,) arrays; a block returns (N, k) arrays, the
-    summed sweeps and the Frobenius norm of the residual block.  Raises
+    summed sweeps and the Frobenius norm of the residual block.  Columns
+    that had not met the stop test after cfg.amp_iters sweeps are counted
+    in ``cap_hits``.  Raises
     ValueError for an alpha that is not finite and positive, and
     AmpDivergenceError naming the columns that went non-finite.
     """
@@ -140,7 +144,7 @@ def amp_soft(y: np.ndarray, s_mat: np.ndarray, cfg: SystemConfig,
     if y.ndim == 1:
         mu = mu.reshape(n)
     return BaselineResult(mu, (mu != 0).astype(np.int8), int(sweeps.sum()),
-                          float(np.linalg.norm(z)))
+                          float(np.linalg.norm(z)), cap_hits=int(run.size))
 
 
 def calibrate_soft_alpha(scenario: Scenario, cfg: SystemConfig) -> float:

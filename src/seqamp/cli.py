@@ -5,8 +5,9 @@ Subcommands:
   se     state-evolution traces (sequential vs static prior) -> CSV.
   check  acceptance / property suite, one PASS/FAIL line per criterion.
 
-Exit codes: 0 success, 1 configuration error, 2 partial algorithm failure
-(error rows recorded, remaining points completed).
+Exit codes: 0 success, 1 configuration error, 2 partial failure: an
+algorithm error in ``run`` or a state-evolution fixpoint that did not
+converge in ``se`` (NaN rows recorded, remaining points completed).
 """
 
 from __future__ import annotations
@@ -90,19 +91,18 @@ def main(argv=None) -> int:
         return 0 if acceptance.run_checks(ids) else 1
 
     if args.command == "se":
-        rows = run_se(spec)
+        kind, errors = "state-evolution", []
+        rows = run_se(spec, errors=errors)
         out = spec.out or "se_trace.csv"
         write_se_csv(rows, out)
-        print(f"wrote {len(rows)} rows to {out}")
-        return 0
-
-    # run
-    records, errors = run_experiment(spec)
-    out = spec.out or "results.csv"
-    write_csv(records, out)
-    print(f"wrote {len(records)} rows to {out}")
+    else:
+        kind = "algorithm"
+        rows, errors = run_experiment(spec)
+        out = spec.out or "results.csv"
+        write_csv(rows, out)
+    print(f"wrote {len(rows)} rows to {out}")
     for line in errors:
-        print(f"algorithm error: {line}", file=sys.stderr)
+        print(f"{kind} error: {line}", file=sys.stderr)
     return 2 if errors else 0
 
 

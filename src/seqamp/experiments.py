@@ -392,15 +392,28 @@ def write_csv(records: list[MetricsRecord], path: str) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def run_se(spec: ExperimentSpec, n_samples: int = SE_TRACE_SAMPLES):
-    """Per-ADT normalised fixpoint rows for the sequential and static priors."""
+def run_se(spec: ExperimentSpec, n_samples: int = SE_TRACE_SAMPLES,
+           errors: list[str] | None = None):
+    """Per-ADT normalised fixpoint rows for the sequential and static priors.
+
+    A sweep point whose trace has a fixpoint that did not converge gets
+    NaN ``nor_ct`` in all its rows, and ``errors``, if given, receives
+    ``"<axis>=<value>: fixpoint did not converge"`` for it.
+    """
     rows = []
+    axis_name = spec.axis if spec.axis is not None else "none"
     for value, cfg in spec.sweep_points():
         trace = se_sequential_trace(cfg, n_samples=n_samples)
+        nor_seq, nor_static = trace.nor_seq, trace.nor_static
+        if not trace.converged:
+            nor_seq = nor_static = np.full(len(trace.adt), np.nan)
+            if errors is not None:
+                errors.append(f"{axis_name}={0 if value is None else value}: "
+                              "fixpoint did not converge")
         for i, t in enumerate(trace.adt):
-            rows.append((int(t), "s_amp", trace.nor_seq[i],
+            rows.append((int(t), "s_amp", nor_seq[i],
                          cfg.pilot_len, cfg.tx_power_dbm))
-            rows.append((int(t), "amp_mmse", trace.nor_static[i],
+            rows.append((int(t), "amp_mmse", nor_static[i],
                          cfg.pilot_len, cfg.tx_power_dbm))
     rows.sort(key=lambda r: (r[3], r[4], r[0], r[1]))
     return rows

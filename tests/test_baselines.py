@@ -109,6 +109,26 @@ class TestAmpSoft:
         assert block.residual_norm == pytest.approx(
             math.hypot(*(r.residual_norm for r in singles)), rel=1e-12)
 
+    @pytest.mark.parametrize("amp_iters, cap_hits", [(1, 3), (0, 3)])
+    def test_cap_hits_count_columns_out_of_budget(self, amp_iters, cap_hits):
+        cfg = desk_config(n_adts=3, amp_iters=amp_iters)
+        scn = make_scenario(cfg, 0)
+        assert amp_soft(scn.received, scn.pilots, cfg).cap_hits == cap_hits
+
+    def test_converged_column_has_no_cap_hit(self):
+        cfg = desk_config(n_adts=1)
+        scn = make_scenario(cfg, 0)
+        res = amp_soft(scn.received[:, 0], scn.pilots, cfg)
+        assert res.iterations < cfg.amp_iters
+        assert res.cap_hits == 0
+
+    def test_omp_and_oracle_ls_report_no_cap_hits(self):
+        cfg = desk_config(n_adts=1)
+        scn = make_scenario(cfg, 0)
+        y = scn.received[:, 0]
+        assert omp(y, scn.pilots, cfg).cap_hits == 0
+        assert oracle_ls(y, scn.pilots, scn.activity[:, 0]).cap_hits == 0
+
     def test_one_column_block_bit_equal_to_vector_call(self):
         cfg = desk_config(n_adts=1)
         scn = make_scenario(cfg, 0)

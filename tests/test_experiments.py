@@ -325,6 +325,17 @@ class TestRunSe:
         header = path.read_text().splitlines()[0]
         assert header == "t,algorithm,nor_ct,pilot_len,tx_power_dbm"
 
+    def test_nonconverged_point_gets_nan_rows_and_error(self, monkeypatch):
+        import seqamp.state_evolution as se
+        base = SystemConfig(n_users=200, pilot_len=50, n_adts=2, n_trials=1)
+        errors = []
+        rows = run_se(ExperimentSpec(base), n_samples=2000, errors=errors)
+        assert errors == [] and all(math.isfinite(r[2]) for r in rows)
+        monkeypatch.setattr(se, "FIXPOINT_MAX_ITERS", 1)
+        rows = run_se(ExperimentSpec(base), n_samples=2000, errors=errors)
+        assert len(rows) == 4 and all(math.isnan(r[2]) for r in rows)
+        assert errors == ["none=0: fixpoint did not converge"]
+
 
 class TestCli:
     def test_run_subcommand(self, tmp_path):
@@ -360,6 +371,20 @@ class TestCli:
                          *out_args])
         assert code == 0
         assert [p.name for p in tmp_path.iterdir()] == [written]
+
+    def test_se_nonconvergence_exits_2(self, tmp_path, capsys, monkeypatch):
+        import seqamp.state_evolution as se
+        monkeypatch.setattr(se, "FIXPOINT_MAX_ITERS", 1)
+        out = tmp_path / "se.csv"
+        code = cli_main(["se", "--n-users", "100", "--pilot-len", "25",
+                         "--n-adts", "2", "--tx-power-dbm", "27,33",
+                         "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"state-evolution error: tx_power_dbm={p}: fixpoint did not converge"
+            for p in (27.0, 33.0)]
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 8 and all(r.split(",")[2] == "nan" for r in rows)
 
     def test_se_trace_is_not_a_run_algorithm(self, tmp_path, capsys):
         # state-evolution traces come from the se command only
