@@ -148,8 +148,8 @@ def se_sequential_trace(cfg: SystemConfig,
     all_converged = True
     # ADT t's columns, refilled per ADT: each fixpoint makes ~30 elementwise
     # passes per iteration over them, so they must be contiguous, and one
-    # buffer per trace keeps the heap from fragmenting (a fresh copy per
-    # ADT raised the peak RSS of a 30 s se_sweep run by about 7 MB)
+    # buffer per trace, unlike a fresh copy per ADT, does not fragment the
+    # heap and raise the peak resident memory
     x_t, v_t = np.empty((2, n_samples), dtype=complex)
     for t in range(t_total):
         x_t[:], v_t[:] = x[:, t], v[:, t]
