@@ -29,9 +29,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="desk-scale profile (N=500, L=125, T=10, 20 trials)")
     parser.add_argument("--out", metavar="PATH", help="output CSV path")
     parser.add_argument("--algos", metavar="LIST",
-                        help="comma list from: " + " ".join(ALGORITHMS))
-    parser.add_argument("--workers", type=int, default=1,
-                        help="parallel trial workers (default 1)")
+                        help="run only: comma list from: " + " ".join(ALGORITHMS))
+    parser.add_argument("--workers", type=int,
+                        help="run only: parallel trial workers (default 1)")
     # every other config key has a hidden flag of its own name
     for key in SCALAR_KEYS:
         if key not in ("seed", "n_trials"):
@@ -43,6 +43,19 @@ def _flags_from_args(args: argparse.Namespace) -> dict:
     """Config entries of the config-key flags given on the command line."""
     return {key: getattr(args, key) for key in SCALAR_KEYS + ("algos", "out")
             if getattr(args, key) is not None}
+
+
+def _reject_run_only_flags(args: argparse.Namespace) -> None:
+    """``se`` traces no algorithms and runs in one process.
+
+    A config file's ``algos`` is still accepted, since ``run`` and ``se``
+    share config files; only the flags, which would be ignored, are refused.
+    """
+    given = [flag for flag, value in (("--algos", args.algos),
+                                      ("--workers", args.workers))
+             if value is not None]
+    if given:
+        raise ConfigError(f"se does not take {' or '.join(given)}")
 
 
 def _criteria_ids(text: str | None) -> list[int] | None:
@@ -81,8 +94,11 @@ def main(argv=None) -> int:
         if args.command == "check":
             ids = _criteria_ids(args.criteria)
         else:
+            if args.command == "se":
+                _reject_run_only_flags(args)
+            workers = 1 if args.workers is None else args.workers
             spec = load_config(args.config, _flags_from_args(args),
-                               desk=args.desk, workers=args.workers)
+                               desk=args.desk, workers=workers)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

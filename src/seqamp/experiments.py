@@ -352,6 +352,8 @@ def run_experiment(spec: ExperimentSpec):
             except Exception as exc:  # error row downstream; other algos continue
                 cal_error = f"calibration: {type(exc).__name__}: {exc}"
                 run_algos = tuple(a for a in run_algos if a != "amp_soft")
+            finally:
+                del cal  # the trials build their own scenarios
         trials = list(range(cfg.n_trials))
         if spec.workers > 1:
             with ProcessPoolExecutor(max_workers=spec.workers) as pool:

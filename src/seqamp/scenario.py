@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import j0
 
 from .config import SPEED_OF_LIGHT, SystemConfig
-from .rng import stream
+from .rng import complex_normal, stream
 
 __all__ = [
     "Profiles",
@@ -92,9 +92,7 @@ def gen_user_profiles(cfg: SystemConfig, rng: np.random.Generator,
 
 def gen_pilots(cfg: SystemConfig, rng: np.random.Generator) -> np.ndarray:
     """(L, N) pilot matrix with i.i.d. CN(0, 1/L) entries (unit column power)."""
-    shape = (cfg.pilot_len, cfg.n_users)
-    scale = np.sqrt(0.5 / cfg.pilot_len)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return complex_normal(rng, (cfg.pilot_len, cfg.n_users), np.sqrt(0.5 / cfg.pilot_len))
 
 
 def markov_activity(lam: float, p01: float, p10: float, n: int, n_steps: int,
@@ -119,17 +117,16 @@ def ar1_channels(rho: np.ndarray, eta: np.ndarray, n_steps: int,
 
     h(1) ~ CN(0, rho); h(t) = eta*h(t-1) + u with u ~ CN(0, (1-eta^2)*rho).
     Complex Gaussians are sampled as independent real/imaginary parts of
-    variance v/2 each.
+    variance v/2 each.  The recursion runs in place on the unit draws.
     """
     rho = np.asarray(rho, dtype=float)
     eta = np.asarray(eta, dtype=float)
-    n = rho.shape[0]
-    w = rng.standard_normal((n, n_steps)) + 1j * rng.standard_normal((n, n_steps))
-    h = np.empty((n, n_steps), dtype=complex)
-    h[:, 0] = np.sqrt(rho / 2.0) * w[:, 0]
+    h = complex_normal(rng, (rho.shape[0], n_steps))
+    h[:, 0] *= np.sqrt(rho / 2.0)
     innov_std = np.sqrt((1.0 - eta**2) * rho / 2.0)
     for t in range(1, n_steps):
-        h[:, t] = eta * h[:, t - 1] + innov_std * w[:, t]
+        h[:, t] *= innov_std
+        h[:, t] += eta * h[:, t - 1]
     return h
 
 
@@ -140,10 +137,8 @@ def synthesize_received(pilots: np.ndarray, sparse_signal: np.ndarray,
         raise ValueError(
             f"pilot columns ({pilots.shape[1]}) != signal rows ({sparse_signal.shape[0]})"
         )
-    shape = (pilots.shape[0], sparse_signal.shape[1])
-    w = np.sqrt(noise_var / 2.0) * (
-        rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    )
+    w = complex_normal(rng, (pilots.shape[0], sparse_signal.shape[1]),
+                       np.sqrt(noise_var / 2.0))
     return pilots @ sparse_signal + w
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .config import SystemConfig
 from .denoiser import BgPrior, denoise_mean
-from .rng import stream
+from .rng import complex_normal, stream
 from .scenario import ar1_channels, derive_noise_var, gen_user_profiles, markov_activity
 from .sequential import moment_match, prior_propagate
 
@@ -78,7 +78,7 @@ class SeTrace:
 
 
 def _cn_unit(rng: np.random.Generator, shape) -> np.ndarray:
-    return np.sqrt(0.5) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return complex_normal(rng, shape, np.sqrt(0.5))
 
 
 def static_sampler(cfg: SystemConfig) -> Callable[[int, np.random.Generator], SeSamples]:
@@ -136,9 +136,10 @@ def se_sequential_trace(cfg: SystemConfig,
     rho, eta = profiles.channel_var, profiles.ar_coeff
     act = markov_activity(cfg.lam, cfg.p01, cfg.p10, n_samples, t_total,
                           stream(cfg.seed, 0, "se-activity"))
-    h = ar1_channels(rho, eta, t_total, stream(cfg.seed, 0, "se-channels"))
+    # x = act * h, formed in place on the channel draws
+    x = ar1_channels(rho, eta, t_total, stream(cfg.seed, 0, "se-channels"))
+    x *= act
     v = _cn_unit(stream(cfg.seed, 0, "se-noise"), (n_samples, t_total))
-    x = act * h
 
     static_prior = BgPrior(np.full(n_samples, cfg.lam),
                            np.zeros(n_samples, dtype=complex), rho)

@@ -1,10 +1,12 @@
 """Config parsing, sweep execution, CSV emission, CLI plumbing."""
 
+import gc
 import math
 import os
 import subprocess
 import sys
 import tempfile
+import weakref
 from dataclasses import fields
 from pathlib import Path
 from typing import get_type_hints
@@ -16,10 +18,10 @@ from hypothesis import strategies as st
 
 from seqamp.cli import main as cli_main
 from seqamp.config import SystemConfig, desk_config
-from seqamp.experiments import (ALGORITHMS, CSV_HEADER, SCALAR_KEYS, SWEEP_KEYS,
-                                ConfigError, ExperimentSpec, load_config,
-                                parse_config_text, run_experiment, run_se,
-                                write_csv, write_se_csv)
+from seqamp.experiments import (ALGORITHMS, CALIBRATION_TRIAL, CSV_HEADER,
+                                SCALAR_KEYS, SWEEP_KEYS, ConfigError,
+                                ExperimentSpec, load_config, parse_config_text,
+                                run_experiment, run_se, write_csv, write_se_csv)
 
 # every config key that sets a float (the int fields are keyed by their names)
 FLOAT_KEYS = [key for key in SCALAR_KEYS
@@ -297,6 +299,28 @@ class TestRunExperiment:
         for power in (30.0, 36.0):
             assert agg[(power, "s_amp")].nmse_h_db < agg[(power, "amp_mmse")].nmse_h_db
 
+    def test_calibration_scenario_freed_before_trial_scenarios(self, monkeypatch):
+        # the held-out calibration scenario holds a pilot matrix as large as
+        # a trial's; it must be gone before any trial builds its own
+        import seqamp.experiments as ex
+        original = ex.make_scenario
+        calibration, alive_at_trial = [], []
+
+        def tracked(cfg, trial=0, profiles=None):
+            if trial == CALIBRATION_TRIAL:
+                scenario = original(cfg, trial, profiles)
+                calibration.append(weakref.ref(scenario))
+                return scenario
+            gc.collect()
+            alive_at_trial.append(sum(ref() is not None for ref in calibration))
+            return original(cfg, trial, profiles)
+
+        monkeypatch.setattr(ex, "make_scenario", tracked)
+        records, errors = run_experiment(tiny_spec(algorithms=("amp_soft",)))
+        assert not errors and records
+        assert len(calibration) == 2  # one per sweep point
+        assert alive_at_trial == [0] * 4  # two trials per sweep point
+
     def test_algorithm_failure_produces_error_row(self):
         # lam*N >> L makes the oracle support exceed L: oracle_ls must fail,
         # the row must be recorded, and other algorithms must still report
@@ -361,14 +385,13 @@ class TestCli:
     @pytest.mark.parametrize("command, out_args, written", [
         ("se", ["--out", "results.csv"], "results.csv"),
         ("se", [], "se_trace.csv"),
-        ("run", [], "results.csv"),
+        ("run", ["--algos", "oracle_ls"], "results.csv"),
     ])
     def test_out_path_default_per_command(self, tmp_path, monkeypatch, command,
                                           out_args, written):
         monkeypatch.chdir(tmp_path)
         code = cli_main([command, "--n-users", "100", "--pilot-len", "25",
-                         "--n-adts", "1", "--trials", "1", "--algos", "oracle_ls",
-                         *out_args])
+                         "--n-adts", "1", "--trials", "1", *out_args])
         assert code == 0
         assert [p.name for p in tmp_path.iterdir()] == [written]
 
@@ -385,6 +408,31 @@ class TestCli:
             for p in (27.0, 33.0)]
         rows = out.read_text().splitlines()[1:]
         assert len(rows) == 8 and all(r.split(",")[2] == "nan" for r in rows)
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--algos", "s_amp"], "--algos"),
+        (["--workers", "2"], "--workers"),
+        (["--workers", "1"], "--workers"),
+        (["--algos", "s_amp", "--workers", "2"], "--algos or --workers"),
+    ])
+    def test_se_rejects_run_only_flags(self, tmp_path, capsys, flags, named):
+        # se would ignore them, so they are refused rather than dropped
+        out = tmp_path / "se.csv"
+        code = cli_main(["se", "--n-users", "100", "--pilot-len", "25",
+                         "--n-adts", "1", *flags, "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: se does not take {named}\n"
+        assert not captured.out and not out.exists()
+
+    def test_se_accepts_algos_from_a_shared_config_file(self, tmp_path):
+        # run and se share config files, so the file's algos key is allowed
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("n_users = 100\npilot_len = 25\nn_adts = 1\n"
+                       "algos = s_amp,omp\n")
+        out = tmp_path / "se.csv"
+        assert cli_main(["se", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 3
 
     def test_se_trace_is_not_a_run_algorithm(self, tmp_path, capsys):
         # state-evolution traces come from the se command only

@@ -170,6 +170,24 @@ class TestChannels:
         lag = np.real(np.conj(h[:, :-1]) * h[:, 1:]).sum()
         assert lag / np.sum(np.abs(h[:, :-1]) ** 2) == pytest.approx(eta, abs=0.005)
 
+    def test_in_place_recursion_bit_equal_to_two_temporaries(self):
+        # the recursion as written with a unit-draw matrix and one temporary
+        # per term; the in-place form adds the same two terms the other way
+        # round, and IEEE addition commutes
+        cfg = desk_config()
+        profiles = gen_user_profiles(cfg, stream(0, 0, "p"))
+        rho, eta, n_steps = profiles.channel_var, profiles.ar_coeff, 20
+        rng = stream(0, 0, "h")
+        shape = (rho.shape[0], n_steps)
+        w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        want = np.empty(shape, dtype=complex)
+        want[:, 0] = np.sqrt(rho / 2.0) * w[:, 0]
+        innov_std = np.sqrt((1.0 - eta**2) * rho / 2.0)
+        for t in range(1, n_steps):
+            want[:, t] = eta * want[:, t - 1] + innov_std * w[:, t]
+        got = ar1_channels(rho, eta, n_steps, stream(0, 0, "h"))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_profiles_drive_ar1_channels(self):
         cfg = desk_config()
         profiles = gen_user_profiles(cfg, stream(0, 0, "p"))
