@@ -24,7 +24,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="key = value config file")
     parser.add_argument("--seed", type=int, help="master seed (64-bit)")
     parser.add_argument("--trials", dest="n_trials", type=int,
-                        help="Monte-Carlo trials per point")
+                        help="run only: Monte-Carlo trials per point")
     parser.add_argument("--desk", action="store_true",
                         help="desk-scale profile (N=500, L=125, T=10, 20 trials)")
     parser.add_argument("--out", metavar="PATH", help="output CSV path")
@@ -46,14 +46,16 @@ def _flags_from_args(args: argparse.Namespace) -> dict:
 
 
 def _reject_run_only_flags(args: argparse.Namespace) -> None:
-    """``se`` traces no algorithms and runs in one process.
+    """``se`` runs no algorithms and no Monte-Carlo trials, in one process.
 
-    A config file's ``algos`` is still accepted, since ``run`` and ``se``
-    share config files; only the flags, which would be ignored, are refused.
+    A config file's keys are still accepted, since ``run`` and ``se`` share
+    config files; only the flags, which would be ignored, are refused.
     """
-    given = [flag for flag, value in (("--algos", args.algos),
-                                      ("--workers", args.workers))
-             if value is not None]
+    given = [flag for flag, dest in (("--algos", "algos"), ("--workers", "workers"),
+                                     ("--trials", "n_trials"),
+                                     ("--amp-iters", "amp_iters"),
+                                     ("--soft-alpha", "soft_alpha"))
+             if getattr(args, dest) is not None]
     if given:
         raise ConfigError(f"se does not take {' or '.join(given)}")
 

@@ -14,9 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
-__all__ = ["SystemConfig", "desk_config", "SPEED_OF_LIGHT"]
+__all__ = ["SystemConfig", "desk_config", "SPEED_OF_LIGHT", "MAX_DOPPLER_ARG"]
 
 SPEED_OF_LIGHT = 2.99792458e8  # m/s
+# largest Doppler argument 2*pi*f_D*T_ADP accepted: J0 costs O(argument) per
+# user, and beyond it |eta| = |J0| < 0.01, so the channel is all but memoryless
+MAX_DOPPLER_ARG = 1e4
 
 
 @dataclass(frozen=True)
@@ -77,6 +80,12 @@ class SystemConfig:
             raise ValueError("speed_range_kmh must satisfy 0 <= v_min <= v_max")
         if self.amp_iters < 0 or self.n_trials < 1:
             raise ValueError("amp_iters must be >= 0 and n_trials >= 1")
+        # same expression as gen_user_profiles, at the top speed
+        doppler = self.speed_range_kmh[1] / 3.6 * self.carrier_hz / SPEED_OF_LIGHT
+        arg = 2.0 * math.pi * doppler * self.adp_duration_s
+        if arg > MAX_DOPPLER_ARG:
+            raise ValueError(f"Doppler argument 2*pi*f_D*T_ADP = {arg:.4g} at the top "
+                             f"speed exceeds {MAX_DOPPLER_ARG:g}")
 
     @property
     def p01(self) -> float:

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .config import SystemConfig
 
@@ -78,6 +77,10 @@ def exact_sssm_filter(observations, noise_levels, eta: float, rho: float,
     ``rho`` are the user's AR-1 coefficient and channel power.  Horizons
     above MAX_HORIZON are refused (mixture size doubles per step).
     """
+    # imported here: scipy.special is most of the package's import time and
+    # memory, and only this oracle needs it
+    from scipy.special import logsumexp
+
     phis = np.asarray(observations, dtype=complex)
     cs = np.asarray(noise_levels, dtype=float)
     if phis.shape != cs.shape or phis.ndim != 1:

@@ -174,6 +174,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_config(None, {key: value})
 
+    def test_doppler_argument_capped(self):
+        # 2*pi*f_D*T_ADP at 50 km/h and 3.5 GHz is 0.102 at the 100 us
+        # default ADP; the cap is 1e4
+        assert SystemConfig(adp_duration_s=9.0).adp_duration_s == 9.0
+        with pytest.raises(ValueError, match="Doppler argument"):
+            SystemConfig(adp_duration_s=10.0)
+        with pytest.raises(ConfigError, match="Doppler argument"):
+            load_config(None, {"speed_max_kmh": "1e7"})
+
     @pytest.mark.parametrize("key, values", [
         ("tx_power_dbm", "30,nan"), ("pilot_len", "100,5000"), ("r0", "3,-5000"),
         ("lambda", "0.1,2"), ("adp_duration_s", "1e-4,-1")])
@@ -385,13 +394,13 @@ class TestCli:
     @pytest.mark.parametrize("command, out_args, written", [
         ("se", ["--out", "results.csv"], "results.csv"),
         ("se", [], "se_trace.csv"),
-        ("run", ["--algos", "oracle_ls"], "results.csv"),
+        ("run", ["--algos", "oracle_ls", "--trials", "1"], "results.csv"),
     ])
     def test_out_path_default_per_command(self, tmp_path, monkeypatch, command,
                                           out_args, written):
         monkeypatch.chdir(tmp_path)
         code = cli_main([command, "--n-users", "100", "--pilot-len", "25",
-                         "--n-adts", "1", "--trials", "1", *out_args])
+                         "--n-adts", "1", *out_args])
         assert code == 0
         assert [p.name for p in tmp_path.iterdir()] == [written]
 
@@ -414,6 +423,10 @@ class TestCli:
         (["--workers", "2"], "--workers"),
         (["--workers", "1"], "--workers"),
         (["--algos", "s_amp", "--workers", "2"], "--algos or --workers"),
+        (["--trials", "3"], "--trials"),
+        (["--amp-iters", "10"], "--amp-iters"),
+        (["--soft-alpha", "1.2"], "--soft-alpha"),
+        (["--soft-alpha", "1.2", "--trials", "3"], "--trials or --soft-alpha"),
     ])
     def test_se_rejects_run_only_flags(self, tmp_path, capsys, flags, named):
         # se would ignore them, so they are refused rather than dropped
@@ -433,6 +446,23 @@ class TestCli:
         out = tmp_path / "se.csv"
         assert cli_main(["se", "--config", str(cfg), "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 3
+
+    def test_se_accepts_trial_keys_from_a_shared_config_file(self, tmp_path):
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("n_users = 100\npilot_len = 25\nn_adts = 1\n"
+                       "n_trials = 3\namp_iters = 10\nsoft_alpha = 1.2\n")
+        out = tmp_path / "se.csv"
+        assert cli_main(["se", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 3
+
+    def test_huge_doppler_argument_is_config_error(self, tmp_path, capsys):
+        # 50 km/h at 3.5 GHz over a 20 s ADP: 2*pi*f_D*T_ADP is about 2e4
+        out = tmp_path / "r.csv"
+        assert cli_main(["run", "--desk", "--adp-duration-s", "20",
+                         "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: Doppler argument ")
+        assert not captured.out and not out.exists()
 
     def test_se_trace_is_not_a_run_algorithm(self, tmp_path, capsys):
         # state-evolution traces come from the se command only
@@ -479,6 +509,19 @@ class TestCli:
         done = subprocess.run([sys.executable, "-c", code, str(src)],
                               capture_output=True, text=True, timeout=120, check=True)
         assert done.stdout.strip() == "False"
+
+    def test_run_and_se_load_no_scipy(self, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import seqamp; "
+                "from seqamp.cli import main; out = sys.argv[2]; "
+                "codes = [main(['run', '--desk', '--trials', '1', '--n-adts', '2', "
+                "'--algos', sys.argv[3], '--out', out + '/r.csv']), "
+                "main(['se', '--desk', '--n-adts', '2', '--out', out + '/se.csv'])]; "
+                "print(codes, sorted(m for m in sys.modules if m.startswith('scipy')))")
+        done = subprocess.run([sys.executable, "-c", code, str(src), str(tmp_path),
+                               ",".join(ALGORITHMS)],
+                              capture_output=True, text=True, timeout=300, check=True)
+        assert done.stdout.splitlines()[-1] == "[0, 0] []"
 
     def test_zero_workers_is_config_error(self, capsys):
         assert cli_main(["run", "--workers", "0"]) == 1

@@ -1,6 +1,7 @@
 """Scenario generation: geometry, traffic, channels, received signals."""
 
 from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.special import j0 as scipy_j0
 
 from seqamp.config import SPEED_OF_LIGHT, SystemConfig, desk_config
 from seqamp.rng import stream
-from seqamp.scenario import (ar1_channels, derive_noise_var, gen_pilots,
+from seqamp.scenario import (_bessel_j0, ar1_channels, derive_noise_var, gen_pilots,
                              gen_user_profiles, make_scenario, markov_activity,
                              synthesize_received)
 
@@ -21,6 +22,17 @@ def j0_series(x, terms=60):
         acc += term
         term *= -((x / 2.0) ** 2) / ((k + 1.0) ** 2)
     return acc
+
+
+def j0_rounded(x):
+    """J0(x) correctly rounded, from the power series in exact rational
+    arithmetic (20 terms leave a remainder far below rounding for |x| < 1)."""
+    q = Fraction(float(x)) ** 2 / 4
+    acc, term = Fraction(0), Fraction(1)
+    for k in range(1, 21):
+        acc += term
+        term *= -q / (k * k)
+    return float(acc)
 
 
 def eta_at(x):
@@ -63,6 +75,44 @@ class TestBesselJ0:
     def test_series_agreement_midrange(self):
         for x in (0.5, 1.7, 3.3, 6.9):
             assert abs(eta_at(x) - j0_series(x)) <= 1e-7
+
+    def test_zero_argument_is_exactly_one(self):
+        assert eta_at(0.0) == 1.0
+
+    def test_default_range_within_four_ulp_of_scipy(self):
+        # the default speeds give arguments up to 0.102; the unit is the ulp
+        # of 1.0, the top of the range, because scipy's own value sits up to
+        # 2.3 of those from the correctly rounded one near x = 0.1
+        x = np.linspace(0.0, 0.11, 20001)
+        assert np.max(np.abs(_bessel_j0(x) - scipy_j0(x))) <= 4 * np.spacing(1.0)
+
+    def test_default_range_within_one_ulp_of_exact(self):
+        x = np.linspace(0.0, 0.11, 221)
+        exact = np.array([j0_rounded(xi) for xi in x])
+        assert np.all(np.abs(_bessel_j0(x) - exact) <= np.spacing(exact))
+
+    @pytest.mark.parametrize("x_max, tol", [(1e3, 1e-13), (1e4, 1e-12)])
+    def test_large_arguments_against_scipy(self, x_max, tol):
+        x = np.linspace(0.0, x_max, 4001)
+        assert np.max(np.abs(_bessel_j0(x) - scipy_j0(x))) <= tol
+
+    def test_below_one_at_a_thousandth_km_per_hour(self):
+        cfg = SystemConfig(n_users=8, pilot_len=4, speed_range_kmh=(0.001, 0.001))
+        assert np.all(gen_user_profiles(cfg, stream(0, 0, "p")).ar_coeff < 1.0)
+
+    def test_profiles_memory_does_not_grow_with_node_count(self, peak_traced_bytes):
+        # arguments up to 1e3 take about 1000 quadrature nodes; an (n, K)
+        # grid of them would need over 60 times the bound
+        n = 20000
+        cfg = SystemConfig(n_users=n, pilot_len=4)
+        v_max = 1e3 / (2.0 * np.pi * cfg.adp_duration_s) * SPEED_OF_LIGHT / cfg.carrier_hz * 3.6
+        cfg = cfg.with_(speed_range_kmh=(0.0, v_max))
+        profiles = []
+        peak = peak_traced_bytes(
+            lambda: profiles.append(gen_user_profiles(cfg, stream(0, 0, "p"))))
+        x = 2.0 * np.pi * profiles[0].doppler_hz * cfg.adp_duration_s
+        assert x.max() > 990.0
+        assert peak < 16 * n * 8
 
 
 class TestNoiseVar:
