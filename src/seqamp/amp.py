@@ -12,9 +12,9 @@ c is updated from the residual energy rather than by the theoretical rule
 c+ = noise_var + (1/L) sum_n v_n: once the prior is an approximation
 rather than the true signal law, the theoretical form no longer tracks the
 true effective noise, while the residual energy still does.  State
-evolution predicts this empirical c.  The noise variance is the system
-constant derive_noise_var(cfg) and enters only through the seed
-c0 = c0_factor * noise_var.
+evolution predicts this empirical c, from the same seed: the noise variance
+is the system constant derive_noise_var(cfg) and enters only through
+c0 = C0_FACTOR * noise_var, which amp_init and se_fixpoint both read.
 
 S^H z is formed by :func:`adjoint` from S's transpose view, never by
 materialising S^H.
@@ -35,6 +35,7 @@ __all__ = ["AmpState", "AmpDivergenceError", "adjoint", "amp_init", "amp_iterate
 
 REL_TOL = 1e-6      # early-exit tolerance on relative change of mu
 _REL_FLOOR = 1e-30  # denominator floor for all-zero signals
+C0_FACTOR = 100.0   # seed c0 = C0_FACTOR * noise_var
 
 
 class AmpDivergenceError(RuntimeError):
@@ -71,13 +72,13 @@ def adjoint(s_mat: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def amp_init(y: np.ndarray, cfg: SystemConfig, n: int | None = None) -> AmpState:
-    """Initial state: mu = 0, z = y, c = c0_factor * noise_var, phi = 0."""
+    """Initial state: mu = 0, z = y, c = C0_FACTOR * noise_var, phi = 0."""
     n = cfg.n_users if n is None else n
     return AmpState(
         mu=np.zeros(n, dtype=complex),
         v=np.zeros(n, dtype=float),
         z=np.asarray(y, dtype=complex).copy(),
-        c=float(cfg.c0_factor * derive_noise_var(cfg)),
+        c=float(C0_FACTOR * derive_noise_var(cfg)),
         phi=np.zeros(n, dtype=complex),
         iter=0,
     )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amp import AmpDivergenceError, adjoint
+from .amp import REL_TOL, _REL_FLOOR, AmpDivergenceError, adjoint
 from .config import SystemConfig
 from .detection import metric_nmse
 from .scenario import Scenario, derive_noise_var
@@ -74,16 +74,16 @@ def _column_alphas(alpha, k: int) -> np.ndarray:
 
 
 def amp_soft(y: np.ndarray, s_mat: np.ndarray, cfg: SystemConfig,
-             alpha: float | Sequence[float] | None = None) -> BaselineResult:
+             alpha: float | Sequence[float]) -> BaselineResult:
     """AMP with the complex soft-threshold denoiser, threshold alpha*sqrt(c).
 
     ``y`` is one observation (L,) or a block (L, k) of independent columns,
     e.g. every ADT of a scenario or one ADT repeated over a grid of
-    thresholds; ``alpha`` is a scalar or one value per column and defaults
-    to cfg.soft_alpha.  Each column runs its own recursion: its own ``c``,
+    thresholds; ``alpha`` is a scalar or one value per column, in a run the
+    calibrated one.  Each column runs its own recursion: its own ``c``,
     seeded at ||y||^2/L (a noise-scale seed would make the first estimate
     dense and the Onsager feedback explosive), its own threshold, Onsager
-    sum, divergence check and stop test ||mu_new - mu|| / ||mu_new|| < 1e-6.
+    sum, divergence check and stop test ||mu_new - mu|| / ||mu_new|| < REL_TOL.
     A column that stops leaves the block, so each sweep is one S^H Z and
     one S M product over the columns still running.  The Onsager term uses
     the a.e. derivative of the denoiser, 1 - alpha*sqrt(c)/(2|phi|) on the
@@ -102,7 +102,7 @@ def amp_soft(y: np.ndarray, s_mat: np.ndarray, cfg: SystemConfig,
     block = y.reshape(y.shape[0], -1)
     l_dim, n = s_mat.shape
     k = block.shape[1]
-    alphas = _column_alphas(cfg.soft_alpha if alpha is None else alpha, k)
+    alphas = _column_alphas(alpha, k)
 
     mu = np.zeros((n, k), dtype=complex)
     z = block.copy()
@@ -127,10 +127,10 @@ def amp_soft(y: np.ndarray, s_mat: np.ndarray, cfg: SystemConfig,
                 f"column{'s' if cols.size > 1 else ''} {', '.join(map(str, cols))}: "
                 f"soft-threshold AMP diverged at sweep {it}")
         step = (np.linalg.norm(mu_new - mu_run, axis=0)
-                / np.maximum(np.linalg.norm(mu_new, axis=0), 1e-30))
+                / np.maximum(np.linalg.norm(mu_new, axis=0), _REL_FLOOR))
         mu_run = mu_new
         sweeps[run] = it
-        done = step < 1e-6
+        done = step < REL_TOL
         if done.any():
             mu[:, run[done]] = mu_run[:, done]
             z[:, run[done]] = z_run[:, done]

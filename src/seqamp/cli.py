@@ -51,11 +51,9 @@ def _reject_run_only_flags(args: argparse.Namespace) -> None:
     A config file's keys are still accepted, since ``run`` and ``se`` share
     config files; only the flags, which would be ignored, are refused.
     """
-    given = [flag for flag, dest in (("--algos", "algos"), ("--workers", "workers"),
-                                     ("--trials", "n_trials"),
-                                     ("--amp-iters", "amp_iters"),
-                                     ("--soft-alpha", "soft_alpha"))
-             if getattr(args, dest) is not None]
+    flags = (("--algos", "algos"), ("--workers", "workers"), ("--trials", "n_trials"),
+             ("--amp-iters", "amp_iters"))
+    given = [flag for flag, dest in flags if getattr(args, dest) is not None]
     if given:
         raise ConfigError(f"se does not take {' or '.join(given)}")
 

@@ -7,6 +7,10 @@ Monte-Carlo bookkeeping.  Defaults follow the reference large-scale setup
 carrier); :func:`desk_config` shrinks dimensions so the full comparison
 suite runs in minutes while preserving the load ratio N/L and the expected
 number of active users per measurement.
+
+Only settings a run may vary are fields: the AMP seed ``amp.C0_FACTOR`` and
+P0 ``state_evolution.NOR_REF_DBM`` are constants, and the soft-threshold
+multiplier is calibrated per sweep point.
 """
 
 from __future__ import annotations
@@ -48,11 +52,8 @@ class SystemConfig:
     pathloss_intercept_db: float = -128.1
     pathloss_slope: float = -36.7   # dB per decade of distance
     amp_iters: int = 50             # inner-loop iteration cap I
-    c0_factor: float = 100.0        # c0 = c0_factor * noise_var
     seed: int = 1
     n_trials: int = 20
-    nor_ref_dbm: float = 13.0       # reference power P0 for nor(c_t)
-    soft_alpha: float = 1.4         # soft-threshold multiplier (calibratable)
 
     def __post_init__(self):
         for f in fields(self):
@@ -70,8 +71,7 @@ class SystemConfig:
             raise ValueError("r_scale must lie in (0, 1]")
         if not (0.0 < self.p01 < 1.0 and 0.0 < self.p10 < 1.0):
             raise ValueError("derived transition probabilities must lie in (0, 1)")
-        for name in ("bandwidth_hz", "adp_duration_s", "carrier_hz",
-                     "c0_factor", "soft_alpha"):
+        for name in ("bandwidth_hz", "adp_duration_s", "carrier_hz"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if not 0.0 < self.dist_range_km[0] <= self.dist_range_km[1]:

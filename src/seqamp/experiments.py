@@ -252,7 +252,8 @@ def _check_one_r_spelling(entries: dict, where: str) -> None:
 # sweep execution
 
 
-def _algo_matrices(name: str, scenario: Scenario, cfg: SystemConfig):
+def _algo_matrices(name: str, scenario: Scenario, cfg: SystemConfig,
+                   alpha: float | None):
     """(x_hat, decisions) as (N, T) matrices for one algorithm on one scenario."""
     if name in ("s_amp", "amp_mmse"):
         run = s_amp_run if name == "s_amp" else baselines.amp_mmse
@@ -260,7 +261,7 @@ def _algo_matrices(name: str, scenario: Scenario, cfg: SystemConfig):
         return det.channel_est, det.decisions
     if name == "amp_soft":
         # the ADTs are independent columns of one block
-        res = baselines.amp_soft(scenario.received, scenario.pilots, cfg)
+        res = baselines.amp_soft(scenario.received, scenario.pilots, cfg, alpha)
         return res.estimate, res.support
     n, t_total = scenario.sparse_signal.shape
     x_hat = np.zeros((n, t_total), dtype=complex)
@@ -276,7 +277,8 @@ def _algo_matrices(name: str, scenario: Scenario, cfg: SystemConfig):
     return x_hat, dec
 
 
-def _trial_raw(cfg: SystemConfig, trial: int, algorithms: tuple[str, ...]) -> dict:
+def _trial_raw(cfg: SystemConfig, trial: int, algorithms: tuple[str, ...],
+               alpha: float | None) -> dict:
     """Per-ADT error/energy/count sums for every algorithm on one scenario."""
     scenario = make_scenario(cfg, trial)
     truth_x = scenario.sparse_signal
@@ -286,7 +288,7 @@ def _trial_raw(cfg: SystemConfig, trial: int, algorithms: tuple[str, ...]) -> di
     out: dict = {}
     for name in algorithms:
         try:
-            x_hat, decisions = _algo_matrices(name, scenario, cfg)
+            x_hat, decisions = _algo_matrices(name, scenario, cfg, alpha)
             raw = np.empty((8, t_total))
             for t in range(t_total):
                 m = active[:, t]
@@ -344,11 +346,11 @@ def run_experiment(spec: ExperimentSpec):
     errors: list[str] = []
     for value, cfg in spec.sweep_points():
         t0 = time.perf_counter()
-        run_algos, cal_error = spec.algorithms, None
+        run_algos, cal_error, alpha = spec.algorithms, None, None
         if "amp_soft" in run_algos:
             cal = make_scenario(cfg, CALIBRATION_TRIAL)
             try:
-                cfg = cfg.with_(soft_alpha=baselines.calibrate_soft_alpha(cal, cfg))
+                alpha = baselines.calibrate_soft_alpha(cal, cfg)
             except Exception as exc:  # error row downstream; other algos continue
                 cal_error = f"calibration: {type(exc).__name__}: {exc}"
                 run_algos = tuple(a for a in run_algos if a != "amp_soft")
@@ -359,9 +361,9 @@ def run_experiment(spec: ExperimentSpec):
             with ProcessPoolExecutor(max_workers=spec.workers) as pool:
                 trial_results = list(pool.map(
                     _trial_raw, [cfg] * len(trials), trials,
-                    [run_algos] * len(trials)))
+                    [run_algos] * len(trials), [alpha] * len(trials)))
         else:
-            trial_results = [_trial_raw(cfg, tr, run_algos) for tr in trials]
+            trial_results = [_trial_raw(cfg, tr, run_algos, alpha) for tr in trials]
         if cal_error is not None:
             for tr in trial_results:
                 tr["amp_soft"] = cal_error

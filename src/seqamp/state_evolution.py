@@ -26,6 +26,7 @@ from typing import Callable
 
 import numpy as np
 
+from .amp import C0_FACTOR
 from .config import SystemConfig
 from .denoiser import BgPrior, denoise_mean
 from .rng import complex_normal, stream
@@ -46,6 +47,7 @@ SE_STEP_SAMPLES = 200_000    # default batch for one-shot step / fixpoint
 SE_TRACE_SAMPLES = 20_000    # default trajectories for sequential traces
 FIXPOINT_TOL = 1e-4
 FIXPOINT_MAX_ITERS = 200
+NOR_REF_DBM = 13.0           # reference power P0 of nor(c_t) = (P/P0) c_t
 
 
 @dataclass(frozen=True)
@@ -98,26 +100,23 @@ def static_sampler(cfg: SystemConfig) -> Callable[[int, np.random.Generator], Se
     return draw
 
 
-def se_step(c: float, samples: SeSamples, cfg: SystemConfig,
-            denoiser: Callable | None = None) -> float:
-    """One state-evolution step: noise_var + (N/L) * mean |f(X+sqrt(c)V) - X|^2."""
-    f = denoise_mean if denoiser is None else denoiser
+def se_step(c: float, samples: SeSamples, cfg: SystemConfig) -> float:
+    """One state-evolution step: noise_var + (N/L) * mean |F(X+sqrt(c)V) - X|^2."""
     phi = samples.x + np.sqrt(c) * samples.v
-    err = f(phi, c, samples.prior) - samples.x
+    err = denoise_mean(phi, c, samples.prior) - samples.x
     mse = float(np.mean(err.real ** 2 + err.imag ** 2))
     return derive_noise_var(cfg) + (cfg.n_users / cfg.pilot_len) * mse
 
 
-def se_fixpoint(samples: SeSamples, cfg: SystemConfig,
-                denoiser: Callable | None = None) -> SeFixpoint:
-    """Successive substitution from c0 = c0_factor * noise_var.
+def se_fixpoint(samples: SeSamples, cfg: SystemConfig) -> SeFixpoint:
+    """Successive substitution from AMP's own seed c0 = C0_FACTOR * noise_var.
 
     Stops at |dc|/c < 1e-4; past 200 iterations the last iterate is
     returned flagged non-converged rather than hidden.
     """
-    c = cfg.c0_factor * derive_noise_var(cfg)
+    c = C0_FACTOR * derive_noise_var(cfg)
     for it in range(1, FIXPOINT_MAX_ITERS + 1):
-        c_next = se_step(c, samples, cfg, denoiser=denoiser)
+        c_next = se_step(c, samples, cfg)
         done = abs(c_next - c) / c_next < FIXPOINT_TOL
         c = c_next
         if done:
@@ -168,6 +167,6 @@ def se_sequential_trace(cfg: SystemConfig,
         post = moment_match(phi, c_seq[t], prior, rho=rho)
         prior = prior_propagate(post, eta, rho, cfg)
 
-    nor = 10.0 ** ((cfg.tx_power_dbm - cfg.nor_ref_dbm) / 10.0)
+    nor = 10.0 ** ((cfg.tx_power_dbm - NOR_REF_DBM) / 10.0)
     return SeTrace(np.arange(1, t_total + 1), c_seq, c_static,
                    nor * c_seq, nor * c_static, n_samples, all_converged)

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from seqamp.amp import (AmpDivergenceError, adjoint, amp_init, amp_iterate,
-                        amp_run)
+from seqamp.amp import (C0_FACTOR, AmpDivergenceError, adjoint, amp_init,
+                        amp_iterate, amp_run)
 from seqamp.config import SystemConfig, desk_config
 from seqamp.denoiser import BgPrior
 from seqamp.rng import stream
@@ -26,8 +26,8 @@ class TestInit:
         assert np.all(st.z == 0) and np.all(st.mu == 0) and st.iter == 0
 
     def test_c0_product(self):
-        st = amp_init(np.zeros(1, dtype=complex),
-                      scalar_cfg(1e-13).with_(c0_factor=100.0))
+        st = amp_init(np.zeros(1, dtype=complex), scalar_cfg(1e-13))
+        assert C0_FACTOR == 100.0
         assert st.c == pytest.approx(1e-11)
 
     def test_residual_is_observation_copy(self):

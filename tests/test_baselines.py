@@ -58,7 +58,7 @@ class TestAmpSoft:
     def test_never_copies_pilots(self, guard_case, peak_traced_bytes):
         cfg, scn = guard_case
         peak = peak_traced_bytes(lambda: amp_soft(
-            scn.received[:, 0], scn.pilots, cfg))
+            scn.received[:, 0], scn.pilots, cfg, alpha=1.4))
         assert peak < scn.pilots.nbytes / 2
         # an (L, k) block of thresholds on the same observation
         block = np.repeat(scn.received, 4, axis=1)
@@ -90,14 +90,15 @@ class TestAmpSoft:
         y = scn.received.copy()
         y[0, bad_cols] = np.nan
         with pytest.raises(AmpDivergenceError, match=f"^{prefix}.*sweep 1$"):
-            amp_soft(y, scn.pilots, cfg)
+            amp_soft(y, scn.pilots, cfg, alpha=1.4)
 
     @pytest.mark.parametrize("cfg", [desk_config(n_adts=6), SystemConfig(n_adts=6)],
                              ids=["desk", "full"])
     def test_block_matches_per_column_calls(self, cfg):
         scn = make_scenario(cfg, 0)
-        block = amp_soft(scn.received, scn.pilots, cfg)
-        singles = [amp_soft(scn.received[:, t], scn.pilots, cfg) for t in range(cfg.n_adts)]
+        block = amp_soft(scn.received, scn.pilots, cfg, alpha=1.4)
+        singles = [amp_soft(scn.received[:, t], scn.pilots, cfg, alpha=1.4)
+                   for t in range(cfg.n_adts)]
         assert block.estimate.shape == (cfg.n_users, cfg.n_adts)
         assert np.array_equal(block.support, np.stack([r.support for r in singles], 1))
         assert block.iterations == sum(r.iterations for r in singles)
@@ -113,12 +114,12 @@ class TestAmpSoft:
     def test_cap_hits_count_columns_out_of_budget(self, amp_iters, cap_hits):
         cfg = desk_config(n_adts=3, amp_iters=amp_iters)
         scn = make_scenario(cfg, 0)
-        assert amp_soft(scn.received, scn.pilots, cfg).cap_hits == cap_hits
+        assert amp_soft(scn.received, scn.pilots, cfg, alpha=1.4).cap_hits == cap_hits
 
     def test_converged_column_has_no_cap_hit(self):
         cfg = desk_config(n_adts=1)
         scn = make_scenario(cfg, 0)
-        res = amp_soft(scn.received[:, 0], scn.pilots, cfg)
+        res = amp_soft(scn.received[:, 0], scn.pilots, cfg, alpha=1.4)
         assert res.iterations < cfg.amp_iters
         assert res.cap_hits == 0
 
@@ -133,8 +134,8 @@ class TestAmpSoft:
         cfg = desk_config(n_adts=1)
         scn = make_scenario(cfg, 0)
         y = scn.received[:, 0]
-        vec = amp_soft(y, scn.pilots, cfg)
-        col = amp_soft(y[:, None], scn.pilots, cfg)
+        vec = amp_soft(y, scn.pilots, cfg, alpha=1.4)
+        col = amp_soft(y[:, None], scn.pilots, cfg, alpha=1.4)
         assert vec.estimate.shape == (cfg.n_users,)
         assert col.estimate.shape == (cfg.n_users, 1)
         assert np.array_equal(col.estimate[:, 0], vec.estimate)
@@ -168,8 +169,7 @@ class TestAmpSoft:
         err = np.zeros((2, 2))
         for trial in range(4):
             scn = make_scenario(cfg, trial)
-            soft = amp_soft(scn.received[:, 0], scn.pilots,
-                            cfg.with_(soft_alpha=alpha))
+            soft = amp_soft(scn.received[:, 0], scn.pilots, cfg, alpha=alpha)
             bayes = detect_sequence(amp_mmse(scn, cfg)).channel_est[:, 0]
             truth = scn.sparse_signal[:, 0]
             err[0] += [np.sum(np.abs(soft.estimate - truth) ** 2),
@@ -358,7 +358,7 @@ class TestOrdering:
     def test_oracle_ls_lower_bounds_greedy_methods(self):
         cfg = desk_config(n_users=200, pilot_len=50, n_adts=2, n_trials=6)
         cal = make_scenario(cfg, -1)
-        cfg = cfg.with_(soft_alpha=calibrate_soft_alpha(cal, cfg))
+        alpha = calibrate_soft_alpha(cal, cfg)
         err = {k: np.zeros(2) for k in ("ls", "omp", "soft")}
         for trial in range(6):
             scn = make_scenario(cfg, trial)
@@ -368,7 +368,7 @@ class TestOrdering:
                 outs = {
                     "ls": oracle_ls(y, scn.pilots, scn.activity[:, t]).estimate,
                     "omp": omp(y, scn.pilots, cfg).estimate,
-                    "soft": amp_soft(y, scn.pilots, cfg).estimate,
+                    "soft": amp_soft(y, scn.pilots, cfg, alpha=alpha).estimate,
                 }
                 for key, est in outs.items():
                     err[key] += [np.sum(np.abs(est - truth) ** 2),

@@ -22,6 +22,7 @@ from seqamp.experiments import (ALGORITHMS, CALIBRATION_TRIAL, CSV_HEADER,
                                 SCALAR_KEYS, SWEEP_KEYS, ConfigError,
                                 ExperimentSpec, load_config, parse_config_text,
                                 run_experiment, run_se, write_csv, write_se_csv)
+from seqamp.state_evolution import NOR_REF_DBM
 
 # every config key that sets a float (the int fields are keyed by their names)
 FLOAT_KEYS = [key for key in SCALAR_KEYS
@@ -68,7 +69,7 @@ class TestConfigParsing:
         assert cfg.pathloss_intercept_db == -128.1 and cfg.pathloss_slope == -36.7
         assert cfg.dist_range_km == (0.05, 1.0)
         assert cfg.speed_range_kmh == (0.0, 50.0)
-        assert cfg.nor_ref_dbm == 13.0
+        assert NOR_REF_DBM == 13.0
 
     def test_flag_overrides_file(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -425,8 +426,6 @@ class TestCli:
         (["--algos", "s_amp", "--workers", "2"], "--algos or --workers"),
         (["--trials", "3"], "--trials"),
         (["--amp-iters", "10"], "--amp-iters"),
-        (["--soft-alpha", "1.2"], "--soft-alpha"),
-        (["--soft-alpha", "1.2", "--trials", "3"], "--trials or --soft-alpha"),
     ])
     def test_se_rejects_run_only_flags(self, tmp_path, capsys, flags, named):
         # se would ignore them, so they are refused rather than dropped
@@ -450,10 +449,41 @@ class TestCli:
     def test_se_accepts_trial_keys_from_a_shared_config_file(self, tmp_path):
         cfg = tmp_path / "shared.cfg"
         cfg.write_text("n_users = 100\npilot_len = 25\nn_adts = 1\n"
-                       "n_trials = 3\namp_iters = 10\nsoft_alpha = 1.2\n")
+                       "n_trials = 3\namp_iters = 10\n")
         out = tmp_path / "se.csv"
         assert cli_main(["se", "--config", str(cfg), "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 3
+
+    @pytest.mark.parametrize("key, value", [("soft_alpha", "1.9"), ("c0_factor", "100"),
+                                            ("nor_ref_dbm", "13")])
+    @pytest.mark.parametrize("command", ["run", "se"])
+    def test_fixed_constant_key_is_config_error(self, tmp_path, capsys, command,
+                                                key, value):
+        # the soft threshold is calibrated, c0 and P0 are constants: a file
+        # setting one would change nothing, so it is refused
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"n_users = 100\npilot_len = 25\nn_adts = 1\n{key} = {value}\n")
+        out = tmp_path / "out.csv"
+        assert cli_main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: line 4: unknown key {key!r}\n"
+        assert not captured.out and not out.exists()
+
+    def test_amp_soft_runs_at_the_calibrated_alpha(self, monkeypatch):
+        from seqamp import baselines
+        seen = []
+        original = baselines.amp_soft
+
+        def probed(y, s_mat, cfg, alpha):
+            seen.append(alpha)
+            return original(y, s_mat, cfg, alpha)
+
+        monkeypatch.setattr(baselines, "calibrate_soft_alpha", lambda scn, cfg: 1.7)
+        monkeypatch.setattr(baselines, "amp_soft", probed)
+        spec = ExperimentSpec(desk_config(n_users=100, pilot_len=25, n_adts=2,
+                                          n_trials=2), algorithms=("amp_soft",))
+        records, errors = run_experiment(spec)
+        assert not errors and seen == [1.7, 1.7]
 
     def test_huge_doppler_argument_is_config_error(self, tmp_path, capsys):
         # 50 km/h at 3.5 GHz over a 20 s ADP: 2*pi*f_D*T_ADP is about 2e4

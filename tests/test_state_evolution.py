@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+import seqamp.state_evolution as se
+from seqamp.amp import amp_init
 from seqamp.config import SystemConfig, desk_config
 from seqamp.denoiser import BgPrior
 from seqamp.quadrature import x_moments
 from seqamp.rng import stream
-from seqamp.state_evolution import (SeSamples, se_fixpoint,
+from seqamp.state_evolution import (NOR_REF_DBM, SeSamples, se_fixpoint,
                                     se_sequential_trace, se_step)
 
 
@@ -48,11 +50,11 @@ class TestSeStep:
         assert excess[1] == pytest.approx(excess[0] / 2, rel=1e-9)
         assert excess[2] == pytest.approx(excess[0] / 4, rel=1e-9)
 
-    def test_perfect_denoiser_stub(self):
+    def test_perfect_denoiser_stub(self, monkeypatch):
         cfg = config_with_noise(0.37, n_users=500, pilot_len=100)
         samples = bg_samples(5_000, cfg.lam, 1.0, stream(0, 0, "se"))
-        assert se_step(2.0, samples, cfg, denoiser=lambda p, c, pr: samples.x) \
-            == pytest.approx(0.37)
+        monkeypatch.setattr(se, "denoise_mean", lambda p, c, pr: samples.x)
+        assert se_step(2.0, samples, cfg) == pytest.approx(0.37)
 
     def test_against_radial_quadrature(self):
         # batch sized so the 1% tolerance sits at ~3 sigma of the MC noise
@@ -84,10 +86,11 @@ class TestSeStep:
 
 
 class TestSeFixpoint:
-    def test_perfect_denoiser_converges_immediately(self):
+    def test_perfect_denoiser_converges_immediately(self, monkeypatch):
         cfg = config_with_noise(0.2, n_users=500, pilot_len=100)
         samples = bg_samples(5_000, cfg.lam, 1.0, stream(0, 0, "se"))
-        fp = se_fixpoint(samples, cfg, denoiser=lambda p, c, pr: samples.x)
+        monkeypatch.setattr(se, "denoise_mean", lambda p, c, pr: samples.x)
+        fp = se_fixpoint(samples, cfg)
         assert fp.converged and fp.c == pytest.approx(0.2)
         assert fp.iters <= 2
 
@@ -103,6 +106,21 @@ class TestSeFixpoint:
         samples = bg_samples(100_000, cfg.lam, 1.0, stream(5, 0, "se"))
         fp = se_fixpoint(samples, cfg)
         assert fp.converged and fp.c >= 0.01
+
+    @pytest.mark.parametrize("cfg", [desk_config(), config_with_noise(0.01, 500, 100)],
+                             ids=["desk", "noise-0.01"])
+    def test_seeded_at_amp_init_c(self, cfg, monkeypatch):
+        # state evolution predicts AMP's c, so it starts where amp_init does
+        seeds = []
+        original = se.se_step
+
+        def probed(c, samples, cfg):
+            seeds.append(c)
+            return original(c, samples, cfg)
+
+        monkeypatch.setattr(se, "se_step", probed)
+        se_fixpoint(bg_samples(1_000, cfg.lam, 1.0, stream(6, 0, "se")), cfg)
+        assert seeds[0] == amp_init(np.zeros(cfg.pilot_len, dtype=complex), cfg).c
 
 
 class TestSequentialTrace:
@@ -131,8 +149,9 @@ class TestSequentialTrace:
         assert tr.converged
 
     def test_normalisation_factor(self):
-        cfg = desk_config(n_adts=3, tx_power_dbm=33.0, nor_ref_dbm=13.0)
+        cfg = desk_config(n_adts=3, tx_power_dbm=33.0)
         tr = se_sequential_trace(cfg, n_samples=2000)
+        assert NOR_REF_DBM == 13.0
         assert np.allclose(tr.nor_seq, tr.c_seq * 10.0 ** 2.0)
 
     def test_large_pilot_len_approaches_awgn_level(self):
@@ -140,7 +159,7 @@ class TestSequentialTrace:
         cfg = desk_config(n_users=500, pilot_len=500, n_adts=2)
         tr = se_sequential_trace(cfg, n_samples=20_000)
         from seqamp.scenario import derive_noise_var
-        floor = 10.0 ** ((cfg.tx_power_dbm - cfg.nor_ref_dbm) / 10.0) \
+        floor = 10.0 ** ((cfg.tx_power_dbm - NOR_REF_DBM) / 10.0) \
             * derive_noise_var(cfg)
         assert tr.nor_static[-1] == pytest.approx(floor, rel=0.05)
 
@@ -162,14 +181,13 @@ class TestContiguousColumns:
         assert strided.iters == contiguous.iters
 
     def test_trace_hands_fixpoint_contiguous_columns(self, monkeypatch):
-        import seqamp.state_evolution as se
         layouts = []
         original = se.se_fixpoint
 
-        def probed(samples, cfg, denoiser=None):
+        def probed(samples, cfg):
             layouts.append((samples.x.flags.c_contiguous,
                             samples.v.flags.c_contiguous))
-            return original(samples, cfg, denoiser=denoiser)
+            return original(samples, cfg)
 
         monkeypatch.setattr(se, "se_fixpoint", probed)
         se_sequential_trace(desk_config(n_adts=3), n_samples=1000)
