@@ -5,9 +5,10 @@ Subcommands:
   se     state-evolution traces (sequential vs static prior) -> CSV.
   check  acceptance / property suite, one PASS/FAIL line per criterion.
 
-Exit codes: 0 success, 1 configuration error, 2 partial failure: an
-algorithm error in ``run`` or a state-evolution fixpoint that did not
-converge in ``se`` (NaN rows recorded, remaining points completed).
+Exit codes: 0 success, 1 configuration error (a usage error such as an
+unknown flag too), 2 partial failure: an algorithm error in ``run`` or a
+state-evolution fixpoint that did not converge in ``se`` (NaN rows
+recorded, remaining points completed).
 """
 
 from __future__ import annotations
@@ -18,6 +19,14 @@ import sys
 from . import acceptance
 from .experiments import (ALGORITHMS, SCALAR_KEYS, ConfigError, load_config,
                           run_experiment, run_se, write_csv, write_se_csv)
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error, the code that here means rows failed."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -74,7 +83,7 @@ def _criteria_ids(text: str | None) -> list[int] | None:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="seqamp",
         description="Sequential AMP activity detection / channel estimation "
                     "experiment harness")

@@ -15,13 +15,34 @@ log-odds without special cases.
 The logistic is 1/(1 + exp(-t)) in numpy, the formula of
 scipy.special.expit, at about a quarter of its cost on long vectors.  For
 t < -709.78 exp(-t) overflows to +inf (the warning is silenced) and the
-result is exactly 0, as it is in scipy.  The prior-only log-odds
-log((1-pi)/pi) is computed once per BgPrior, and the quadratic forms of
-the exponent, |phi|^2 and Re(conj(xi) phi), are evaluated in real
-arithmetic on the real and imaginary parts.
+result is exactly 0, as it is in scipy.
+
+The kernels work on the real and imaginary parts of phi and never form
+the product of a real factor with a complex array.  Each part-wise form
+makes exactly the floating-point operations numpy makes for the complex
+expression it stands for, so for finite inputs every result equals the
+complex one (only the sign of a zero may differ):
+
+- numpy upcasts a real factor to complex before a product, and the
+  products with its zero imaginary part add exact zeros, so psi*phi is
+  psi times each part;
+- numpy divides by a complex divisor whose imaginary part is zero by
+  Smith's method, which multiplies both parts by the reciprocal 1/br; so
+  the Gaussian-branch mean (psi*phi + xi*c)/(psi + c) is each part times
+  1/(psi + c), and dividing the parts by psi + c would round differently;
+- the exponent's quadratic forms |phi|^2 and Re(conj(xi) phi) are sums of
+  products of parts.
+
+BgPrior derives its log-odds log((1-pi)/pi), |xi|^2 and an all-zero-mean
+flag once.  With every xi zero (every first-frame and static prior, in
+AMP and in state evolution alike) the xi terms of the exponent and of the
+mean add exact zeros, so the kernels skip them.  |m|^2 of the
+Gaussian-branch mean stays np.abs(m)**2 on a complex m, because numpy's
+complex absolute value is bit-equal neither to np.hypot of the parts nor
+to re^2 + im^2.  Temporaries are updated in place.
 
 All kernels broadcast over arrays: phi may be a vector while the prior
-holds per-entry (or scalar) parameters.
+holds per-entry (or scalar) parameters; c is a scalar.
 """
 
 from __future__ import annotations
@@ -49,14 +70,19 @@ class BgPrior:
     """Bernoulli-Gaussian prior parameters (pi, xi, psi), broadcastable arrays.
 
     pi in [0, 1], psi > 0, xi finite.  Scalars are fine; AMP uses length-N
-    vectors (one triple per user).  ``log_odds`` = log((1-pi)/pi), +/-inf
-    at pi = 0/1, is derived once here (and again by dataclasses.replace).
+    vectors (one triple per user).  Derived once here (and again by
+    dataclasses.replace): ``log_odds`` = log((1-pi)/pi), +/-inf at
+    pi = 0/1; ``xi_sq`` = |xi|^2 on the parts; ``zero_mean``, True when
+    every xi is 0; ``shape``, the parameters' broadcast shape.
     """
 
     pi: np.ndarray
     xi: np.ndarray
     psi: np.ndarray
     log_odds: np.ndarray = field(init=False, repr=False, compare=False)
+    xi_sq: np.ndarray = field(init=False, repr=False, compare=False)
+    zero_mean: bool = field(init=False, repr=False, compare=False)
+    shape: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "pi", np.asarray(self.pi, dtype=float))
@@ -71,6 +97,11 @@ class BgPrior:
         with np.errstate(divide="ignore"):
             object.__setattr__(self, "log_odds",
                                np.log1p(-self.pi) - np.log(self.pi))
+        xr, xim = self.xi.real, self.xi.imag
+        object.__setattr__(self, "xi_sq", xr * xr + xim * xim)
+        object.__setattr__(self, "zero_mean", not np.any(self.xi))
+        object.__setattr__(self, "shape", np.broadcast_shapes(
+            self.pi.shape, self.xi.shape, self.psi.shape))
 
 
 def logistic(t):
@@ -79,25 +110,77 @@ def logistic(t):
         return 1.0 / (1.0 + np.exp(-t))
 
 
+def _logistic_neg(t):
+    """logistic(-t) = 1/(1 + exp(t)), in the array t's buffer."""
+    with np.errstate(over="ignore"):
+        np.exp(t, out=t)
+    t += 1.0
+    return np.divide(1.0, t, out=t)
+
+
+def _parts(phi, shape):
+    """(re, im, scalar): phi's parts broadcast to ``shape``, at least 1-d.
+
+    ``shape`` is the parameters' broadcast shape.  Every temporary made
+    from the parts then has the kernel's output shape, so all updates can
+    be in place; ``scalar`` says the result is to be returned as a scalar.
+    """
+    phi = np.asarray(phi, dtype=complex)
+    scalar = not phi.ndim and not shape
+    if phi.shape != shape or scalar:
+        full = np.broadcast_shapes(phi.shape, shape, (1,))
+        if full != phi.shape:
+            phi = np.broadcast_to(phi, full)
+    return phi.real, phi.imag, scalar
+
+
+def _log_evidence(re, im, c, psi, total, xi, xi_sq):
+    """log_evidence_ratio on phi's parts, total = psi + c, as a new array.
+
+    ``xi`` None drops the xi terms, which are exact zeros for a zero mean.
+    """
+    num = re * re
+    tmp = im * im
+    num += tmp
+    num *= psi
+    if xi is not None:
+        cross = np.multiply(xi.real, re, out=tmp)
+        cross += xi.imag * im
+        cross *= 2.0 * c
+        num += cross
+        num -= np.multiply(c, xi_sq, out=tmp)
+    # log(total/c) - num/(c*total), the quotient's sign moved into the
+    # divisor (IEEE division is sign-symmetric)
+    num /= np.multiply(total, -c, out=tmp)
+    num += np.log(np.divide(total, c, out=tmp), out=tmp)
+    return num
+
+
 def log_evidence_ratio(phi, c, xi, psi):
     """log[CN(phi; 0, c) / CN(phi; xi, psi + c)], the prior-free part of log gamma.
 
     Equals log((psi+c)/c) - (psi|phi|^2 + 2 Re(xi* c phi) - c|xi|^2) / (c(psi+c)),
     with the quadratic forms taken on real and imaginary parts.
     """
-    phi = np.asarray(phi, dtype=complex)
     xi = np.asarray(xi, dtype=complex)
-    re, im = phi.real, phi.imag
-    num = (psi * (re * re + im * im)
-           + 2.0 * c * (xi.real * re + xi.imag * im)
-           - c * (xi.real * xi.real + xi.imag * xi.imag))
-    total = psi + c
-    return np.log(total / c) - num / (c * total)
+    re, im, scalar = _parts(phi, np.broadcast_shapes(xi.shape, np.shape(psi)))
+    ratio = _log_evidence(re, im, c, psi, psi + c, xi,
+                          xi.real * xi.real + xi.imag * xi.imag)
+    return ratio[0] if scalar else ratio
+
+
+def _log_gamma(re, im, c, prior: BgPrior, total):
+    xi = None if prior.zero_mean else prior.xi
+    lg = _log_evidence(re, im, c, prior.psi, total, xi, prior.xi_sq)
+    lg += prior.log_odds
+    return lg
 
 
 def log_gamma(phi, c, prior: BgPrior):
     """log of the inactive/active likelihood-prior ratio; +/-inf at pi = 0/1."""
-    return prior.log_odds + log_evidence_ratio(phi, c, prior.xi, prior.psi)
+    re, im, scalar = _parts(phi, prior.shape)
+    lg = _log_gamma(re, im, c, prior, prior.psi + c)
+    return lg[0] if scalar else lg
 
 
 def gamma(phi, c, prior: BgPrior):
@@ -111,14 +194,28 @@ def gamma(phi, c, prior: BgPrior):
     return np.exp(np.clip(log_gamma(phi, c, prior), -_EXP_CLAMP, _EXP_CLAMP))
 
 
-def _linear_mmse(phi, c, prior: BgPrior):
-    """Gaussian-branch posterior mean (psi*phi + xi*c)/(psi + c)."""
-    return (prior.psi * np.asarray(phi, dtype=complex) + prior.xi * c) / (prior.psi + c)
+def _linear_mmse(re, im, c, prior: BgPrior, total):
+    """Gaussian-branch posterior mean (psi*phi + xi*c)/(psi + c), as a new array."""
+    m = np.empty(re.shape, dtype=complex)
+    inv = 1.0 / total
+    for part, m_part, xi_part in ((re, m.real, prior.xi.real),
+                                  (im, m.imag, prior.xi.imag)):
+        np.multiply(prior.psi, part, out=m_part)
+        if not prior.zero_mean:
+            m_part += xi_part * c
+        m_part *= inv
+    return m
 
 
 def denoise_mean(phi, c, prior: BgPrior):
     """Posterior mean F(phi, c) = (1+gamma)^{-1} (psi*phi + xi*c)/(psi+c)."""
-    return logistic(-log_gamma(phi, c, prior)) * _linear_mmse(phi, c, prior)
+    re, im, scalar = _parts(phi, prior.shape)
+    total = prior.psi + c
+    s_act = _logistic_neg(_log_gamma(re, im, c, prior, total))
+    m = _linear_mmse(re, im, c, prior, total)
+    for m_part in (m.real, m.imag):
+        m_part *= s_act
+    return m[0] if scalar else m
 
 
 def denoise_var(phi, c, prior: BgPrior):
@@ -127,12 +224,17 @@ def denoise_var(phi, c, prior: BgPrior):
     gamma |F|^2 = [gamma/(1+gamma)] * [1/(1+gamma)] * |m|^2 with m the
     Gaussian-branch mean, so both factors stay in [0, 1].
     """
-    lg = log_gamma(phi, c, prior)
-    s_act = logistic(-lg)        # (1+gamma)^{-1}
-    s_idle = logistic(lg)        # gamma/(1+gamma)
-    kappa = prior.psi * c / (prior.psi + c)
-    m2 = np.abs(_linear_mmse(phi, c, prior)) ** 2
-    return s_act * kappa + s_act * s_idle * m2
+    re, im, scalar = _parts(phi, prior.shape)
+    total = prior.psi + c
+    lg = _log_gamma(re, im, c, prior, total)
+    s_idle = _logistic_neg(-lg)   # gamma/(1+gamma) = logistic(lg)
+    s_act = _logistic_neg(lg)     # (1+gamma)^{-1}
+    m2 = np.abs(_linear_mmse(re, im, c, prior, total)) ** 2
+    s_idle *= s_act
+    s_idle *= m2
+    s_act *= prior.psi * c / total   # kappa
+    s_act += s_idle
+    return s_act[0] if scalar else s_act
 
 
 def denoise_deriv(phi, c, prior: BgPrior):

@@ -86,10 +86,24 @@ def moment_intermediates(phi, c, prior: BgPrior):
     """(kappa_tilde, tau_tilde) of the active branch of the posterior.
 
     kappa_tilde = c*psi/(c+psi) and tau_tilde = kappa_tilde * (phi/c + xi/psi).
+    Formed on real and imaginary parts, as the denoiser forms its kernels:
+    numpy divides a complex array by a real divisor by multiplying each
+    part by the divisor's reciprocal, and the xi term is an exact zero for
+    a zero-mean prior.
     """
     kappa = c * prior.psi / (c + prior.psi)
-    tau = kappa * (np.asarray(phi, dtype=complex) / c + prior.xi / prior.psi)
-    return kappa, tau
+    phi = np.asarray(phi, dtype=complex)
+    inv_c = 1.0 / c
+    tau_re, tau_im = phi.real * inv_c, phi.imag * inv_c
+    if not prior.zero_mean:
+        inv_psi = 1.0 / prior.psi
+        tau_re = tau_re + prior.xi.real * inv_psi
+        tau_im = tau_im + prior.xi.imag * inv_psi
+    shape = np.broadcast_shapes(np.shape(kappa), np.shape(tau_re), prior.xi.shape)
+    tau = np.empty(shape, dtype=complex)
+    np.multiply(kappa, tau_re, out=tau.real)
+    np.multiply(kappa, tau_im, out=tau.imag)
+    return kappa, tau[()]
 
 
 def moment_match(phi, c, prior: BgPrior,

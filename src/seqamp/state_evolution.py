@@ -83,6 +83,14 @@ def _cn_unit(rng: np.random.Generator, shape) -> np.ndarray:
     return complex_normal(rng, shape, np.sqrt(0.5))
 
 
+def _float_view(a: np.ndarray) -> np.ndarray:
+    """A complex vector's parts as one interleaved float vector.
+
+    A view of ``a``, or of a contiguous copy when ``a`` is strided.
+    """
+    return np.ascontiguousarray(a).view(float)
+
+
 def static_sampler(cfg: SystemConfig) -> Callable[[int, np.random.Generator], SeSamples]:
     """Sampler of i.i.d. (X, prior, V) triples under the static signal law.
 
@@ -101,10 +109,22 @@ def static_sampler(cfg: SystemConfig) -> Callable[[int, np.random.Generator], Se
 
 
 def se_step(c: float, samples: SeSamples, cfg: SystemConfig) -> float:
-    """One state-evolution step: noise_var + (N/L) * mean |F(X+sqrt(c)V) - X|^2."""
-    phi = samples.x + np.sqrt(c) * samples.v
-    err = denoise_mean(phi, c, samples.prior) - samples.x
-    mse = float(np.mean(err.real ** 2 + err.imag ** 2))
+    """One state-evolution step: noise_var + (N/L) * mean |F(X+sqrt(c)V) - X|^2.
+
+    phi and the error are formed on real and imaginary parts, by the
+    floating-point operations numpy makes for the complex expressions (the
+    real sqrt(c) scales each part of V).
+    """
+    x, v = samples.x, samples.v
+    phi = np.multiply(_float_view(v), np.sqrt(c))
+    phi += _float_view(x)
+    f = denoise_mean(phi.view(complex), c, samples.prior)
+    sq = f.real - x.real
+    sq *= sq
+    err_im = f.imag - x.imag
+    err_im *= err_im
+    sq += err_im
+    mse = float(np.mean(sq))
     return derive_noise_var(cfg) + (cfg.n_users / cfg.pilot_len) * mse
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqamp.denoiser import (BgPrior, denoise_deriv, denoise_mean, denoise_var,
-                             gamma, log_gamma, logistic)
+                             gamma, log_evidence_ratio, log_gamma, logistic)
 from seqamp.quadrature import x_moments
 
 
@@ -46,6 +46,24 @@ class TestPriorLogOdds:
         prior = dataclasses.replace(BgPrior(0.5, 0.0, 1.0), pi=0.2)
         assert float(prior.log_odds) == np.log1p(-0.2) - np.log(0.2)
         assert prior == BgPrior(0.2, 0.0, 1.0)
+
+    def test_replace_recomputes_mean_cache(self):
+        prior = BgPrior(0.5, 0.0, 1.0)
+        assert prior.zero_mean and float(prior.xi_sq) == 0.0 and prior.shape == ()
+        moved = dataclasses.replace(prior, xi=0.3 - 0.4j)
+        assert not moved.zero_mean
+        assert float(moved.xi_sq) == 0.3 * 0.3 + 0.4 * 0.4
+        back = dataclasses.replace(moved, xi=np.array([0.0, -0.0]))
+        assert back.zero_mean and back.xi_sq.tolist() == [0.0, 0.0]
+        assert back.shape == (2,)
+        # the caches take no part in equality or repr
+        assert moved == BgPrior(0.5, 0.3 - 0.4j, 1.0)
+        assert repr(moved) == ("BgPrior(pi=array(0.5), xi=array(0.3-0.4j), "
+                               "psi=array(1.))")
+
+    def test_zero_mean_means_every_entry(self):
+        assert not BgPrior(0.5, np.array([0.0, 1e-300j]), 1.0).zero_mean
+        assert BgPrior(0.5, np.zeros(3, dtype=complex), 1.0).zero_mean
 
 
 class TestGamma:
@@ -227,3 +245,116 @@ class TestInvariants:
             one = denoise_mean(phi[n], 0.7,
                                BgPrior(prior.pi[n], prior.xi[n], prior.psi[n]))
             assert complex(one) == pytest.approx(complex(vec[n]), rel=1e-14)
+
+
+# The complex expressions the part-wise kernels replaced, verbatim.
+def complex_log_evidence_ratio(phi, c, xi, psi):
+    phi = np.asarray(phi, dtype=complex)
+    xi = np.asarray(xi, dtype=complex)
+    re, im = phi.real, phi.imag
+    num = (psi * (re * re + im * im)
+           + 2.0 * c * (xi.real * re + xi.imag * im)
+           - c * (xi.real * xi.real + xi.imag * xi.imag))
+    total = psi + c
+    return np.log(total / c) - num / (c * total)
+
+
+def complex_log_gamma(phi, c, prior):
+    return prior.log_odds + complex_log_evidence_ratio(phi, c, prior.xi, prior.psi)
+
+
+def complex_linear_mmse(phi, c, prior):
+    return (prior.psi * np.asarray(phi, dtype=complex) + prior.xi * c) / (prior.psi + c)
+
+
+def complex_denoise_mean(phi, c, prior):
+    return (logistic(-complex_log_gamma(phi, c, prior))
+            * complex_linear_mmse(phi, c, prior))
+
+
+def complex_denoise_var(phi, c, prior):
+    lg = complex_log_gamma(phi, c, prior)
+    s_act = logistic(-lg)
+    s_idle = logistic(lg)
+    kappa = prior.psi * c / (prior.psi + c)
+    m2 = np.abs(complex_linear_mmse(phi, c, prior)) ** 2
+    return s_act * kappa + s_act * s_idle * m2
+
+
+def complex_denoise_deriv(phi, c, prior):
+    return complex_denoise_var(phi, c, prior) / c
+
+
+def _finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def kernel_cases(draw):
+    """(phi, c, prior) in four layouts, with zero-mean and boundary priors.
+
+    vector: phi and every parameter of length n; broadcast: scalar prior
+    over a vector phi; scalar: Python complex phi; 0-d: 0-d array phi.
+    """
+    layout = draw(st.sampled_from(["vector", "broadcast", "scalar", "0-d"]))
+    n = draw(st.integers(1, 8)) if layout == "vector" else None
+
+    def param(elements):
+        if n is None:
+            return draw(elements)
+        return np.array(draw(st.lists(elements, min_size=n, max_size=n)))
+
+    pi = param(st.one_of(st.sampled_from([0.0, 1.0]), _finite(0.0, 1.0)))
+    if draw(st.booleans()):
+        xi = 0j if n is None else np.zeros(n, dtype=complex)
+    else:
+        xi = param(_finite(-3.0, 3.0)) + 1j * param(_finite(-3.0, 3.0))
+    psi = param(_finite(1e-3, 10.0))
+    m = draw(st.integers(1, 8)) if layout == "broadcast" else n
+    if m is None:
+        phi = complex(draw(_finite(-50.0, 50.0)), draw(_finite(-50.0, 50.0)))
+        if layout == "0-d":
+            phi = np.asarray(phi)
+    else:
+        parts = st.lists(_finite(-50.0, 50.0), min_size=m, max_size=m)
+        phi = np.array(draw(parts)) + 1j * np.array(draw(parts))
+    return phi, draw(_finite(1e-4, 10.0)), BgPrior(pi, xi, psi)
+
+
+class TestPartwiseEqualsComplex:
+    """Each part-wise kernel equals the complex expression it replaced.
+
+    Equal as arrays (array_equal: the sign of a zero may differ), of the
+    same type and shape, so scalar inputs still give numpy scalars.
+    """
+
+    @given(kernel_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_kernels(self, case):
+        phi, c, prior = case
+        pairs = [(log_gamma, complex_log_gamma),
+                 (denoise_mean, complex_denoise_mean),
+                 (denoise_var, complex_denoise_var),
+                 (denoise_deriv, complex_denoise_deriv)]
+        for kernel, reference in pairs:
+            got, want = kernel(phi, c, prior), reference(phi, c, prior)
+            assert type(got) is type(want) and np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want), kernel.__name__
+
+    @given(kernel_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_log_evidence_ratio(self, case):
+        phi, c, prior = case
+        got = log_evidence_ratio(phi, c, prior.xi, prior.psi)
+        want = complex_log_evidence_ratio(phi, c, prior.xi, prior.psi)
+        assert type(got) is type(want) and np.array_equal(got, want)
+
+    def test_scalar_phi_over_vector_prior(self):
+        prior = BgPrior(np.array([0.0, 0.3, 1.0]), np.array([0j, 0.2 - 1j, 0j]),
+                        np.array([0.5, 1.0, 2.0]))
+        for phi in (0.4 - 0.3j, np.asarray(0.4 - 0.3j), np.array([0.4 - 0.3j])):
+            got = denoise_mean(phi, 0.7, prior)
+            assert got.shape == (3,)
+            assert np.array_equal(got, complex_denoise_mean(phi, 0.7, prior))
+            assert np.array_equal(denoise_var(phi, 0.7, prior),
+                                  complex_denoise_var(phi, 0.7, prior))

@@ -380,6 +380,25 @@ class TestCli:
         assert code == 0
         assert out.exists() and out.read_text().startswith(CSV_HEADER)
 
+    @pytest.mark.parametrize("args", [["--soft-alpha", "1.9"], ["--seed", "x"]])
+    @pytest.mark.parametrize("command", ["run", "se"])
+    def test_usage_error_exits_1(self, tmp_path, monkeypatch, capsys, command, args):
+        # exit 2 means "results written, some rows failed", so an unknown
+        # flag or a malformed value is a configuration error like any other
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, "--desk", *args])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: seqamp") and not captured.out
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: seqamp run")
+
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("pilot_len = 100,200\ntx_power_dbm = 10,20\n")

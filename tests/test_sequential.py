@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqamp.baselines import amp_mmse
 from seqamp.config import SystemConfig, desk_config
-from seqamp.denoiser import BgPrior, gamma
+from seqamp.denoiser import BgPrior, gamma, log_gamma, logistic
 from seqamp.detection import detect_sequence
 from seqamp.quadrature import h_moments
 from seqamp.scenario import channel_vars, make_scenario
@@ -83,6 +85,82 @@ class TestMomentMatch:
         mm = moment_match(np.array([10.0 + 0j]), 1e-9, prior,
                           rho=np.array([1.0]))
         assert mm.psi_bar[0] >= 1e-18
+
+
+# moment_intermediates and moment_match as they were on complex arrays,
+# verbatim; log_gamma's part-wise form is pinned to its complex one in
+# test_denoiser, so it is called as it is.
+def complex_moment_intermediates(phi, c, prior):
+    kappa = c * prior.psi / (c + prior.psi)
+    tau = kappa * (np.asarray(phi, dtype=complex) / c + prior.xi / prior.psi)
+    return kappa, tau
+
+
+def complex_moment_match(phi, c, prior, rho=None):
+    pi = prior.pi
+    interior = (pi > 0.0) & (pi < 1.0)
+    pi_safe = np.where(interior, np.clip(pi, 1e-12, 1.0 - 1e-12), pi)
+    prior_safe = BgPrior(pi_safe, prior.xi, prior.psi)
+
+    kappa, tau = complex_moment_intermediates(phi, c, prior_safe)
+    pi_bar = logistic(-log_gamma(phi, c, prior_safe))
+    xi_bar = pi_bar * tau + (1.0 - pi_bar) * prior.xi
+    second = (pi_bar * (np.abs(tau) ** 2 + kappa)
+              + (1.0 - pi_bar) * (np.abs(prior.xi) ** 2 + prior.psi))
+    floor_scale = prior.psi if rho is None else np.asarray(rho, dtype=float)
+    psi_bar = np.maximum(second - np.abs(xi_bar) ** 2, 1e-18 * floor_scale)
+    return pi_bar, xi_bar, psi_bar
+
+
+def _finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def match_cases(draw):
+    """(phi, c, prior): per-user vectors, a scalar prior over a vector phi,
+    or scalars; zero-mean and boundary (pi in {0, 1}) priors included."""
+    layout = draw(st.sampled_from(["vector", "broadcast", "scalar"]))
+    n = draw(st.integers(1, 8)) if layout == "vector" else None
+
+    def param(elements):
+        if n is None:
+            return draw(elements)
+        return np.array(draw(st.lists(elements, min_size=n, max_size=n)))
+
+    pi = param(st.one_of(st.sampled_from([0.0, 1.0]), _finite(0.0, 1.0)))
+    if draw(st.booleans()):
+        xi = 0j if n is None else np.zeros(n, dtype=complex)
+    else:
+        xi = param(_finite(-3.0, 3.0)) + 1j * param(_finite(-3.0, 3.0))
+    psi = param(_finite(1e-3, 10.0))
+    m = draw(st.integers(1, 8)) if layout == "broadcast" else n
+    if m is None:
+        phi = complex(draw(_finite(-20.0, 20.0)), draw(_finite(-20.0, 20.0)))
+    else:
+        parts = st.lists(_finite(-20.0, 20.0), min_size=m, max_size=m)
+        phi = np.array(draw(parts)) + 1j * np.array(draw(parts))
+    return phi, draw(_finite(1e-4, 10.0)), BgPrior(pi, xi, psi)
+
+
+class TestPartwiseEqualsComplex:
+    @given(match_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_moment_intermediates(self, case):
+        phi, c, prior = case
+        for got, want in zip(moment_intermediates(phi, c, prior),
+                             complex_moment_intermediates(phi, c, prior)):
+            assert type(got) is type(want) and np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want)
+
+    @given(match_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_moment_match(self, case):
+        phi, c, prior = case
+        mm = moment_match(phi, c, prior)
+        for got, want in zip((mm.pi_bar, mm.xi_bar, mm.psi_bar),
+                             complex_moment_match(phi, c, prior)):
+            assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
 
 
 class TestPriorPropagate:

@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import seqamp.state_evolution as se
 from seqamp.amp import amp_init
 from seqamp.config import SystemConfig, desk_config
-from seqamp.denoiser import BgPrior
+from seqamp.denoiser import BgPrior, denoise_mean
 from seqamp.quadrature import x_moments
 from seqamp.rng import stream
+from seqamp.scenario import derive_noise_var
 from seqamp.state_evolution import (NOR_REF_DBM, SeSamples, se_fixpoint,
                                     se_sequential_trace, se_step)
 
@@ -54,7 +57,10 @@ class TestSeStep:
         cfg = config_with_noise(0.37, n_users=500, pilot_len=100)
         samples = bg_samples(5_000, cfg.lam, 1.0, stream(0, 0, "se"))
         monkeypatch.setattr(se, "denoise_mean", lambda p, c, pr: samples.x)
+        x_before = samples.x.copy()
         assert se_step(2.0, samples, cfg) == pytest.approx(0.37)
+        # the denoiser's output is samples.x itself: se_step must not write to it
+        assert np.array_equal(samples.x, x_before)
 
     def test_against_radial_quadrature(self):
         # batch sized so the 1% tolerance sits at ~3 sigma of the MC noise
@@ -83,6 +89,49 @@ class TestSeStep:
         vals = [mmse_by_radial_quadrature(0.05, 1.0, c, n_radial=200)
                 for c in (0.05, 0.2, 0.5, 1.0, 2.0)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
+
+
+def complex_se_step(c, samples, cfg):
+    """The complex expressions se_step's part-wise form replaced, verbatim."""
+    phi = samples.x + np.sqrt(c) * samples.v
+    err = denoise_mean(phi, c, samples.prior) - samples.x
+    mse = float(np.mean(err.real ** 2 + err.imag ** 2))
+    return derive_noise_var(cfg) + (cfg.n_users / cfg.pilot_len) * mse
+
+
+def _finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def step_cases(draw):
+    """(c, samples): per-sample or scalar priors, zero-mean and boundary pi."""
+    m = draw(st.integers(1, 12))
+
+    def vec(elements):
+        return np.array(draw(st.lists(elements, min_size=m, max_size=m)))
+
+    per_sample = draw(st.booleans())
+    param = vec if per_sample else draw
+    pi = param(st.one_of(st.sampled_from([0.0, 1.0]), _finite(0.0, 1.0)))
+    if draw(st.booleans()):
+        xi = np.zeros(m, dtype=complex) if per_sample else 0j
+    else:
+        xi = param(_finite(-3.0, 3.0)) + 1j * param(_finite(-3.0, 3.0))
+    psi = param(_finite(1e-3, 10.0))
+    active = vec(st.booleans())
+    x = active * (vec(_finite(-5.0, 5.0)) + 1j * vec(_finite(-5.0, 5.0)))
+    v = vec(_finite(-4.0, 4.0)) + 1j * vec(_finite(-4.0, 4.0))
+    return draw(_finite(1e-4, 10.0)), SeSamples(x, BgPrior(pi, xi, psi), v)
+
+
+class TestSeStepPartwise:
+    @given(step_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_complex_step(self, case):
+        c, samples = case
+        cfg = SystemConfig()
+        assert se_step(c, samples, cfg) == complex_se_step(c, samples, cfg)
 
 
 class TestSeFixpoint:
@@ -158,7 +207,6 @@ class TestSequentialTrace:
         # nor(c_t) -> (P/P0) * noise_var as the load vanishes
         cfg = desk_config(n_users=500, pilot_len=500, n_adts=2)
         tr = se_sequential_trace(cfg, n_samples=20_000)
-        from seqamp.scenario import derive_noise_var
         floor = 10.0 ** ((cfg.tx_power_dbm - NOR_REF_DBM) / 10.0) \
             * derive_noise_var(cfg)
         assert tr.nor_static[-1] == pytest.approx(floor, rel=0.05)
