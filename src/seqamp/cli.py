@@ -17,8 +17,9 @@ import argparse
 import sys
 
 from . import acceptance
-from .experiments import (ALGORITHMS, SCALAR_KEYS, ConfigError, load_config,
-                          run_experiment, run_se, write_csv, write_se_csv)
+from .experiments import (ALGORITHMS, SCALAR_KEYS, SE_SWEEP_KEYS, ConfigError,
+                          load_config, run_experiment, run_se, write_csv,
+                          write_se_csv)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -108,6 +109,10 @@ def main(argv=None) -> int:
             workers = 1 if args.workers is None else args.workers
             spec = load_config(args.config, _flags_from_args(args),
                                desk=args.desk, workers=workers)
+            if args.command == "se" and spec.axis not in (None, *SE_SWEEP_KEYS):
+                # its rows would carry the same labels at every sweep point
+                raise ConfigError(f"se cannot sweep {spec.axis}: an SE row shows "
+                                  "only pilot_len and tx_power_dbm")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

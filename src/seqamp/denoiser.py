@@ -54,9 +54,9 @@ import numpy as np
 __all__ = [
     "BgPrior",
     "logistic",
-    "log_evidence_ratio",
     "log_gamma",
     "gamma",
+    "active_branch",
     "denoise_mean",
     "denoise_var",
     "denoise_deriv",
@@ -135,7 +135,7 @@ def _parts(phi, shape):
 
 
 def _log_evidence(re, im, c, psi, total, xi, xi_sq):
-    """log_evidence_ratio on phi's parts, total = psi + c, as a new array.
+    """log[CN(phi; 0, c)/CN(phi; xi, total)], total = psi + c, as a new array.
 
     ``xi`` None drops the xi terms, which are exact zeros for a zero mean.
     """
@@ -154,19 +154,6 @@ def _log_evidence(re, im, c, psi, total, xi, xi_sq):
     num /= np.multiply(total, -c, out=tmp)
     num += np.log(np.divide(total, c, out=tmp), out=tmp)
     return num
-
-
-def log_evidence_ratio(phi, c, xi, psi):
-    """log[CN(phi; 0, c) / CN(phi; xi, psi + c)], the prior-free part of log gamma.
-
-    Equals log((psi+c)/c) - (psi|phi|^2 + 2 Re(xi* c phi) - c|xi|^2) / (c(psi+c)),
-    with the quadratic forms taken on real and imaginary parts.
-    """
-    xi = np.asarray(xi, dtype=complex)
-    re, im, scalar = _parts(phi, np.broadcast_shapes(xi.shape, np.shape(psi)))
-    ratio = _log_evidence(re, im, c, psi, psi + c, xi,
-                          xi.real * xi.real + xi.imag * xi.imag)
-    return ratio[0] if scalar else ratio
 
 
 def _log_gamma(re, im, c, prior: BgPrior, total):
@@ -207,15 +194,25 @@ def _linear_mmse(re, im, c, prior: BgPrior, total):
     return m
 
 
-def denoise_mean(phi, c, prior: BgPrior):
-    """Posterior mean F(phi, c) = (1+gamma)^{-1} (psi*phi + xi*c)/(psi+c)."""
+def active_branch(phi, c, prior: BgPrior):
+    """(w, m): P(active | phi) = (1+gamma)^{-1} and the Gaussian-branch mean.
+
+    m = (psi*phi + xi*c)/(psi+c) is the posterior mean given activity, and
+    F = w*m.  New arrays, 0-d for a scalar phi and prior.
+    """
     re, im, scalar = _parts(phi, prior.shape)
     total = prior.psi + c
-    s_act = _logistic_neg(_log_gamma(re, im, c, prior, total))
+    w = _logistic_neg(_log_gamma(re, im, c, prior, total))
     m = _linear_mmse(re, im, c, prior, total)
+    return (w.reshape(()), m.reshape(())) if scalar else (w, m)
+
+
+def denoise_mean(phi, c, prior: BgPrior):
+    """Posterior mean F(phi, c) = (1+gamma)^{-1} (psi*phi + xi*c)/(psi+c)."""
+    w, m = active_branch(phi, c, prior)
     for m_part in (m.real, m.imag):
-        m_part *= s_act
-    return m[0] if scalar else m
+        m_part *= w
+    return m[()]
 
 
 def denoise_var(phi, c, prior: BgPrior):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import get_type_hints
@@ -44,12 +45,14 @@ __all__ = [
     "ALGORITHMS",
     "SCALAR_KEYS",
     "SWEEP_KEYS",
+    "SE_SWEEP_KEYS",
 ]
 
 ALGORITHMS = ("s_amp", "amp_mmse", "amp_soft", "omp", "oracle_ls")
 SWEEP_KEYS = ("tx_power_dbm", "pilot_len", "r0", "lambda", "adp_duration_s")
 CSV_HEADER = "sweep_axis,sweep_value,algorithm,adt,nmse_x_db,nmse_h_db,dep,trials,seed"
 SE_CSV_HEADER = "t,algorithm,nor_ct,pilot_len,tx_power_dbm"
+SE_SWEEP_KEYS = ("pilot_len", "tx_power_dbm")  # the only sweep values an SE row shows
 CALIBRATION_TRIAL = -1  # held-out trial index for soft-threshold tuning
 
 # SystemConfig fields whose config keys differ from the field name:
@@ -340,39 +343,38 @@ def run_experiment(spec: ExperimentSpec):
     trials).  The soft-threshold multiplier is calibrated per sweep point on
     a held-out calibration trial before any scoring run; a failed
     calibration becomes amp_soft's error row at that point, and the other
-    algorithms still run.
+    algorithms still run.  With ``spec.workers > 1`` one process pool runs
+    the trials of every sweep point.
     """
     records: list[MetricsRecord] = []
     errors: list[str] = []
-    for value, cfg in spec.sweep_points():
-        t0 = time.perf_counter()
-        run_algos, cal_error, alpha = spec.algorithms, None, None
-        if "amp_soft" in run_algos:
-            cal = make_scenario(cfg, CALIBRATION_TRIAL)
-            try:
-                alpha = baselines.calibrate_soft_alpha(cal, cfg)
-            except Exception as exc:  # error row downstream; other algos continue
-                cal_error = f"calibration: {type(exc).__name__}: {exc}"
-                run_algos = tuple(a for a in run_algos if a != "amp_soft")
-            finally:
-                del cal  # the trials build their own scenarios
-        trials = list(range(cfg.n_trials))
-        if spec.workers > 1:
-            with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-                trial_results = list(pool.map(
-                    _trial_raw, [cfg] * len(trials), trials,
-                    [run_algos] * len(trials), [alpha] * len(trials)))
-        else:
-            trial_results = [_trial_raw(cfg, tr, run_algos, alpha) for tr in trials]
-        if cal_error is not None:
-            for tr in trial_results:
-                tr["amp_soft"] = cal_error
-        elapsed = time.perf_counter() - t0
-        axis_name = spec.axis if spec.axis is not None else "none"
-        recs, errs = _pooled_records(axis_name, value, cfg, spec.algorithms,
-                                     trial_results, elapsed)
-        records.extend(recs)
-        errors.extend(errs)
+    axis_name = spec.axis if spec.axis is not None else "none"
+    with (ProcessPoolExecutor(max_workers=spec.workers) if spec.workers > 1
+          else nullcontext()) as pool:
+        trial_map = map if pool is None else pool.map
+        for value, cfg in spec.sweep_points():
+            t0 = time.perf_counter()
+            run_algos, cal_error, alpha = spec.algorithms, None, None
+            if "amp_soft" in run_algos:
+                cal = make_scenario(cfg, CALIBRATION_TRIAL)
+                try:
+                    alpha = baselines.calibrate_soft_alpha(cal, cfg)
+                except Exception as exc:  # error row downstream; other algos continue
+                    cal_error = f"calibration: {type(exc).__name__}: {exc}"
+                    run_algos = tuple(a for a in run_algos if a != "amp_soft")
+                finally:
+                    del cal  # the trials build their own scenarios
+            n = cfg.n_trials
+            trial_results = list(trial_map(_trial_raw, [cfg] * n, range(n),
+                                           [run_algos] * n, [alpha] * n))
+            if cal_error is not None:
+                for tr in trial_results:
+                    tr["amp_soft"] = cal_error
+            elapsed = time.perf_counter() - t0
+            recs, errs = _pooled_records(axis_name, value, cfg, spec.algorithms,
+                                         trial_results, elapsed)
+            records.extend(recs)
+            errors.extend(errs)
     # the "all" row sorts before ADT 1
     records.sort(key=lambda r: (float(r.sweep_value), r.algorithm,
                                 0 if r.adt == "all" else r.adt))

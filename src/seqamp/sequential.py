@@ -6,7 +6,11 @@ keep the next ADT's prior in the Bernoulli-Gaussian family, that mixture is
 projected onto a product Bernoulli(pi_bar) x CN(xi_bar, psi_bar) by moment
 matching (the KL-optimal projection within this exponential family), and
 the matched summary is pushed through the known Markov / AR-1 transition
-kernels to become the next prior:
+kernels to become the next prior.  The mixture is the denoiser's: with
+weight pi_bar = 1/(1+gamma) the user is active and h ~ CN(tau, kappa), tau
+the Gaussian-branch mean and kappa = psi*c/(psi+c); otherwise h keeps its
+prior.  ``denoiser.active_branch`` gives pi_bar and tau, so for a zero-mean
+prior xi_bar is the denoiser's F.  Propagation:
 
     pi_hat+  = p10 (1 - pi_bar) + (1 - p01) pi_bar
     xi_hat+  = eta * xi_bar
@@ -26,7 +30,7 @@ import numpy as np
 
 from .amp import AmpDivergenceError, AmpState, amp_run
 from .config import SystemConfig
-from .denoiser import BgPrior, log_gamma, logistic
+from .denoiser import BgPrior, active_branch
 from .scenario import Profiles, Scenario, ar_coeffs, channel_vars
 
 __all__ = [
@@ -34,7 +38,6 @@ __all__ = [
     "AdtRecord",
     "SequenceResult",
     "initial_prior",
-    "moment_intermediates",
     "moment_match",
     "posterior_update",
     "prior_propagate",
@@ -82,48 +85,23 @@ def initial_prior(cfg: SystemConfig, profiles: Profiles) -> BgPrior:
     return BgPrior(np.full(n, cfg.lam), np.zeros(n, dtype=complex), rho)
 
 
-def moment_intermediates(phi, c, prior: BgPrior):
-    """(kappa_tilde, tau_tilde) of the active branch of the posterior.
-
-    kappa_tilde = c*psi/(c+psi) and tau_tilde = kappa_tilde * (phi/c + xi/psi).
-    Formed on real and imaginary parts, as the denoiser forms its kernels:
-    numpy divides a complex array by a real divisor by multiplying each
-    part by the divisor's reciprocal, and the xi term is an exact zero for
-    a zero-mean prior.
-    """
-    kappa = c * prior.psi / (c + prior.psi)
-    phi = np.asarray(phi, dtype=complex)
-    inv_c = 1.0 / c
-    tau_re, tau_im = phi.real * inv_c, phi.imag * inv_c
-    if not prior.zero_mean:
-        inv_psi = 1.0 / prior.psi
-        tau_re = tau_re + prior.xi.real * inv_psi
-        tau_im = tau_im + prior.xi.imag * inv_psi
-    shape = np.broadcast_shapes(np.shape(kappa), np.shape(tau_re), prior.xi.shape)
-    tau = np.empty(shape, dtype=complex)
-    np.multiply(kappa, tau_re, out=tau.real)
-    np.multiply(kappa, tau_im, out=tau.imag)
-    return kappa, tau[()]
-
-
 def moment_match(phi, c, prior: BgPrior,
                  rho: np.ndarray | None = None) -> PosteriorSummary:
     """Project the exact two-component posterior onto Bernoulli x Gaussian.
 
-    pi_bar reduces algebraically to 1/(1+gamma) and is evaluated as the
-    logistic of -log(gamma).  Exact boundary priors pi in {0, 1} pass
-    through untouched (the +/-inf log-odds short-circuit them); interior
-    values are clipped to [1e-12, 1-1e-12] first.  ``rho`` sets the scale
-    of the tiny non-negativity floor on psi_bar, which is a difference of
-    near-equal terms in floating point; it defaults to the prior variance.
+    Boundary priors pi in {0, 1} pass through (their +/-inf log-odds
+    short-circuit gamma); other pi are clipped to [1e-12, 1-1e-12], in a
+    second prior built only if that moves one.  ``rho`` scales the tiny
+    floor on psi_bar, a difference of near-equal terms; it defaults to the
+    prior variance.
     """
     pi = prior.pi
     interior = (pi > 0.0) & (pi < 1.0)
     pi_safe = np.where(interior, np.clip(pi, _PI_CLIP, 1.0 - _PI_CLIP), pi)
-    prior_safe = BgPrior(pi_safe, prior.xi, prior.psi)
-
-    kappa, tau = moment_intermediates(phi, c, prior_safe)
-    pi_bar = logistic(-log_gamma(phi, c, prior_safe))
+    if not np.array_equal(pi_safe, pi):
+        prior = BgPrior(pi_safe, prior.xi, prior.psi)
+    pi_bar, tau = active_branch(phi, c, prior)
+    kappa = prior.psi * c / (prior.psi + c)
     xi_bar = pi_bar * tau + (1.0 - pi_bar) * prior.xi
     second = (pi_bar * (np.abs(tau) ** 2 + kappa)
               + (1.0 - pi_bar) * (np.abs(prior.xi) ** 2 + prior.psi))

@@ -384,3 +384,22 @@ class TestOrdering:
         b = detect_sequence(s_amp_run(scn, cfg))
         assert np.array_equal(a.channel_est, b.channel_est)
         assert np.array_equal(a.decisions, b.decisions)
+
+
+class TestAmpMmse:
+    @pytest.mark.parametrize("trial", [0, 1, 2])
+    def test_adt_order_invariance(self, trial):
+        # the static prior makes each ADT depend on its own column only, so
+        # permuting received's columns permutes the records bit for bit
+        from dataclasses import replace
+        cfg = desk_config()
+        scn = make_scenario(cfg, trial)
+        perm = np.random.default_rng(trial).permutation(cfg.n_adts)
+        base = amp_mmse(scn, cfg).records
+        permuted = amp_mmse(replace(scn, received=scn.received[:, perm]), cfg).records
+        for t, rec in enumerate(permuted):
+            want = base[perm[t]]
+            assert rec.amp.c == want.amp.c
+            assert np.array_equal(rec.amp.mu, want.amp.mu)
+            assert np.array_equal(rec.posterior.pi_bar, want.posterior.pi_bar)
+            assert np.array_equal(rec.posterior.xi_bar, want.posterior.xi_bar)

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqamp.denoiser import (BgPrior, denoise_deriv, denoise_mean, denoise_var,
-                             gamma, log_evidence_ratio, log_gamma, logistic)
+from seqamp.denoiser import (BgPrior, active_branch, denoise_deriv, denoise_mean,
+                             denoise_var, gamma, log_gamma, logistic)
 from seqamp.quadrature import x_moments
 
 
@@ -342,12 +342,16 @@ class TestPartwiseEqualsComplex:
             assert np.array_equal(got, want), kernel.__name__
 
     @given(kernel_cases())
-    @settings(max_examples=200, deadline=None)
-    def test_log_evidence_ratio(self, case):
+    @settings(max_examples=300, deadline=None)
+    def test_active_branch(self, case):
+        # 0-d arrays where the complex forms give numpy scalars
         phi, c, prior = case
-        got = log_evidence_ratio(phi, c, prior.xi, prior.psi)
-        want = complex_log_evidence_ratio(phi, c, prior.xi, prior.psi)
-        assert type(got) is type(want) and np.array_equal(got, want)
+        got = active_branch(phi, c, prior)
+        want = (logistic(-complex_log_gamma(phi, c, prior)),
+                complex_linear_mmse(phi, c, prior))
+        for g, w in zip(got, want):
+            assert type(g) is np.ndarray and g.dtype == np.asarray(w).dtype
+            assert np.shape(g) == np.shape(w) and np.array_equal(g, w)
 
     def test_scalar_phi_over_vector_prior(self):
         prior = BgPrior(np.array([0.0, 0.3, 1.0]), np.array([0j, 0.2 - 1j, 0j]),

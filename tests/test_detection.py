@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqamp.denoiser import BgPrior, gamma, log_evidence_ratio, log_gamma
+from seqamp.denoiser import BgPrior, gamma, log_gamma
 from seqamp.amp import AmpState
 from seqamp.detection import (bayes_detect, dep_from_counts, detect_sequence,
                               detection_counts, metric_nmse, nmse_db)
@@ -16,15 +16,6 @@ def summary(pi_values):
     pi = np.asarray(pi_values, dtype=float)
     return PosteriorSummary(pi, np.zeros_like(pi, dtype=complex),
                             np.ones_like(pi))
-
-
-def llr_detect(phi, c, prior: BgPrior) -> np.ndarray:
-    """Reference detector: the log-likelihood ratio of active vs idle
-    against the Bayes prior-odds threshold log((1-pi)/pi)."""
-    llr = -log_evidence_ratio(phi, c, prior.xi, prior.psi)
-    with np.errstate(divide="ignore"):
-        threshold = np.log1p(-prior.pi) - np.log(prior.pi)
-    return (llr >= threshold).astype(np.int8)
 
 
 class TestBayesDetect:
@@ -68,19 +59,6 @@ class TestBayesDetect:
         just_below = moment_match(np.array([root * (1 - 1e-6) + 0j]), c, prior)
         assert bayes_detect(just_above)[0] == 1
         assert bayes_detect(just_below)[0] == 0
-
-    def test_llr_detect_default_threshold_is_bayes(self):
-        rng = np.random.default_rng(41)
-        from seqamp.sequential import moment_match
-        for _ in range(300):
-            pi = rng.uniform(0.02, 0.98)
-            psi = rng.uniform(0.1, 3.0)
-            c = rng.uniform(0.05, 2.0)
-            xi = rng.standard_normal() + 1j * rng.standard_normal()
-            phi = np.array([2 * (rng.standard_normal() + 1j * rng.standard_normal())])
-            prior = BgPrior(pi, xi, psi)
-            assert llr_detect(phi, c, prior)[0] == \
-                bayes_detect(moment_match(phi, c, prior))[0]
 
     @given(st.floats(0.05, 0.95), st.floats(0.1, 3.0), st.floats(0.05, 2.0),
            st.floats(0.0, 5.0))

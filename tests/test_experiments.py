@@ -289,6 +289,21 @@ class TestRunExperiment:
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_one_pool_per_run(self, monkeypatch):
+        import seqamp.experiments as experiments
+        opened = []
+        pool_class = experiments.ProcessPoolExecutor
+
+        def counting(*args, **kwargs):
+            opened.append(kwargs)
+            return pool_class(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", counting)
+        run_experiment(tiny_spec(workers=2))   # two sweep points
+        assert opened == [{"max_workers": 2}]
+        run_experiment(tiny_spec())
+        assert len(opened) == 1
+
     def test_csv_schema(self, tmp_path):
         records, _ = run_experiment(tiny_spec())
         path = tmp_path / "out.csv"
@@ -455,6 +470,32 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err == f"config error: se does not take {named}\n"
         assert not captured.out and not out.exists()
+
+    @pytest.mark.parametrize("key, values", [("lambda", "0.05,0.1"), ("r0", "0,3"),
+                                             ("adp_duration_s", "1e-4,2e-4")])
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_se_refuses_axes_its_csv_cannot_label(self, tmp_path, capsys, source,
+                                                  key, values):
+        # SE rows show only pilot_len and tx_power_dbm, so two points of any
+        # other axis would write rows nothing tells apart
+        base = ["--n-users", "100", "--pilot-len", "25", "--n-adts", "2"]
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"{key} = {values}\n")
+        sweep = ([f"--{key.replace('_', '-')}", values] if source == "flag"
+                 else ["--config", str(cfg)])
+        out = tmp_path / "se.csv"
+        assert cli_main(["se", *base, *sweep, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"config error: se cannot sweep {key}: an SE row "
+                                "shows only pilot_len and tx_power_dbm\n")
+        assert not captured.out and not out.exists()
+
+    def test_se_accepts_a_pilot_len_sweep(self, tmp_path):
+        out = tmp_path / "se.csv"
+        assert cli_main(["se", "--desk", "--pilot-len", "100,125", "--n-adts", "2",
+                         "--out", str(out)]) == 0
+        rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+        assert sorted({r[3] for r in rows}) == ["100", "125"] and len(rows) == 8
 
     def test_se_accepts_algos_from_a_shared_config_file(self, tmp_path):
         # run and se share config files, so the file's algos key is allowed

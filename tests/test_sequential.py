@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 
 from seqamp.baselines import amp_mmse
 from seqamp.config import SystemConfig, desk_config
-from seqamp.denoiser import BgPrior, gamma, log_gamma, logistic
+from seqamp.denoiser import BgPrior, denoise_mean, gamma, log_gamma, logistic
 from seqamp.detection import detect_sequence
 from seqamp.quadrature import h_moments
 from seqamp.scenario import channel_vars, make_scenario
-from seqamp.sequential import (initial_prior, moment_intermediates,
-                               moment_match, posterior_update,
+from seqamp.sequential import (initial_prior, moment_match, posterior_update,
                                prior_propagate, s_amp_run)
 
 
@@ -20,14 +19,15 @@ class TestMomentMatch:
     def test_symmetric_hand_chain(self):
         # gamma = 2 -> pi_bar = 1/3, tau = 0, xi_bar = 0,
         # psi_bar = (1/3)*0.5 + (2/3)*1 = 5/6
+        # (pi = 1 leaves the active branch: tau = 0, kappa = 1/2)
         prior = BgPrior(0.5, 0.0, 1.0)
-        kappa, tau = moment_intermediates(np.array([0.0 + 0j]), 1.0, prior)
-        assert kappa == pytest.approx(0.5)
-        assert tau[0] == 0.0
         mm = moment_match(np.array([0.0 + 0j]), 1.0, prior)
         assert mm.pi_bar[0] == pytest.approx(1 / 3)
         assert mm.xi_bar[0] == 0.0
         assert mm.psi_bar[0] == pytest.approx(5 / 6)
+        active = moment_match(np.array([0.0 + 0j]), 1.0, BgPrior(1.0, 0.0, 1.0))
+        assert active.pi_bar[0] == 1.0 and active.xi_bar[0] == 0.0
+        assert active.psi_bar[0] == pytest.approx(0.5)
 
     def test_boundary_priors_short_circuit(self):
         phi = np.array([1.3 - 0.2j, 1.3 - 0.2j])
@@ -39,9 +39,10 @@ class TestMomentMatch:
         assert mm.xi_bar[0] == 0.4 + 0j
         assert mm.psi_bar[0] == pytest.approx(0.8)
         # pi = 1: posterior is the active branch (tau, kappa)
-        kappa, tau = moment_intermediates(phi, 0.5, prior)
+        tau = (0.8 * phi[1] + 0.4 * 0.5) / (0.8 + 0.5)
+        kappa = 0.8 * 0.5 / (0.8 + 0.5)
         assert mm.pi_bar[1] == 1.0
-        assert mm.xi_bar[1] == pytest.approx(tau[1])
+        assert mm.xi_bar[1] == pytest.approx(tau)
         assert mm.psi_bar[1] == pytest.approx(kappa)
 
     def test_matches_quadrature_moments(self):
@@ -71,12 +72,13 @@ class TestMomentMatch:
             assert abs(mm.pi_bar[0] - 1.0 / (1.0 + float(gamma(phi, c, prior)))) <= 1e-12
 
     def test_kappa_strictly_below_both_scales(self):
+        # an active user's psi_bar at phi = 0 is kappa itself
         rng = np.random.default_rng(37)
         for _ in range(100):
             c = rng.uniform(1e-3, 5.0)
             psi = rng.uniform(1e-3, 5.0)
-            prior = BgPrior(0.3, 0.0, psi)
-            kappa, _ = moment_intermediates(np.array([0.7 + 0.1j]), c, prior)
+            prior = BgPrior(1.0, 0.0, psi)
+            kappa = moment_match(np.array([0j]), c, prior).psi_bar[0]
             assert 0.0 < kappa < min(c, psi)
 
     def test_psi_bar_never_negative(self):
@@ -86,23 +88,52 @@ class TestMomentMatch:
                           rho=np.array([1.0]))
         assert mm.psi_bar[0] >= 1e-18
 
+    def test_zero_mean_xi_bar_is_denoiser_mean(self):
+        rng = np.random.default_rng(43)
+        n, c = 20_000, 0.3
+        psi = rng.uniform(0.1, 2.0, n)
+        active = rng.random(n) < 0.3
+        phi = (np.sqrt(np.where(active, psi + c, c))
+               * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+        prior = BgPrior(rng.uniform(0.01, 0.99, n), np.zeros(n, dtype=complex), psi)
+        mm = moment_match(phi, c, prior)
+        assert np.array_equal(mm.xi_bar, denoise_mean(phi, c, prior))
 
-# moment_intermediates and moment_match as they were on complex arrays,
-# verbatim; log_gamma's part-wise form is pinned to its complex one in
-# test_denoiser, so it is called as it is.
-def complex_moment_intermediates(phi, c, prior):
-    kappa = c * prior.psi / (c + prior.psi)
-    tau = kappa * (np.asarray(phi, dtype=complex) / c + prior.xi / prior.psi)
-    return kappa, tau
+    def test_clip_builds_a_prior_only_when_it_moves_pi(self, monkeypatch):
+        phi = np.array([0.9 - 0.4j, 0.1 + 0.2j, -1.5 + 0j, 0.3j, 2.0 + 1j])
+        xi = np.array([0j, 0.5 - 0.5j, 0j, 1j, -0.2 + 0j])
+        psi = np.array([0.5, 1.0, 2.0, 0.7, 1.3])
+        in_range = BgPrior(np.array([0.0, 1e-12, 0.3, 1.0 - 1e-12, 1.0]), xi, psi)
+        below = BgPrior(np.array([0.0, 1e-15, 0.3, 1.0 - 1e-16, 1.0]), xi, psi)
+        built = []
+        post_init = BgPrior.__post_init__
+
+        def counting(prior):
+            built.append(prior)
+            post_init(prior)
+
+        monkeypatch.setattr(BgPrior, "__post_init__", counting)
+        want = moment_match(phi, 0.4, in_range)
+        assert built == []
+        got = moment_match(phi, 0.4, below)
+        assert len(built) == 1
+        for field in ("pi_bar", "xi_bar", "psi_bar"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
 
 
+# moment_match as it was on complex arrays, verbatim but for tau and kappa,
+# which take the denoiser's complex Gaussian-branch forms; log_gamma's
+# part-wise form is pinned to its complex one in test_denoiser, so it is
+# called as it is.
 def complex_moment_match(phi, c, prior, rho=None):
     pi = prior.pi
     interior = (pi > 0.0) & (pi < 1.0)
     pi_safe = np.where(interior, np.clip(pi, 1e-12, 1.0 - 1e-12), pi)
     prior_safe = BgPrior(pi_safe, prior.xi, prior.psi)
 
-    kappa, tau = complex_moment_intermediates(phi, c, prior_safe)
+    kappa = prior.psi * c / (prior.psi + c)
+    tau = ((prior.psi * np.asarray(phi, dtype=complex) + prior.xi * c)
+           / (prior.psi + c))
     pi_bar = logistic(-log_gamma(phi, c, prior_safe))
     xi_bar = pi_bar * tau + (1.0 - pi_bar) * prior.xi
     second = (pi_bar * (np.abs(tau) ** 2 + kappa)
@@ -144,15 +175,6 @@ def match_cases(draw):
 
 
 class TestPartwiseEqualsComplex:
-    @given(match_cases())
-    @settings(max_examples=300, deadline=None)
-    def test_moment_intermediates(self, case):
-        phi, c, prior = case
-        for got, want in zip(moment_intermediates(phi, c, prior),
-                             complex_moment_intermediates(phi, c, prior)):
-            assert type(got) is type(want) and np.shape(got) == np.shape(want)
-            assert np.array_equal(got, want)
-
     @given(match_cases())
     @settings(max_examples=300, deadline=None)
     def test_moment_match(self, case):
