@@ -17,7 +17,7 @@ import argparse
 import sys
 
 from . import acceptance
-from .experiments import (ALGORITHMS, SCALAR_KEYS, SE_SWEEP_KEYS, ConfigError,
+from .experiments import (ALGORITHMS, SCALAR_KEYS, ConfigError, check_se_axis,
                           load_config, run_experiment, run_se, write_csv,
                           write_se_csv)
 
@@ -109,10 +109,8 @@ def main(argv=None) -> int:
             workers = 1 if args.workers is None else args.workers
             spec = load_config(args.config, _flags_from_args(args),
                                desk=args.desk, workers=workers)
-            if args.command == "se" and spec.axis not in (None, *SE_SWEEP_KEYS):
-                # its rows would carry the same labels at every sweep point
-                raise ConfigError(f"se cannot sweep {spec.axis}: an SE row shows "
-                                  "only pilot_len and tx_power_dbm")
+            if args.command == "se":
+                check_se_axis(spec)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -13,9 +13,10 @@ log(gamma); the boundary priors pi in {0, 1} then fall out of the +/-inf
 log-odds without special cases.
 
 The logistic is 1/(1 + exp(-t)) in numpy, the formula of
-scipy.special.expit, at about a quarter of its cost on long vectors.  For
-t < -709.78 exp(-t) overflows to +inf (the warning is silenced) and the
-result is exactly 0, as it is in scipy.
+scipy.special.expit, at about a quarter of its cost on long vectors.  The
+kernels need it only at -log(gamma), so ``_logistic_neg(t)`` computes
+1/(1 + exp(t)) in t's buffer.  For t > 709.78 exp(t) overflows to +inf
+(the warning is silenced) and the result is exactly 0, as it is in scipy.
 
 The kernels work on the real and imaginary parts of phi and never form
 the product of a real factor with a complex array.  Each part-wise form
@@ -33,16 +34,19 @@ complex one (only the sign of a zero may differ):
 - the exponent's quadratic forms |phi|^2 and Re(conj(xi) phi) are sums of
   products of parts.
 
-BgPrior derives its log-odds log((1-pi)/pi), |xi|^2 and an all-zero-mean
-flag once.  With every xi zero (every first-frame and static prior, in
-AMP and in state evolution alike) the xi terms of the exponent and of the
-mean add exact zeros, so the kernels skip them.  |m|^2 of the
-Gaussian-branch mean stays np.abs(m)**2 on a complex m, because numpy's
-complex absolute value is bit-equal neither to np.hypot of the parts nor
-to re^2 + im^2.  Temporaries are updated in place.
+BgPrior derives its log-odds log((1-pi)/pi), contiguous copies of xi's
+parts, |xi|^2 and an all-zero-mean flag once.  With every xi zero (every
+first-frame and static prior, in AMP and in state evolution alike) the xi
+terms of the exponent and of the mean add exact zeros, so the kernels skip
+them.  |m|^2 of the Gaussian-branch mean stays np.abs(m)**2 on a complex
+m, because numpy's complex absolute value is bit-equal neither to np.hypot
+of the parts nor to re^2 + im^2.  Temporaries are updated in place.
 
 All kernels broadcast over arrays: phi may be a vector while the prior
 holds per-entry (or scalar) parameters; c is a scalar.
+``denoise_mean_parts`` takes phi's parts at the output shape and returns
+F's parts, for callers that keep their data in parts (state evolution);
+``denoise_mean`` is that kernel plus a pack into a complex array.
 """
 
 from __future__ import annotations
@@ -53,11 +57,11 @@ import numpy as np
 
 __all__ = [
     "BgPrior",
-    "logistic",
     "log_gamma",
     "gamma",
     "active_branch",
     "denoise_mean",
+    "denoise_mean_parts",
     "denoise_var",
     "denoise_deriv",
 ]
@@ -72,14 +76,17 @@ class BgPrior:
     pi in [0, 1], psi > 0, xi finite.  Scalars are fine; AMP uses length-N
     vectors (one triple per user).  Derived once here (and again by
     dataclasses.replace): ``log_odds`` = log((1-pi)/pi), +/-inf at
-    pi = 0/1; ``xi_sq`` = |xi|^2 on the parts; ``zero_mean``, True when
-    every xi is 0; ``shape``, the parameters' broadcast shape.
+    pi = 0/1; ``xi_re`` and ``xi_im``, xi's parts, contiguous copies
+    unless every xi is 0; ``xi_sq`` = |xi|^2 on the parts; ``zero_mean``, True when every xi is
+    0; ``shape``, the parameters' broadcast shape.
     """
 
     pi: np.ndarray
     xi: np.ndarray
     psi: np.ndarray
     log_odds: np.ndarray = field(init=False, repr=False, compare=False)
+    xi_re: np.ndarray = field(init=False, repr=False, compare=False)
+    xi_im: np.ndarray = field(init=False, repr=False, compare=False)
     xi_sq: np.ndarray = field(init=False, repr=False, compare=False)
     zero_mean: bool = field(init=False, repr=False, compare=False)
     shape: tuple = field(init=False, repr=False, compare=False)
@@ -97,21 +104,23 @@ class BgPrior:
         with np.errstate(divide="ignore"):
             object.__setattr__(self, "log_odds",
                                np.log1p(-self.pi) - np.log(self.pi))
+        zero_mean = not np.any(self.xi)
         xr, xim = self.xi.real, self.xi.imag
+        if not zero_mean:   # the kernels skip the xi terms of a zero mean
+            xr, xim = xr.copy(), xim.copy()
+        object.__setattr__(self, "xi_re", xr)
+        object.__setattr__(self, "xi_im", xim)
         object.__setattr__(self, "xi_sq", xr * xr + xim * xim)
-        object.__setattr__(self, "zero_mean", not np.any(self.xi))
+        object.__setattr__(self, "zero_mean", zero_mean)
         object.__setattr__(self, "shape", np.broadcast_shapes(
             self.pi.shape, self.xi.shape, self.psi.shape))
 
 
-def logistic(t):
-    """1/(1 + exp(-t)): exactly 0 below t = -709.78 and at -inf, 1 at +inf."""
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-t))
-
-
 def _logistic_neg(t):
-    """logistic(-t) = 1/(1 + exp(t)), in the array t's buffer."""
+    """The logistic at -t, 1/(1 + exp(t)), in the array t's buffer.
+
+    Exactly 0 above t = 709.78 and at +inf, 1 at -inf.
+    """
     with np.errstate(over="ignore"):
         np.exp(t, out=t)
     t += 1.0
@@ -134,18 +143,19 @@ def _parts(phi, shape):
     return phi.real, phi.imag, scalar
 
 
-def _log_evidence(re, im, c, psi, total, xi, xi_sq):
+def _log_evidence(re, im, c, psi, total, xi_parts, xi_sq):
     """log[CN(phi; 0, c)/CN(phi; xi, total)], total = psi + c, as a new array.
 
-    ``xi`` None drops the xi terms, which are exact zeros for a zero mean.
+    ``xi_parts`` is (Re xi, Im xi); None drops the xi terms, which are
+    exact zeros for a zero mean.
     """
     num = re * re
     tmp = im * im
     num += tmp
     num *= psi
-    if xi is not None:
-        cross = np.multiply(xi.real, re, out=tmp)
-        cross += xi.imag * im
+    if xi_parts is not None:
+        cross = np.multiply(xi_parts[0], re, out=tmp)
+        cross += xi_parts[1] * im
         cross *= 2.0 * c
         num += cross
         num -= np.multiply(c, xi_sq, out=tmp)
@@ -157,8 +167,8 @@ def _log_evidence(re, im, c, psi, total, xi, xi_sq):
 
 
 def _log_gamma(re, im, c, prior: BgPrior, total):
-    xi = None if prior.zero_mean else prior.xi
-    lg = _log_evidence(re, im, c, prior.psi, total, xi, prior.xi_sq)
+    xi_parts = None if prior.zero_mean else (prior.xi_re, prior.xi_im)
+    lg = _log_evidence(re, im, c, prior.psi, total, xi_parts, prior.xi_sq)
     lg += prior.log_odds
     return lg
 
@@ -181,16 +191,23 @@ def gamma(phi, c, prior: BgPrior):
     return np.exp(np.clip(log_gamma(phi, c, prior), -_EXP_CLAMP, _EXP_CLAMP))
 
 
-def _linear_mmse(re, im, c, prior: BgPrior, total):
-    """Gaussian-branch posterior mean (psi*phi + xi*c)/(psi + c), as a new array."""
-    m = np.empty(re.shape, dtype=complex)
+def _linear_mmse(re, im, c, prior: BgPrior, total, out_parts):
+    """Gaussian-branch posterior mean (psi*phi + xi*c)/(psi + c), into ``out_parts``.
+
+    ``out_parts`` is the pair of real arrays that receive its parts.
+    """
     inv = 1.0 / total
-    for part, m_part, xi_part in ((re, m.real, prior.xi.real),
-                                  (im, m.imag, prior.xi.imag)):
+    for part, m_part, xi_part in zip((re, im), out_parts, (prior.xi_re, prior.xi_im)):
         np.multiply(prior.psi, part, out=m_part)
         if not prior.zero_mean:
             m_part += xi_part * c
         m_part *= inv
+
+
+def _complex_linear_mmse(re, im, c, prior: BgPrior, total):
+    """The Gaussian-branch mean as a new complex array."""
+    m = np.empty(re.shape, dtype=complex)
+    _linear_mmse(re, im, c, prior, total, (m.real, m.imag))
     return m
 
 
@@ -203,16 +220,31 @@ def active_branch(phi, c, prior: BgPrior):
     re, im, scalar = _parts(phi, prior.shape)
     total = prior.psi + c
     w = _logistic_neg(_log_gamma(re, im, c, prior, total))
-    m = _linear_mmse(re, im, c, prior, total)
+    m = _complex_linear_mmse(re, im, c, prior, total)
     return (w.reshape(()), m.reshape(())) if scalar else (w, m)
+
+
+def denoise_mean_parts(re, im, c, prior: BgPrior):
+    """F(phi, c) on phi's parts: (Re F, Im F), contiguous new arrays.
+
+    ``re`` and ``im`` are at least 1-d and already have the output shape,
+    the broadcast of phi's shape with the prior's.
+    """
+    total = prior.psi + c
+    w = _logistic_neg(_log_gamma(re, im, c, prior, total))
+    f = np.empty((2,) + re.shape)
+    _linear_mmse(re, im, c, prior, total, f)
+    f *= w
+    return f[0], f[1]
 
 
 def denoise_mean(phi, c, prior: BgPrior):
     """Posterior mean F(phi, c) = (1+gamma)^{-1} (psi*phi + xi*c)/(psi+c)."""
-    w, m = active_branch(phi, c, prior)
-    for m_part in (m.real, m.imag):
-        m_part *= w
-    return m[()]
+    re, im, scalar = _parts(phi, prior.shape)
+    f_re, f_im = denoise_mean_parts(re, im, c, prior)
+    f = np.empty(f_re.shape, dtype=complex)
+    f.real, f.imag = f_re, f_im
+    return f[0] if scalar else f
 
 
 def denoise_var(phi, c, prior: BgPrior):
@@ -226,7 +258,7 @@ def denoise_var(phi, c, prior: BgPrior):
     lg = _log_gamma(re, im, c, prior, total)
     s_idle = _logistic_neg(-lg)   # gamma/(1+gamma) = logistic(lg)
     s_act = _logistic_neg(lg)     # (1+gamma)^{-1}
-    m2 = np.abs(_linear_mmse(re, im, c, prior, total)) ** 2
+    m2 = np.abs(_complex_linear_mmse(re, im, c, prior, total)) ** 2
     s_idle *= s_act
     s_idle *= m2
     s_act *= prior.psi * c / total   # kappa

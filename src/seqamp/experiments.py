@@ -31,7 +31,7 @@ from .config import SystemConfig, desk_config
 from .detection import dep_from_counts, detect_sequence, detection_counts, nmse_db
 from .scenario import Scenario, make_scenario
 from .sequential import s_amp_run
-from .state_evolution import SE_TRACE_SAMPLES, se_sequential_trace
+from .state_evolution import SE_TRACE_SAMPLES, se_draws, se_sequential_trace
 
 __all__ = [
     "ConfigError",
@@ -46,6 +46,7 @@ __all__ = [
     "SCALAR_KEYS",
     "SWEEP_KEYS",
     "SE_SWEEP_KEYS",
+    "check_se_axis",
 ]
 
 ALGORITHMS = ("s_amp", "amp_mmse", "amp_soft", "omp", "oracle_ls")
@@ -398,18 +399,35 @@ def write_csv(records: list[MetricsRecord], path: str) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def check_se_axis(spec: ExperimentSpec) -> None:
+    """Raise ConfigError unless ``se`` can run the spec's sweep axis.
+
+    An SE row shows only pilot_len and tx_power_dbm, so a sweep over any
+    other axis would give rows that nothing tells apart.  The same rule
+    lets every sweep point share one set of trajectory draws.
+    """
+    if spec.axis not in (None, *SE_SWEEP_KEYS):
+        raise ConfigError(f"se cannot sweep {spec.axis}: an SE row shows "
+                          "only pilot_len and tx_power_dbm")
+
+
 def run_se(spec: ExperimentSpec, n_samples: int = SE_TRACE_SAMPLES,
            errors: list[str] | None = None):
     """Per-ADT normalised fixpoint rows for the sequential and static priors.
 
-    A sweep point whose trace has a fixpoint that did not converge gets
-    NaN ``nor_ct`` in all its rows, and ``errors``, if given, receives
-    ``"<axis>=<value>: fixpoint did not converge"`` for it.
+    Raises ConfigError for a sweep axis ``se`` cannot run
+    (:func:`check_se_axis`).  The trajectories' draws are made once and
+    shared by every sweep point.  A sweep point whose trace has a fixpoint
+    that did not converge gets NaN ``nor_ct`` in all its rows, and
+    ``errors``, if given, receives ``"<axis>=<value>: fixpoint did not
+    converge"`` for it.
     """
+    check_se_axis(spec)
+    draws = se_draws(spec.base, n_samples)
     rows = []
     axis_name = spec.axis if spec.axis is not None else "none"
     for value, cfg in spec.sweep_points():
-        trace = se_sequential_trace(cfg, n_samples=n_samples)
+        trace = se_sequential_trace(cfg, n_samples=n_samples, draws=draws)
         nor_seq, nor_static = trace.nor_seq, trace.nor_static
         if not trace.converged:
             nor_seq = nor_static = np.full(len(trace.adt), np.nan)

@@ -35,16 +35,20 @@ def stream(seed: int, trial: int = 0, purpose: str = "") -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def complex_normal(rng: np.random.Generator, shape, scale: float = 1.0) -> np.ndarray:
+def complex_normal(rng: np.random.Generator, shape, scale: float = 1.0,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """``scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))``.
 
     Returns the same bits and leaves ``rng`` in the same state as that
     expression, but fills the real parts, then the imaginary parts, of an
     empty complex result through one real buffer: a peak of 1.5 times the
-    result's size instead of twice it.
+    result's size instead of twice it.  ``out``, a complex array of
+    ``shape`` with any strides (the transpose of a C-ordered array, say),
+    receives the result in place of a new array.
     """
-    out = np.empty(shape, dtype=complex)
-    buf = np.empty(out.shape)
+    if out is None:
+        out = np.empty(shape, dtype=complex)
+    buf = np.empty(shape)
     for part in (out.real, out.imag):
         rng.standard_normal(out=buf)
         np.multiply(buf, scale, out=part)

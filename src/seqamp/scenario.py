@@ -30,6 +30,8 @@ __all__ = [
     "gen_user_profiles",
     "gen_pilots",
     "markov_activity",
+    "ar1_scales",
+    "ar1_step",
     "ar1_channels",
     "synthesize_received",
     "make_scenario",
@@ -135,6 +137,32 @@ def markov_activity(lam: float, p01: float, p10: float, n: int, n_steps: int,
     return a
 
 
+def ar1_scales(rho: np.ndarray, eta: np.ndarray):
+    """Per-step scales of unit draws (standard normal parts): an endless iterator.
+
+    It yields the std of each part of h(1), making CN(0, rho), then at
+    every later step that of the innovation, CN(0, (1-eta^2)*rho).
+    """
+    yield np.sqrt(rho / 2.0)
+    innov = np.sqrt((1.0 - eta**2) * rho / 2.0)
+    while True:
+        yield innov
+
+
+def ar1_step(prev, unit, eta, scale, out):
+    """One AR-1 step into ``out``: scale*unit, plus eta*prev unless prev is None.
+
+    ``scale`` is the step's value from :func:`ar1_scales`.  eta*prev is
+    formed before ``out`` is written, so ``out`` may be ``unit`` or
+    ``prev`` itself.
+    """
+    drift = None if prev is None else eta * prev
+    np.multiply(unit, scale, out=out)
+    if drift is not None:
+        out += drift
+    return out
+
+
 def ar1_channels(rho: np.ndarray, eta: np.ndarray, n_steps: int,
                  rng: np.random.Generator) -> np.ndarray:
     """(n, n_steps) stationary AR-1 samples per row.
@@ -146,11 +174,8 @@ def ar1_channels(rho: np.ndarray, eta: np.ndarray, n_steps: int,
     rho = np.asarray(rho, dtype=float)
     eta = np.asarray(eta, dtype=float)
     h = complex_normal(rng, (rho.shape[0], n_steps))
-    h[:, 0] *= np.sqrt(rho / 2.0)
-    innov_std = np.sqrt((1.0 - eta**2) * rho / 2.0)
-    for t in range(1, n_steps):
-        h[:, t] *= innov_std
-        h[:, t] += eta * h[:, t - 1]
+    for t, scale in zip(range(n_steps), ar1_scales(rho, eta)):
+        ar1_step(h[:, t - 1] if t else None, h[:, t], eta, scale, out=h[:, t])
     return h
 
 

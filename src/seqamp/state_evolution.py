@@ -16,30 +16,40 @@ on M independent single-user trajectories: each sample carries its own
 (rho, eta), activity chain and AR-1 channel, its prior is updated from the
 scalar pseudo-observation phi = x + sqrt(c_t) v after each ADT, and the
 fixpoint is recomputed per ADT.  A static-prior trace over the identical
-samples provides the matched-pair baseline.
+samples provides the matched-pair baseline.  The activity chains, the unit
+channel draws and the noise do not depend on the transmit power or the
+pilot length, so a sweep over those draws them once (:class:`SeDraws`)
+and every trace rescales the channel draws by its own rho.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .amp import C0_FACTOR
 from .config import SystemConfig
-from .denoiser import BgPrior, denoise_mean
+from .denoiser import BgPrior
+# F on parts, under the name the benchmark traces as SE's denoiser
+from .denoiser import denoise_mean_parts as denoise_mean
 from .rng import complex_normal, stream
-from .scenario import ar1_channels, derive_noise_var, gen_user_profiles, markov_activity
+from .scenario import ar1_channels  # noqa: F401  unused; perfbench traces this binding
+from .scenario import (ar1_scales, ar1_step, derive_noise_var, gen_user_profiles,
+                       markov_activity)
 from .sequential import moment_match, prior_propagate
 
 __all__ = [
     "SeSamples",
     "SeFixpoint",
     "SeTrace",
+    "SeDraws",
     "static_sampler",
     "se_step",
     "se_fixpoint",
+    "se_draws",
     "se_sequential_trace",
 ]
 
@@ -52,11 +62,31 @@ NOR_REF_DBM = 13.0           # reference power P0 of nor(c_t) = (P/P0) c_t
 
 @dataclass(frozen=True)
 class SeSamples:
-    """Frozen Monte-Carlo batch: signals X, per-sample priors, CN(0,1) noise."""
+    """Frozen Monte-Carlo batch: signals X, per-sample priors, CN(0,1) noise.
+
+    The parts of x and v are copied once into contiguous arrays
+    (``x_re``, ``x_im``, ``v_re``, ``v_im``), which every step reads.
+    """
 
     x: np.ndarray        # (M,) complex
     prior: BgPrior       # per-sample parameter triples
     v: np.ndarray        # (M,) complex, standard circular Gaussian
+    x_re: np.ndarray = field(init=False, repr=False, compare=False)
+    x_im: np.ndarray = field(init=False, repr=False, compare=False)
+    v_re: np.ndarray = field(init=False, repr=False, compare=False)
+    v_im: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name in ("x", "v"):
+            a = np.asarray(getattr(self, name))
+            object.__setattr__(self, f"{name}_re", np.array(a.real, dtype=float))
+            object.__setattr__(self, f"{name}_im", np.array(a.imag, dtype=float))
+
+    def with_prior(self, prior: BgPrior) -> SeSamples:
+        """The same signals and noise under another prior, sharing the parts."""
+        other = copy.copy(self)
+        object.__setattr__(other, "prior", prior)
+        return other
 
 
 @dataclass(frozen=True)
@@ -83,14 +113,6 @@ def _cn_unit(rng: np.random.Generator, shape) -> np.ndarray:
     return complex_normal(rng, shape, np.sqrt(0.5))
 
 
-def _float_view(a: np.ndarray) -> np.ndarray:
-    """A complex vector's parts as one interleaved float vector.
-
-    A view of ``a``, or of a contiguous copy when ``a`` is strided.
-    """
-    return np.ascontiguousarray(a).view(float)
-
-
 def static_sampler(cfg: SystemConfig) -> Callable[[int, np.random.Generator], SeSamples]:
     """Sampler of i.i.d. (X, prior, V) triples under the static signal law.
 
@@ -111,20 +133,24 @@ def static_sampler(cfg: SystemConfig) -> Callable[[int, np.random.Generator], Se
 def se_step(c: float, samples: SeSamples, cfg: SystemConfig) -> float:
     """One state-evolution step: noise_var + (N/L) * mean |F(X+sqrt(c)V) - X|^2.
 
-    phi and the error are formed on real and imaginary parts, by the
-    floating-point operations numpy makes for the complex expressions (the
-    real sqrt(c) scales each part of V).
+    phi, F and the error are formed on the samples' contiguous parts, by
+    the floating-point operations numpy makes for the complex expressions
+    (the real sqrt(c) scales each part of V), and add.reduce(err)/M is
+    np.mean's sum and division.  The denoiser's outputs are only read.
     """
-    x, v = samples.x, samples.v
-    phi = np.multiply(_float_view(v), np.sqrt(c))
-    phi += _float_view(x)
-    f = denoise_mean(phi.view(complex), c, samples.prior)
-    sq = f.real - x.real
-    sq *= sq
-    err_im = f.imag - x.imag
+    s = np.sqrt(c)
+    phi_re = np.multiply(samples.v_re, s)
+    phi_re += samples.x_re
+    phi_im = np.multiply(samples.v_im, s)
+    phi_im += samples.x_im
+    f_re, f_im = denoise_mean(phi_re, phi_im, c, samples.prior)
+    # phi's buffers are free now; the error is formed in them
+    err = np.subtract(f_re, samples.x_re, out=phi_re)
+    err *= err
+    err_im = np.subtract(f_im, samples.x_im, out=phi_im)
     err_im *= err_im
-    sq += err_im
-    mse = float(np.mean(sq))
+    err += err_im
+    mse = float(np.add.reduce(err) / err.size)
     return derive_noise_var(cfg) + (cfg.n_users / cfg.pilot_len) * mse
 
 
@@ -144,21 +170,63 @@ def se_fixpoint(samples: SeSamples, cfg: SystemConfig) -> SeFixpoint:
     return SeFixpoint(c, FIXPOINT_MAX_ITERS, False)
 
 
-def se_sequential_trace(cfg: SystemConfig,
-                        n_samples: int = SE_TRACE_SAMPLES) -> SeTrace:
+@dataclass(frozen=True)
+class SeDraws:
+    """The power-independent draws of a sequential trace, shareable across traces.
+
+    ``activity`` is the Markov activity, ``channel`` the unit draws the
+    AR-1 recursion scales by each trace's rho and eta, and ``noise`` the
+    CN(0, 1) noise, each (T, M): row t, contiguous, is ADT t+1 of all M
+    trajectories.  They come from streams keyed by (seed, purpose) only,
+    so every trace whose config agrees on ``key`` (seed, lam, r_scale,
+    n_adts and the sample count) draws exactly them.
+    """
+
+    key: tuple
+    activity: np.ndarray
+    channel: np.ndarray
+    noise: np.ndarray
+
+
+def _draws_key(cfg: SystemConfig, n_samples: int) -> tuple:
+    return (cfg.seed, cfg.lam, cfg.r_scale, cfg.n_adts, n_samples)
+
+
+def se_draws(cfg: SystemConfig, n_samples: int = SE_TRACE_SAMPLES) -> SeDraws:
+    """The trajectories' draws from trial 0's streams of cfg.seed.
+
+    Each is drawn as the (M, T) array it always was and stored transposed,
+    the complex ones written straight into their (T, M) buffers.
+    """
+    shape = (n_samples, cfg.n_adts)
+    act = markov_activity(cfg.lam, cfg.p01, cfg.p10, n_samples, cfg.n_adts,
+                          stream(cfg.seed, 0, "se-activity"))
+    channel, noise = np.empty((2, cfg.n_adts, n_samples), dtype=complex)
+    complex_normal(stream(cfg.seed, 0, "se-channels"), shape, out=channel.T)
+    complex_normal(stream(cfg.seed, 0, "se-noise"), shape, np.sqrt(0.5), out=noise.T)
+    return SeDraws(_draws_key(cfg, n_samples), np.ascontiguousarray(act.T),
+                   channel, noise)
+
+
+def se_sequential_trace(cfg: SystemConfig, n_samples: int = SE_TRACE_SAMPLES,
+                        draws: SeDraws | None = None) -> SeTrace:
     """Paired sequential / static fixpoint traces over cfg.n_adts ADTs.
 
-    The trajectories come from trial 0's streams of cfg.seed.
+    The trajectories come from trial 0's streams of cfg.seed: ``draws``,
+    made by :func:`se_draws` for a config with the same draws key, or
+    drawn here when None.  A ``draws`` with another key raises ValueError.
+    The AR-1 channel is stepped one ADT at a time on one (M,) state, so a
+    trace allocates nothing of size (M, T).
     """
+    key = _draws_key(cfg, n_samples)
+    if draws is None:
+        draws = se_draws(cfg, n_samples)
+    elif draws.key != key:
+        raise ValueError(f"SE draws made for (seed, lam, r_scale, n_adts, n_samples) "
+                         f"= {draws.key}, not {key}")
     t_total = cfg.n_adts
     profiles = gen_user_profiles(cfg, stream(cfg.seed, 0, "se-profiles"), n=n_samples)
     rho, eta = profiles.channel_var, profiles.ar_coeff
-    act = markov_activity(cfg.lam, cfg.p01, cfg.p10, n_samples, t_total,
-                          stream(cfg.seed, 0, "se-activity"))
-    # x = act * h, formed in place on the channel draws
-    x = ar1_channels(rho, eta, t_total, stream(cfg.seed, 0, "se-channels"))
-    x *= act
-    v = _cn_unit(stream(cfg.seed, 0, "se-noise"), (n_samples, t_total))
 
     static_prior = BgPrior(np.full(n_samples, cfg.lam),
                            np.zeros(n_samples, dtype=complex), rho)
@@ -166,19 +234,20 @@ def se_sequential_trace(cfg: SystemConfig,
     c_seq = np.empty(t_total)
     c_static = np.empty(t_total)
     all_converged = True
-    # ADT t's columns, refilled per ADT: each fixpoint makes ~30 elementwise
-    # passes per iteration over them, so they must be contiguous, and one
-    # buffer per trace, unlike a fresh copy per ADT, does not fragment the
+    # the channel state and ADT t's signal, refilled per ADT: one buffer
+    # each per trace, unlike a fresh array per ADT, does not fragment the
     # heap and raise the peak resident memory
-    x_t, v_t = np.empty((2, n_samples), dtype=complex)
-    for t in range(t_total):
-        x_t[:], v_t[:] = x[:, t], v[:, t]
+    h, x_t = np.empty((2, n_samples), dtype=complex)
+    for t, scale in zip(range(t_total), ar1_scales(rho, eta)):
+        ar1_step(h if t else None, draws.channel[t], eta, scale, out=h)
+        np.multiply(h, draws.activity[t], out=x_t)
+        v_t = draws.noise[t]
         seq_batch = SeSamples(x_t, prior, v_t)
         fp = se_fixpoint(seq_batch, cfg)
         c_seq[t] = fp.c
         all_converged &= fp.converged
 
-        static_batch = SeSamples(x_t, static_prior, v_t)
+        static_batch = seq_batch.with_prior(static_prior)
         fp_s = se_fixpoint(static_batch, cfg)
         c_static[t] = fp_s.c
         all_converged &= fp_s.converged

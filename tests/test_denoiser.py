@@ -8,28 +8,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqamp.denoiser import (BgPrior, active_branch, denoise_deriv, denoise_mean,
-                             denoise_var, gamma, log_gamma, logistic)
+from seqamp.denoiser import (BgPrior, _logistic_neg, active_branch, denoise_deriv,
+                             denoise_mean, denoise_mean_parts, denoise_var, gamma,
+                             log_gamma)
 from seqamp.quadrature import x_moments
 
 
+def logistic(t):
+    """1/(1 + exp(-t)), the formula of scipy.special.expit, for the oracles."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-t))
+
+
 class TestLogistic:
+    """The kernels' logistic, taken at -t: _logistic_neg(-t) = 1/(1 + exp(-t))."""
+
     def test_within_four_ulp_of_scipy_expit(self):
         from scipy.special import expit
         t = np.linspace(-745.0, 745.0, 400_001)
         ref = expit(t)
-        assert np.all(np.abs(logistic(t) - ref) <= 4 * np.spacing(ref))
+        assert np.all(np.abs(_logistic_neg(-t) - ref) <= 4 * np.spacing(ref))
 
     def test_exact_saturation(self):
         t = np.array([-np.inf, -800.0, 800.0, np.inf])
-        assert logistic(t).tolist() == [0.0, 0.0, 1.0, 1.0]
+        assert _logistic_neg(-t).tolist() == [0.0, 0.0, 1.0, 1.0]
 
     def test_no_floating_point_warning(self):
         t = np.array([-np.inf, -800.0, -710.0, 0.0, 710.0, 800.0, np.inf])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            logistic(t)
-            logistic(-800.0)
+            _logistic_neg(-t)
+            _logistic_neg(np.array(800.0))
 
 
 class TestPriorLogOdds:
@@ -352,6 +361,19 @@ class TestPartwiseEqualsComplex:
         for g, w in zip(got, want):
             assert type(g) is np.ndarray and g.dtype == np.asarray(w).dtype
             assert np.shape(g) == np.shape(w) and np.array_equal(g, w)
+
+    @given(kernel_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_mean_parts_kernel(self, case):
+        # phi's parts at the output shape in, F's contiguous parts out
+        phi, c, prior = case
+        shape = np.broadcast_shapes(np.shape(phi), prior.shape, (1,))
+        full = np.broadcast_to(np.asarray(phi, dtype=complex), shape)
+        f_re, f_im = denoise_mean_parts(np.array(full.real), np.array(full.imag),
+                                        c, prior)
+        want = np.broadcast_to(complex_denoise_mean(phi, c, prior), shape)
+        assert f_re.flags.c_contiguous and f_im.flags.c_contiguous
+        assert np.array_equal(f_re, want.real) and np.array_equal(f_im, want.imag)
 
     def test_scalar_phi_over_vector_prior(self):
         prior = BgPrior(np.array([0.0, 0.3, 1.0]), np.array([0j, 0.2 - 1j, 0j]),

@@ -386,6 +386,20 @@ class TestRunSe:
         assert errors == ["none=0: fixpoint did not converge"]
 
 
+    def test_refuses_a_lambda_axis_before_any_trace(self, monkeypatch):
+        # the library call enforces the CLI's rule: a lambda sweep would give
+        # rows nothing tells apart, and it could not share one set of draws
+        import seqamp.experiments as ex
+        traced = []
+        monkeypatch.setattr(ex, "se_sequential_trace",
+                            lambda *a, **k: traced.append(a))
+        base = SystemConfig(n_users=200, pilot_len=50, n_adts=2, n_trials=1)
+        errors = []
+        with pytest.raises(ConfigError, match="se cannot sweep lambda"):
+            run_se(ExperimentSpec(base, "lambda", (0.05, 0.1)), n_samples=500,
+                   errors=errors)
+        assert traced == [] and errors == []
+
 class TestCli:
     def test_run_subcommand(self, tmp_path):
         out = tmp_path / "r.csv"

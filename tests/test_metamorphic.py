@@ -1,10 +1,12 @@
-"""Metamorphic checks: power-unit rescaling leaves every decision unchanged.
+"""Metamorphic checks: transformations that must leave every decision unchanged.
 
 Shifting the transmit power and the noise PSD by the same number of dB
 scales the signal and the noise by one factor, so S-AMP's decisions and
 OMP's supports must not move and the pooled NMSE must stay put up to
-rounding.
+rounding.  Relabelling the users permutes S-AMP's output the same way.
 """
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ import pytest
 from seqamp.baselines import omp
 from seqamp.config import desk_config
 from seqamp.detection import detect_sequence, nmse_db
-from seqamp.scenario import make_scenario
+from seqamp.rng import stream
+from seqamp.scenario import Profiles, Scenario, make_scenario
 from seqamp.sequential import s_amp_run
 
 N_TRIALS = 2
@@ -55,3 +58,27 @@ def test_power_rescaling_invariance(unshifted, delta_db):
         np.testing.assert_array_equal(got, want)
     assert np.all(np.isfinite(nmse))
     np.testing.assert_allclose(nmse, ref_nmse, rtol=0, atol=1e-9)
+
+
+def permuted_users(scn: Scenario, perm: np.ndarray) -> Scenario:
+    """The scenario with user n relabelled perm^{-1}(n): S's columns, the
+    profiles and the signal and activity rows permuted alike."""
+    profiles = Profiles(*(getattr(scn.profiles, f.name)[perm] for f in fields(Profiles)))
+    return Scenario(scn.pilots[:, perm], profiles, scn.activity[perm],
+                    scn.channels[perm], scn.sparse_signal[perm], scn.received)
+
+
+@pytest.mark.parametrize("trial", range(3))
+def test_user_permutation_equivariance(trial):
+    # S mu sums the users in another order, so x_hat may move by rounding
+    cfg = desk_config(seed=7)
+    scn = make_scenario(cfg, trial)
+    perm = stream(cfg.seed, trial, "test-permutation").permutation(cfg.n_users)
+    inv = np.argsort(perm)
+    ref = s_amp_run(scn, cfg)
+    got = s_amp_run(permuted_users(scn, perm), cfg)
+    x_ref = ref.x_hat
+    assert np.max(np.abs(got.x_hat[inv] - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
+    assert [r.amp.iter for r in got.records] == [r.amp.iter for r in ref.records]
+    np.testing.assert_array_equal(detect_sequence(got).decisions[inv],
+                                  detect_sequence(ref).decisions)

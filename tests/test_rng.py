@@ -38,6 +38,16 @@ class TestComplexNormal:
         # the generator is left in the same state
         assert rng.standard_normal() == ref_rng.standard_normal()
 
+    @pytest.mark.parametrize("shape", SHAPES[1:])
+    def test_transposed_out_gets_the_same_bits(self, shape):
+        # state evolution keeps its (M, T) draws as contiguous (T, M) rows
+        want = complex_normal(stream(5, 1, "cn"), shape, np.sqrt(0.5))
+        buf = np.empty(shape[::-1], dtype=complex)
+        got = complex_normal(stream(5, 1, "cn"), shape, np.sqrt(0.5), out=buf.T)
+        assert got.base is buf
+        assert np.array_equal(buf.view(np.uint64),
+                              np.ascontiguousarray(want.T).view(np.uint64))
+
     def test_peak_memory_is_one_and_a_half_results(self):
         shape, scale = (400, 2000), np.sqrt(0.5 / 400)
         nbytes = np.empty(shape, dtype=complex).nbytes

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from seqamp.baselines import amp_mmse
 from seqamp.config import SystemConfig, desk_config
-from seqamp.denoiser import BgPrior, denoise_mean, gamma, log_gamma, logistic
+from seqamp.denoiser import BgPrior, denoise_mean, gamma, log_gamma
 from seqamp.detection import detect_sequence
 from seqamp.quadrature import h_moments
 from seqamp.scenario import channel_vars, make_scenario
@@ -119,6 +119,12 @@ class TestMomentMatch:
         assert len(built) == 1
         for field in ("pi_bar", "xi_bar", "psi_bar"):
             assert np.array_equal(getattr(got, field), getattr(want, field))
+
+
+def logistic(t):
+    """1/(1 + exp(-t)), the formula of scipy.special.expit."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-t))
 
 
 # moment_match as it was on complex arrays, verbatim but for tau and kappa,

@@ -12,7 +12,8 @@ from seqamp.denoiser import BgPrior, denoise_mean
 from seqamp.quadrature import x_moments
 from seqamp.rng import stream
 from seqamp.scenario import derive_noise_var
-from seqamp.state_evolution import (NOR_REF_DBM, SeSamples, se_fixpoint,
+from seqamp.experiments import load_config, run_se
+from seqamp.state_evolution import (NOR_REF_DBM, SeSamples, se_draws, se_fixpoint,
                                     se_sequential_trace, se_step)
 
 
@@ -56,11 +57,14 @@ class TestSeStep:
     def test_perfect_denoiser_stub(self, monkeypatch):
         cfg = config_with_noise(0.37, n_users=500, pilot_len=100)
         samples = bg_samples(5_000, cfg.lam, 1.0, stream(0, 0, "se"))
-        monkeypatch.setattr(se, "denoise_mean", lambda p, c, pr: samples.x)
-        x_before = samples.x.copy()
+        # se_step's denoiser is the parts kernel, bound as se.denoise_mean
+        monkeypatch.setattr(se, "denoise_mean",
+                            lambda re, im, c, pr: (samples.x_re, samples.x_im))
+        parts_before = samples.x_re.copy(), samples.x_im.copy()
         assert se_step(2.0, samples, cfg) == pytest.approx(0.37)
-        # the denoiser's output is samples.x itself: se_step must not write to it
-        assert np.array_equal(samples.x, x_before)
+        # the denoiser's output is the samples' own parts: se_step must not write to it
+        assert np.array_equal(samples.x_re, parts_before[0])
+        assert np.array_equal(samples.x_im, parts_before[1])
 
     def test_against_radial_quadrature(self):
         # batch sized so the 1% tolerance sits at ~3 sigma of the MC noise
@@ -138,7 +142,8 @@ class TestSeFixpoint:
     def test_perfect_denoiser_converges_immediately(self, monkeypatch):
         cfg = config_with_noise(0.2, n_users=500, pilot_len=100)
         samples = bg_samples(5_000, cfg.lam, 1.0, stream(0, 0, "se"))
-        monkeypatch.setattr(se, "denoise_mean", lambda p, c, pr: samples.x)
+        monkeypatch.setattr(se, "denoise_mean",
+                            lambda re, im, c, pr: (samples.x_re, samples.x_im))
         fp = se_fixpoint(samples, cfg)
         assert fp.converged and fp.c == pytest.approx(0.2)
         assert fp.iters <= 2
@@ -240,3 +245,57 @@ class TestContiguousColumns:
         monkeypatch.setattr(se, "se_fixpoint", probed)
         se_sequential_trace(desk_config(n_adts=3), n_samples=1000)
         assert layouts == [(True, True)] * 6
+
+
+def _trace_arrays(tr):
+    return (tr.c_seq, tr.c_static, tr.nor_seq, tr.nor_static)
+
+
+class TestSharedDraws:
+    def test_trace_from_shared_draws_equals_fresh_trace(self):
+        cfg = desk_config(n_adts=4, tx_power_dbm=30.0)
+        draws = se_draws(cfg.with_(tx_power_dbm=36.0, pilot_len=100), 2000)
+        shared = se_sequential_trace(cfg, n_samples=2000, draws=draws)
+        fresh = se_sequential_trace(cfg, n_samples=2000)
+        for got, want in zip(_trace_arrays(shared), _trace_arrays(fresh)):
+            assert np.array_equal(got, want)
+        assert shared.converged == fresh.converged
+
+    def test_run_se_rows_equal_fresh_traces(self):
+        spec = load_config(None, {"seed": 3, "n_adts": 3, "tx_power_dbm": "27,33"},
+                           desk=True)
+        rows = run_se(spec, n_samples=1000)
+        want = []
+        for _, cfg in spec.sweep_points():
+            tr = se_sequential_trace(cfg, n_samples=1000)
+            for i, t in enumerate(tr.adt):
+                want.append((int(t), "s_amp", tr.nor_seq[i], cfg.pilot_len,
+                             cfg.tx_power_dbm))
+                want.append((int(t), "amp_mmse", tr.nor_static[i], cfg.pilot_len,
+                             cfg.tx_power_dbm))
+        want.sort(key=lambda r: (r[3], r[4], r[0], r[1]))
+        assert rows == want
+
+    @pytest.mark.parametrize("change", [dict(seed=2), dict(lam=0.1), dict(r_scale=0.5),
+                                        dict(n_adts=5)],
+                             ids=["seed", "lam", "r_scale", "n_adts"])
+    def test_draws_for_another_key_raise(self, change):
+        cfg = desk_config(n_adts=4)
+        draws = se_draws(cfg, 500)
+        with pytest.raises(ValueError, match="SE draws made for"):
+            se_sequential_trace(cfg.with_(**change), n_samples=500, draws=draws)
+
+    def test_draws_for_another_sample_count_raise(self):
+        cfg = desk_config(n_adts=4)
+        with pytest.raises(ValueError, match="SE draws made for"):
+            se_sequential_trace(cfg, n_samples=400, draws=se_draws(cfg, 500))
+
+    def test_sweep_point_allocates_less_than_one_trajectory_array(self,
+                                                                  peak_traced_bytes):
+        m, t_total = 2000, 40
+        cfg = desk_config(n_adts=t_total, tx_power_dbm=30.0)
+        draws = se_draws(cfg, m)
+        se_sequential_trace(cfg, n_samples=m, draws=draws)
+        peak = peak_traced_bytes(lambda: se_sequential_trace(
+            cfg.with_(tx_power_dbm=36.0), n_samples=m, draws=draws))
+        assert peak < m * t_total * np.dtype(complex).itemsize
