@@ -40,18 +40,22 @@ class BaselineResult:
     """Output of a non-sequential recovery algorithm on one ADT or a block.
 
     For a column block (one column per ADT or per threshold), ``estimate``
-    and ``support`` are (N, k), ``iterations`` sums the sweeps of all
-    columns and ``residual_norm`` is the Frobenius norm of the residual
-    block.  ``cap_hits`` counts the columns of soft-threshold AMP still
-    running when the sweep budget ran out; OMP and oracle LS leave it 0.
+    is (N, k), ``iterations`` sums the sweeps of all columns and
+    ``residual_norm`` is the Frobenius norm of the residual block.
+    ``cap_hits`` counts the columns of soft-threshold AMP still running
+    when the sweep budget ran out; OMP and oracle LS leave it 0.
     """
 
     estimate: np.ndarray      # (N,) or (N, k) complex
-    support: np.ndarray       # same shape, int8, nonzero-estimate indicator
     iterations: int
     residual_norm: float
     hit_rank_limit: bool = False
     cap_hits: int = 0
+
+    @property
+    def support(self) -> np.ndarray:
+        """The detected users: int8 indicator of a nonzero estimate."""
+        return (self.estimate != 0).astype(np.int8)
 
 
 def amp_mmse(scenario: Scenario, cfg: SystemConfig) -> SequenceResult:
@@ -83,7 +87,8 @@ def amp_soft(y: np.ndarray, s_mat: np.ndarray, cfg: SystemConfig,
     calibrated one.  Each column runs its own recursion: its own ``c``,
     seeded at ||y||^2/L (a noise-scale seed would make the first estimate
     dense and the Onsager feedback explosive), its own threshold, Onsager
-    sum, divergence check and stop test ||mu_new - mu|| / ||mu_new|| < REL_TOL.
+    sum, divergence check (a non-finite ``c``, as in :func:`amp.amp_iterate`)
+    and stop test ||mu_new - mu|| / ||mu_new|| < REL_TOL.
     A column that stops leaves the block, so each sweep is one S^H Z and
     one S M product over the columns still running.  The Onsager term uses
     the a.e. derivative of the denoiser, 1 - alpha*sqrt(c)/(2|phi|) on the
@@ -106,7 +111,7 @@ def amp_soft(y: np.ndarray, s_mat: np.ndarray, cfg: SystemConfig,
 
     mu = np.zeros((n, k), dtype=complex)
     z = block.copy()
-    sweeps = np.zeros(k, dtype=np.int64)
+    iterations = 0
     # the columns still running, and their compacted state
     run = np.arange(k)
     y_run, z_run, mu_run, a_run = block, z, mu, alphas
@@ -120,7 +125,8 @@ def amp_soft(y: np.ndarray, s_mat: np.ndarray, cfg: SystemConfig,
         deriv_sum = np.where(mag > thr, 1.0 - 0.5 * ratio, 0.0).sum(axis=0)
         z_run = y_run - s_mat @ mu_new + (z_run / l_dim) * deriv_sum
         c_run = np.linalg.norm(z_run, axis=0) ** 2 / l_dim
-        bad = ~(np.isfinite(mu_new).all(axis=0) & np.isfinite(c_run))
+        # column j of S M reads only column j of M: c flags just the diverged columns
+        bad = ~np.isfinite(c_run)
         if bad.any():
             cols = run[bad]
             raise AmpDivergenceError(
@@ -129,7 +135,7 @@ def amp_soft(y: np.ndarray, s_mat: np.ndarray, cfg: SystemConfig,
         step = (np.linalg.norm(mu_new - mu_run, axis=0)
                 / np.maximum(np.linalg.norm(mu_new, axis=0), _REL_FLOOR))
         mu_run = mu_new
-        sweeps[run] = it
+        iterations += run.size
         done = step < REL_TOL
         if done.any():
             mu[:, run[done]] = mu_run[:, done]
@@ -143,8 +149,8 @@ def amp_soft(y: np.ndarray, s_mat: np.ndarray, cfg: SystemConfig,
     z[:, run] = z_run
     if y.ndim == 1:
         mu = mu.reshape(n)
-    return BaselineResult(mu, (mu != 0).astype(np.int8), int(sweeps.sum()),
-                          float(np.linalg.norm(z)), cap_hits=int(run.size))
+    return BaselineResult(mu, iterations, float(np.linalg.norm(z)),
+                          cap_hits=int(run.size))
 
 
 def calibrate_soft_alpha(scenario: Scenario, cfg: SystemConfig) -> float:
@@ -227,8 +233,8 @@ def omp(y: np.ndarray, s_mat: np.ndarray, cfg: SystemConfig) -> BaselineResult:
     estimate = np.zeros(n, dtype=complex)
     if selected:
         estimate[selected] = np.linalg.solve(r_mat[:k, :k], q_h_y[:k])
-    return BaselineResult(estimate, (estimate != 0).astype(np.int8), k,
-                          float(np.linalg.norm(residual)), hit_rank_limit)
+    return BaselineResult(estimate, k, float(np.linalg.norm(residual)),
+                          hit_rank_limit)
 
 
 def oracle_ls(y: np.ndarray, s_mat: np.ndarray,
@@ -258,5 +264,5 @@ def oracle_ls(y: np.ndarray, s_mat: np.ndarray,
             coef = np.linalg.solve(r, adjoint(q, y))
         estimate[support_idx] = coef
         residual = residual - sub @ coef
-    return BaselineResult(estimate, (estimate != 0).astype(np.int8),
-                          1, float(np.linalg.norm(residual)), rank_deficient)
+    return BaselineResult(estimate, 1, float(np.linalg.norm(residual)),
+                          rank_deficient)

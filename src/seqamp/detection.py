@@ -1,22 +1,19 @@
-"""Active-user detection, channel estimation and scoring metrics.
+"""Active-user detection and scoring metrics.
 
 Detection is the Bayes rule on the matched activity posterior: declare
 active iff pi_bar >= 1/2 (posterior odds >= 1, ties to active), which is
 the log-likelihood ratio of active vs idle thresholded at the prior odds
 log((1-pi)/pi).  The channel estimate is the recovered sparse entry
-itself.
+itself, ``SequenceResult.x_hat``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .sequential import PosteriorSummary, SequenceResult
 
 __all__ = [
-    "DetectionResult",
     "bayes_detect",
     "detect_sequence",
     "metric_nmse",
@@ -28,27 +25,14 @@ __all__ = [
 NMSE_FLOOR_DB = -300.0  # sentinel for zero (or absurdly small) error energy
 
 
-@dataclass(frozen=True)
-class DetectionResult:
-    """Per-user, per-ADT outputs of a sequential run."""
-
-    decisions: np.ndarray    # (N, T) int8
-    channel_est: np.ndarray  # (N, T) complex, hat h = hat x
-
-
 def bayes_detect(post: PosteriorSummary) -> np.ndarray:
     """Bayes decisions: active iff pi_bar >= 0.5 (tie resolves to active)."""
     return (post.pi_bar >= 0.5).astype(np.int8)
 
 
-def detect_sequence(result: SequenceResult) -> DetectionResult:
-    """Assemble decisions and channel estimates for a whole run.
-
-    The channel estimate of every user, active or not, is its converged AMP
-    posterior mean, so ``channel_est`` is ``result.x_hat``.
-    """
-    decisions = np.stack([bayes_detect(r.posterior) for r in result.records], axis=1)
-    return DetectionResult(decisions, result.x_hat)
+def detect_sequence(result: SequenceResult) -> np.ndarray:
+    """(N, T) int8 Bayes decisions of a whole run, column t from ADT t."""
+    return np.stack([bayes_detect(r.posterior) for r in result.records], axis=1)
 
 
 def metric_nmse(est: np.ndarray, truth: np.ndarray) -> float:

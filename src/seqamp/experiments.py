@@ -261,8 +261,8 @@ def _algo_matrices(name: str, scenario: Scenario, cfg: SystemConfig,
     """(x_hat, decisions) as (N, T) matrices for one algorithm on one scenario."""
     if name in ("s_amp", "amp_mmse"):
         run = s_amp_run if name == "s_amp" else baselines.amp_mmse
-        det = detect_sequence(run(scenario, cfg))
-        return det.channel_est, det.decisions
+        result = run(scenario, cfg)
+        return result.x_hat, detect_sequence(result)
     if name == "amp_soft":
         # the ADTs are independent columns of one block
         res = baselines.amp_soft(scenario.received, scenario.pilots, cfg, alpha)

@@ -39,7 +39,7 @@ from .rng import complex_normal, stream
 from .scenario import ar1_channels  # noqa: F401  unused; perfbench traces this binding
 from .scenario import (ar1_scales, ar1_step, derive_noise_var, gen_user_profiles,
                        markov_activity)
-from .sequential import moment_match, prior_propagate
+from .sequential import initial_prior, moment_match, prior_propagate
 
 __all__ = [
     "SeSamples",
@@ -117,15 +117,15 @@ def static_sampler(cfg: SystemConfig) -> Callable[[int, np.random.Generator], Se
     """Sampler of i.i.d. (X, prior, V) triples under the static signal law.
 
     rho follows the configured geometry, X = Bernoulli(lam) * CN(0, rho),
-    and the per-sample prior is the matched static triple (lam, 0, rho).
+    and the per-sample prior is AMP-MMSE's static triple (lam, 0, rho),
+    :func:`sequential.initial_prior`.
     """
 
     def draw(m: int, rng: np.random.Generator) -> SeSamples:
-        rho = gen_user_profiles(cfg, rng, n=m).channel_var
+        profiles = gen_user_profiles(cfg, rng, n=m)
         active = rng.random(m) < cfg.lam
-        x = active * np.sqrt(rho) * _cn_unit(rng, m)
-        prior = BgPrior(np.full(m, cfg.lam), np.zeros(m, dtype=complex), rho)
-        return SeSamples(x, prior, _cn_unit(rng, m))
+        x = active * np.sqrt(profiles.channel_var) * _cn_unit(rng, m)
+        return SeSamples(x, initial_prior(cfg, profiles), _cn_unit(rng, m))
 
     return draw
 
@@ -228,9 +228,8 @@ def se_sequential_trace(cfg: SystemConfig, n_samples: int = SE_TRACE_SAMPLES,
     profiles = gen_user_profiles(cfg, stream(cfg.seed, 0, "se-profiles"), n=n_samples)
     rho, eta = profiles.channel_var, profiles.ar_coeff
 
-    static_prior = BgPrior(np.full(n_samples, cfg.lam),
-                           np.zeros(n_samples, dtype=complex), rho)
-    prior = static_prior
+    # one object for both priors at ADT 1, as in the algorithm's driver
+    static_prior = prior = initial_prior(cfg, profiles)
     c_seq = np.empty(t_total)
     c_static = np.empty(t_total)
     all_converged = True

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqamp.denoiser import (BgPrior, _logistic_neg, active_branch, denoise_deriv,
@@ -286,7 +286,9 @@ def complex_denoise_var(phi, c, prior):
     s_act = logistic(-lg)
     s_idle = logistic(lg)
     kappa = prior.psi * c / (prior.psi + c)
-    m2 = np.abs(complex_linear_mmse(phi, c, prior)) ** 2
+    # np.square, as on arrays: ** 2 on a numpy scalar goes through libm pow,
+    # which can differ from x*x in the last bit
+    m2 = np.square(np.abs(complex_linear_mmse(phi, c, prior)))
     return s_act * kappa + s_act * s_idle * m2
 
 
@@ -339,6 +341,13 @@ class TestPartwiseEqualsComplex:
 
     @given(kernel_cases())
     @settings(max_examples=400, deadline=None)
+    # scalar and 0-d cases where |m|**2 by pow missed x*x in the last bit
+    @example((-7.02997248327172 + 24.41836230713524j, 8.813524570812332,
+              BgPrior(0.4302870674511049, 2.3400372732124755 - 1.8308167316669854j,
+                      0.7690188123424659)))
+    @example((np.asarray(39.88812822802342 + 40.47871375206151j), 5.2474394265359114,
+              BgPrior(0.776843984523158, 0.8827076643286005 - 2.9230053083312866j,
+                      0.24304333122479407)))
     def test_kernels(self, case):
         phi, c, prior = case
         pairs = [(log_gamma, complex_log_gamma),

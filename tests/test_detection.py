@@ -73,7 +73,7 @@ class TestBayesDetect:
 
 
 class TestChannelEstimate:
-    """detect_sequence reports every user's AMP posterior mean as hat h."""
+    """SequenceResult.x_hat reports every user's AMP posterior mean as hat h."""
 
     @staticmethod
     def run_with_means(*mus):
@@ -86,14 +86,14 @@ class TestChannelEstimate:
         return SequenceResult(records)
 
     def test_zero_means(self):
-        det = detect_sequence(self.run_with_means(np.zeros(4, dtype=complex)))
-        assert det.channel_est.shape == (4, 1)
-        assert np.all(det.channel_est == 0)
+        x_hat = self.run_with_means(np.zeros(4, dtype=complex)).x_hat
+        assert x_hat.shape == (4, 1)
+        assert np.all(x_hat == 0)
 
     def test_is_posterior_mean_vector(self):
         mus = (np.array([1.0 + 1j, -2.0]), np.array([0.5j, 3.0 - 1j]))
-        det = detect_sequence(self.run_with_means(*mus))
-        assert np.array_equal(det.channel_est, np.stack(mus, axis=1))
+        x_hat = self.run_with_means(*mus).x_hat
+        assert np.array_equal(x_hat, np.stack(mus, axis=1))
 
 
 class TestNmse:
@@ -174,10 +174,8 @@ class TestDetectSequence:
         cfg = desk_config(n_users=40, pilot_len=12, n_adts=3)
         scn = make_scenario(cfg, 0)
         run = s_amp_run(scn, cfg)
-        det = detect_sequence(run)
-        assert det.decisions.shape == (40, 3)
-        assert det.channel_est.shape == (40, 3)
+        decisions = detect_sequence(run)
+        assert decisions.shape == (40, 3) and decisions.dtype == np.int8
         for t, rec in enumerate(run.records):
-            assert np.array_equal(det.decisions[:, t],
+            assert np.array_equal(decisions[:, t],
                                   (rec.posterior.pi_bar >= 0.5).astype(np.int8))
-            assert np.array_equal(det.channel_est[:, t], rec.amp.mu)

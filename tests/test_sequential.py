@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from seqamp.baselines import amp_mmse
 from seqamp.config import SystemConfig, desk_config
 from seqamp.denoiser import BgPrior, denoise_mean, gamma, log_gamma
-from seqamp.detection import detect_sequence
 from seqamp.quadrature import h_moments
 from seqamp.scenario import channel_vars, make_scenario
 from seqamp.sequential import (initial_prior, moment_match, posterior_update,
@@ -268,7 +267,7 @@ class TestSequenceRuns:
             scn = make_scenario(cfg, trial)
             act = scn.activity.astype(bool)
             for k, run in enumerate((s_amp_run(scn, cfg), amp_mmse(scn, cfg))):
-                x_hat = detect_sequence(run).channel_est
+                x_hat = run.x_hat
                 err[k, 0] += np.sum(np.abs(x_hat[act] - scn.channels[act]) ** 2)
                 err[k, 1] += np.sum(np.abs(scn.channels[act]) ** 2)
         nmse = 10 * np.log10(err[:, 0] / err[:, 1])
