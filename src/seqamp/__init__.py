@@ -27,6 +27,6 @@ from .sequential import (PosteriorSummary, SequenceResult, initial_prior,
                          moment_match, posterior_update, prior_propagate,
                          s_amp_run)
 from .state_evolution import (SeFixpoint, SeSamples, SeTrace, se_fixpoint,
-                              se_sequential_trace, se_step, static_sampler)
+                              se_sequential_trace, se_step)
 
 __version__ = "0.1.0"

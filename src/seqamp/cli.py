@@ -69,8 +69,11 @@ def _reject_run_only_flags(args: argparse.Namespace) -> None:
 
 
 def _criteria_ids(text: str | None) -> list[int] | None:
-    """Criterion numbers from a comma list; None (all) when not given."""
-    if not text:
+    """Criterion numbers from a comma list; None (all) when not given.
+
+    A list that names no criterion, or one criterion twice, is a ConfigError.
+    """
+    if text is None:
         return None
     ids = []
     for tok in filter(None, (t.strip() for t in text.split(","))):
@@ -79,7 +82,11 @@ def _criteria_ids(text: str | None) -> list[int] | None:
             raise ConfigError(f"--criteria: no criterion {tok!r} "
                               f"(choose from {min(acceptance.CHECKS)}-"
                               f"{max(acceptance.CHECKS)})")
+        if cid in ids:
+            raise ConfigError(f"--criteria: criterion {cid} given twice")
         ids.append(cid)
+    if not ids:
+        raise ConfigError(f"--criteria: {text!r} names no criterion")
     return ids
 
 

@@ -102,13 +102,22 @@ class ExperimentSpec:
             raise ConfigError(f"{self.axis} is not a sweepable key")
         if not self.algorithms:
             raise ConfigError("at least one algorithm is required")
+        if len(set(self.algorithms)) < len(self.algorithms):
+            raise ConfigError(f"algorithm listed twice: {', '.join(self.algorithms)}")
         if self.workers < 1:
             raise ConfigError(f"workers must be at least 1, got {self.workers}")
+        if self.axis is not None and not self.values:
+            raise ConfigError(f"sweep axis {self.axis} has no values")
+        points = []
         for value in self.values:
             try:
-                self._point(value)
+                point = self._point(value)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"sweep point {self.axis} = {value}: {exc}") from exc
+            if point in points:
+                raise ConfigError(f"sweep point {self.axis} = {value} repeats "
+                                  f"{self.values[points.index(point)]}")
+            points.append(point)
 
     def _point(self, value) -> SystemConfig:
         return self.base.with_(**_field_values(self.base, {self.axis: value}))

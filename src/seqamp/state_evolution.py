@@ -6,10 +6,10 @@ The scalar recursion
 
 predicts the AMP effective noise level when the denoiser matches the prior;
 noise_var is the configured noise power derive_noise_var(cfg).
-The expectation is estimated over a frozen batch of (X, prior, V) samples;
-freezing the batch makes the fixed-point map deterministic, so plain
-successive substitution converges to the 1e-4 relative tolerance instead of
-stalling on resampling noise.
+The expectation is estimated over a frozen batch of (X, V) samples under a
+given per-sample prior; freezing the batch makes the fixed-point map
+deterministic, so plain successive substitution converges to the 1e-4
+relative tolerance instead of stalling on resampling noise.
 
 The sequential trace replays the algorithm's own moment-matching recursion
 on M independent single-user trajectories: each sample carries its own
@@ -24,9 +24,7 @@ and every trace rescales the channel draws by its own rho.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -46,14 +44,13 @@ __all__ = [
     "SeFixpoint",
     "SeTrace",
     "SeDraws",
-    "static_sampler",
     "se_step",
     "se_fixpoint",
     "se_draws",
     "se_sequential_trace",
 ]
 
-SE_STEP_SAMPLES = 200_000    # default batch for one-shot step / fixpoint
+SE_STEP_SAMPLES = 200_000    # criterion 5's sample count
 SE_TRACE_SAMPLES = 20_000    # default trajectories for sequential traces
 FIXPOINT_TOL = 1e-4
 FIXPOINT_MAX_ITERS = 200
@@ -62,14 +59,14 @@ NOR_REF_DBM = 13.0           # reference power P0 of nor(c_t) = (P/P0) c_t
 
 @dataclass(frozen=True)
 class SeSamples:
-    """Frozen Monte-Carlo batch: signals X, per-sample priors, CN(0,1) noise.
+    """Frozen Monte-Carlo batch: signals X and CN(0,1) noise V.
 
     The parts of x and v are copied once into contiguous arrays
     (``x_re``, ``x_im``, ``v_re``, ``v_im``), which every step reads.
+    The prior the batch is denoised under is an argument of each step.
     """
 
     x: np.ndarray        # (M,) complex
-    prior: BgPrior       # per-sample parameter triples
     v: np.ndarray        # (M,) complex, standard circular Gaussian
     x_re: np.ndarray = field(init=False, repr=False, compare=False)
     x_im: np.ndarray = field(init=False, repr=False, compare=False)
@@ -81,12 +78,6 @@ class SeSamples:
             a = np.asarray(getattr(self, name))
             object.__setattr__(self, f"{name}_re", np.array(a.real, dtype=float))
             object.__setattr__(self, f"{name}_im", np.array(a.imag, dtype=float))
-
-    def with_prior(self, prior: BgPrior) -> SeSamples:
-        """The same signals and noise under another prior, sharing the parts."""
-        other = copy.copy(self)
-        object.__setattr__(other, "prior", prior)
-        return other
 
 
 @dataclass(frozen=True)
@@ -109,29 +100,10 @@ class SeTrace:
     converged: bool
 
 
-def _cn_unit(rng: np.random.Generator, shape) -> np.ndarray:
-    return complex_normal(rng, shape, np.sqrt(0.5))
-
-
-def static_sampler(cfg: SystemConfig) -> Callable[[int, np.random.Generator], SeSamples]:
-    """Sampler of i.i.d. (X, prior, V) triples under the static signal law.
-
-    rho follows the configured geometry, X = Bernoulli(lam) * CN(0, rho),
-    and the per-sample prior is AMP-MMSE's static triple (lam, 0, rho),
-    :func:`sequential.initial_prior`.
-    """
-
-    def draw(m: int, rng: np.random.Generator) -> SeSamples:
-        profiles = gen_user_profiles(cfg, rng, n=m)
-        active = rng.random(m) < cfg.lam
-        x = active * np.sqrt(profiles.channel_var) * _cn_unit(rng, m)
-        return SeSamples(x, initial_prior(cfg, profiles), _cn_unit(rng, m))
-
-    return draw
-
-
-def se_step(c: float, samples: SeSamples, cfg: SystemConfig) -> float:
+def se_step(c: float, samples: SeSamples, prior: BgPrior, cfg: SystemConfig) -> float:
     """One state-evolution step: noise_var + (N/L) * mean |F(X+sqrt(c)V) - X|^2.
+
+    F is the denoiser under ``prior``, one parameter triple per sample.
 
     phi, F and the error are formed on the samples' contiguous parts, by
     the floating-point operations numpy makes for the complex expressions
@@ -143,7 +115,7 @@ def se_step(c: float, samples: SeSamples, cfg: SystemConfig) -> float:
     phi_re += samples.x_re
     phi_im = np.multiply(samples.v_im, s)
     phi_im += samples.x_im
-    f_re, f_im = denoise_mean(phi_re, phi_im, c, samples.prior)
+    f_re, f_im = denoise_mean(phi_re, phi_im, c, prior)
     # phi's buffers are free now; the error is formed in them
     err = np.subtract(f_re, samples.x_re, out=phi_re)
     err *= err
@@ -154,7 +126,7 @@ def se_step(c: float, samples: SeSamples, cfg: SystemConfig) -> float:
     return derive_noise_var(cfg) + (cfg.n_users / cfg.pilot_len) * mse
 
 
-def se_fixpoint(samples: SeSamples, cfg: SystemConfig) -> SeFixpoint:
+def se_fixpoint(samples: SeSamples, prior: BgPrior, cfg: SystemConfig) -> SeFixpoint:
     """Successive substitution from AMP's own seed c0 = C0_FACTOR * noise_var.
 
     Stops at |dc|/c < 1e-4; past 200 iterations the last iterate is
@@ -162,7 +134,7 @@ def se_fixpoint(samples: SeSamples, cfg: SystemConfig) -> SeFixpoint:
     """
     c = C0_FACTOR * derive_noise_var(cfg)
     for it in range(1, FIXPOINT_MAX_ITERS + 1):
-        c_next = se_step(c, samples, cfg)
+        c_next = se_step(c, samples, prior, cfg)
         done = abs(c_next - c) / c_next < FIXPOINT_TOL
         c = c_next
         if done:
@@ -241,13 +213,12 @@ def se_sequential_trace(cfg: SystemConfig, n_samples: int = SE_TRACE_SAMPLES,
         ar1_step(h if t else None, draws.channel[t], eta, scale, out=h)
         np.multiply(h, draws.activity[t], out=x_t)
         v_t = draws.noise[t]
-        seq_batch = SeSamples(x_t, prior, v_t)
-        fp = se_fixpoint(seq_batch, cfg)
+        batch = SeSamples(x_t, v_t)
+        fp = se_fixpoint(batch, prior, cfg)
         c_seq[t] = fp.c
         all_converged &= fp.converged
 
-        static_batch = seq_batch.with_prior(static_prior)
-        fp_s = se_fixpoint(static_batch, cfg)
+        fp_s = se_fixpoint(batch, static_prior, cfg)
         c_static[t] = fp_s.c
         all_converged &= fp_s.converged
 

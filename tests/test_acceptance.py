@@ -3,8 +3,9 @@
 Each test executes the shared check (also reachable via ``seqamp check``),
 prints its PASS/FAIL line and asserts the stated thresholds.  Criterion 4's
 detection-error clause is a known honest failure at the pinned desk profile
-(T = 10 truncates the prior-accumulation window); see the analysis in the
-decisions ledger.  The check is asserted exactly as specified regardless.
+(T = 10 truncates the prior-accumulation window); see README "Expected
+suite outcome" and the docstring of ``acceptance.check_temporal_gain``.  The
+check is asserted exactly as specified regardless.
 """
 
 from seqamp.acceptance import CHECKS

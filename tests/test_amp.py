@@ -10,7 +10,7 @@ from seqamp.denoiser import BgPrior
 from seqamp.rng import stream
 from seqamp.scenario import make_scenario
 from seqamp.sequential import initial_prior
-from seqamp.state_evolution import se_fixpoint, static_sampler
+from seqamp.state_evolution import se_sequential_trace
 
 
 def scalar_cfg(noise_var):
@@ -181,7 +181,6 @@ class TestSweepInvariants:
             scn = make_scenario(cfg, trial)
             prior = initial_prior(cfg, scn.profiles)
             cs.append(amp_run(scn.received[:, 0], scn.pilots, prior, cfg).c)
-        samples = static_sampler(cfg)(100_000, stream(cfg.seed, 0, "se-test"))
-        fp = se_fixpoint(samples, cfg)
-        assert fp.converged
-        assert abs(fp.c - np.mean(cs)) / np.mean(cs) <= 0.15
+        trace = se_sequential_trace(cfg, n_samples=100_000)
+        assert trace.converged
+        assert abs(trace.c_static[0] - np.mean(cs)) / np.mean(cs) <= 0.15

@@ -124,6 +124,22 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown algorithm"):
             load_config(None, {"algos": "s_amp,wizardry"})
 
+    def test_repeated_algorithm_rejected(self):
+        with pytest.raises(ConfigError, match="algorithm listed twice"):
+            load_config(None, {"algos": "oracle_ls,oracle_ls"})
+
+    def test_axis_without_values_rejected(self):
+        with pytest.raises(ConfigError, match="pilot_len has no values"):
+            ExperimentSpec(SystemConfig(), axis="pilot_len", values=())
+
+    @pytest.mark.parametrize("key,values", [("tx_power_dbm", "27,27"),
+                                            ("r0", "0,0.0"),
+                                            ("tx_power_dbm", "27,30,27.0")],
+                             ids=["tx_power_dbm", "r0", "tx_power_dbm-spelling"])
+    def test_repeated_sweep_point_rejected(self, key, values):
+        with pytest.raises(ConfigError, match="repeats"):
+            load_config(None, {key: values})
+
     def test_desk_profile(self):
         spec = load_config(None, {}, desk=True)
         assert (spec.base.n_users, spec.base.pilot_len,
@@ -579,7 +595,7 @@ class TestCli:
     def test_missing_config_file(self):
         assert cli_main(["run", "--config", "/nonexistent/path.cfg"]) == 1
 
-    @pytest.mark.parametrize("criteria", ["x", "11", "3,x"])
+    @pytest.mark.parametrize("criteria", ["x", "11", "3,x", ",", " , ", "", "2,2"])
     def test_bad_criteria_list_is_config_error(self, capsys, criteria):
         assert cli_main(["check", "--criteria", criteria]) == 1
         captured = capsys.readouterr()

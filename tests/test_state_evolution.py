@@ -24,11 +24,12 @@ def config_with_noise(noise_var, n_users, pilot_len, **kw):
 
 
 def bg_samples(m, lam, rho, rng):
+    """A Bernoulli-Gaussian batch and its static prior (lam, 0, rho)."""
     active = rng.random(m) < lam
     x = active * np.sqrt(rho / 2) * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
     prior = BgPrior(np.full(m, lam), np.zeros(m, dtype=complex), np.full(m, rho))
     v = np.sqrt(0.5) * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
-    return SeSamples(x, prior, v)
+    return SeSamples(x, v), prior
 
 
 def mmse_by_radial_quadrature(lam, rho, c, n_radial=400):
@@ -47,21 +48,21 @@ class TestSeStep:
     def test_excess_vanishes_with_load(self):
         # the excess over the noise floor is linear in N/L, so it tends to 0
         # with the load (N/L -> 0 itself is outside the config invariant)
-        samples = bg_samples(20_000, 0.05, 1.0, stream(0, 0, "se"))
+        samples, prior = bg_samples(20_000, 0.05, 1.0, stream(0, 0, "se"))
         noise_var = 0.01
-        excess = [se_step(1.0, samples, config_with_noise(noise_var, n, 100))
+        excess = [se_step(1.0, samples, prior, config_with_noise(noise_var, n, 100))
                   - noise_var for n in (400, 200, 100)]
         assert excess[1] == pytest.approx(excess[0] / 2, rel=1e-9)
         assert excess[2] == pytest.approx(excess[0] / 4, rel=1e-9)
 
     def test_perfect_denoiser_stub(self, monkeypatch):
         cfg = config_with_noise(0.37, n_users=500, pilot_len=100)
-        samples = bg_samples(5_000, cfg.lam, 1.0, stream(0, 0, "se"))
+        samples, prior = bg_samples(5_000, cfg.lam, 1.0, stream(0, 0, "se"))
         # se_step's denoiser is the parts kernel, bound as se.denoise_mean
         monkeypatch.setattr(se, "denoise_mean",
                             lambda re, im, c, pr: (samples.x_re, samples.x_im))
         parts_before = samples.x_re.copy(), samples.x_im.copy()
-        assert se_step(2.0, samples, cfg) == pytest.approx(0.37)
+        assert se_step(2.0, samples, prior, cfg) == pytest.approx(0.37)
         # the denoiser's output is the samples' own parts: se_step must not write to it
         assert np.array_equal(samples.x_re, parts_before[0])
         assert np.array_equal(samples.x_im, parts_before[1])
@@ -70,23 +71,23 @@ class TestSeStep:
         # batch sized so the 1% tolerance sits at ~3 sigma of the MC noise
         lam, rho, c, noise_var = 0.05, 1.0, 1.0, 0.01
         cfg = config_with_noise(noise_var, n_users=500, pilot_len=100, lam=lam)
-        samples = bg_samples(2_000_000, lam, rho, stream(1, 0, "se-quad"))
-        mc = se_step(c, samples, cfg)
+        samples, prior = bg_samples(2_000_000, lam, rho, stream(1, 0, "se-quad"))
+        mc = se_step(c, samples, prior, cfg)
         ref = noise_var + (cfg.n_users / cfg.pilot_len) * \
             mmse_by_radial_quadrature(lam, rho, c)
         assert mc == pytest.approx(ref, rel=0.01)
 
     def test_monotone_in_load(self):
-        samples = bg_samples(50_000, 0.05, 1.0, stream(2, 0, "se"))
-        outs = [se_step(0.5, samples, config_with_noise(0.01, n, 100))
+        samples, prior = bg_samples(50_000, 0.05, 1.0, stream(2, 0, "se"))
+        outs = [se_step(0.5, samples, prior, config_with_noise(0.01, n, 100))
                 for n in (100, 200, 400, 800)]
         assert all(a <= b for a, b in zip(outs, outs[1:]))
 
     def test_never_below_noise_floor(self):
         cfg = config_with_noise(0.05, n_users=300, pilot_len=100)
-        samples = bg_samples(20_000, cfg.lam, 1.0, stream(3, 0, "se"))
+        samples, prior = bg_samples(20_000, cfg.lam, 1.0, stream(3, 0, "se"))
         for c in (0.01, 0.1, 1.0, 10.0):
-            assert se_step(c, samples, cfg) >= 0.05
+            assert se_step(c, samples, prior, cfg) >= 0.05
 
     def test_mmse_monotone_in_noise_level(self):
         # quadrature MSE of the exact posterior mean grows with c
@@ -95,10 +96,10 @@ class TestSeStep:
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
-def complex_se_step(c, samples, cfg):
+def complex_se_step(c, samples, prior, cfg):
     """The complex expressions se_step's part-wise form replaced, verbatim."""
     phi = samples.x + np.sqrt(c) * samples.v
-    err = denoise_mean(phi, c, samples.prior) - samples.x
+    err = denoise_mean(phi, c, prior) - samples.x
     mse = float(np.mean(err.real ** 2 + err.imag ** 2))
     return derive_noise_var(cfg) + (cfg.n_users / cfg.pilot_len) * mse
 
@@ -109,7 +110,7 @@ def _finite(lo, hi):
 
 @st.composite
 def step_cases(draw):
-    """(c, samples): per-sample or scalar priors, zero-mean and boundary pi."""
+    """(c, samples, prior): per-sample or scalar priors, zero-mean and boundary pi."""
     m = draw(st.integers(1, 12))
 
     def vec(elements):
@@ -126,39 +127,39 @@ def step_cases(draw):
     active = vec(st.booleans())
     x = active * (vec(_finite(-5.0, 5.0)) + 1j * vec(_finite(-5.0, 5.0)))
     v = vec(_finite(-4.0, 4.0)) + 1j * vec(_finite(-4.0, 4.0))
-    return draw(_finite(1e-4, 10.0)), SeSamples(x, BgPrior(pi, xi, psi), v)
+    return draw(_finite(1e-4, 10.0)), SeSamples(x, v), BgPrior(pi, xi, psi)
 
 
 class TestSeStepPartwise:
     @given(step_cases())
     @settings(max_examples=300, deadline=None)
     def test_equals_complex_step(self, case):
-        c, samples = case
+        c, samples, prior = case
         cfg = SystemConfig()
-        assert se_step(c, samples, cfg) == complex_se_step(c, samples, cfg)
+        assert se_step(c, samples, prior, cfg) == complex_se_step(c, samples, prior, cfg)
 
 
 class TestSeFixpoint:
     def test_perfect_denoiser_converges_immediately(self, monkeypatch):
         cfg = config_with_noise(0.2, n_users=500, pilot_len=100)
-        samples = bg_samples(5_000, cfg.lam, 1.0, stream(0, 0, "se"))
+        samples, prior = bg_samples(5_000, cfg.lam, 1.0, stream(0, 0, "se"))
         monkeypatch.setattr(se, "denoise_mean",
                             lambda re, im, c, pr: (samples.x_re, samples.x_im))
-        fp = se_fixpoint(samples, cfg)
+        fp = se_fixpoint(samples, prior, cfg)
         assert fp.converged and fp.c == pytest.approx(0.2)
         assert fp.iters <= 2
 
     def test_sparse_limit_returns_noise_floor(self):
         cfg = config_with_noise(0.1, n_users=500, pilot_len=100, lam=1e-4)
-        samples = bg_samples(50_000, cfg.lam, 1.0, stream(4, 0, "se"))
-        fp = se_fixpoint(samples, cfg)
+        samples, prior = bg_samples(50_000, cfg.lam, 1.0, stream(4, 0, "se"))
+        fp = se_fixpoint(samples, prior, cfg)
         assert fp.converged
         assert fp.c == pytest.approx(0.1, rel=0.02)
 
     def test_fixpoint_above_noise_floor(self):
         cfg = config_with_noise(0.01, n_users=500, pilot_len=100, lam=0.05)
-        samples = bg_samples(100_000, cfg.lam, 1.0, stream(5, 0, "se"))
-        fp = se_fixpoint(samples, cfg)
+        samples, prior = bg_samples(100_000, cfg.lam, 1.0, stream(5, 0, "se"))
+        fp = se_fixpoint(samples, prior, cfg)
         assert fp.converged and fp.c >= 0.01
 
     @pytest.mark.parametrize("cfg", [desk_config(), config_with_noise(0.01, 500, 100)],
@@ -168,12 +169,12 @@ class TestSeFixpoint:
         seeds = []
         original = se.se_step
 
-        def probed(c, samples, cfg):
+        def probed(c, samples, prior, cfg):
             seeds.append(c)
-            return original(c, samples, cfg)
+            return original(c, samples, prior, cfg)
 
         monkeypatch.setattr(se, "se_step", probed)
-        se_fixpoint(bg_samples(1_000, cfg.lam, 1.0, stream(6, 0, "se")), cfg)
+        se_fixpoint(*bg_samples(1_000, cfg.lam, 1.0, stream(6, 0, "se")), cfg)
         assert seeds[0] == amp_init(np.zeros(cfg.pilot_len, dtype=complex), cfg).c
 
 
@@ -222,13 +223,13 @@ class TestContiguousColumns:
         cfg = desk_config()
         rng = stream(6, 0, "se-layout")
         wide = [bg_samples(5_000, cfg.lam, 1.0, rng) for _ in range(3)]
-        x = np.stack([s.x for s in wide], axis=1)
-        v = np.stack([s.v for s in wide], axis=1)
-        prior = wide[1].prior
-        strided = se_fixpoint(SeSamples(x[:, 1], prior, v[:, 1]), cfg)
+        x = np.stack([s.x for s, _ in wide], axis=1)
+        v = np.stack([s.v for s, _ in wide], axis=1)
+        prior = wide[1][1]
+        strided = se_fixpoint(SeSamples(x[:, 1], v[:, 1]), prior, cfg)
         contiguous = se_fixpoint(
-            SeSamples(np.ascontiguousarray(x[:, 1]), prior,
-                      np.ascontiguousarray(v[:, 1])), cfg)
+            SeSamples(np.ascontiguousarray(x[:, 1]), np.ascontiguousarray(v[:, 1])),
+            prior, cfg)
         assert not x[:, 1].flags.c_contiguous
         assert strided.c == contiguous.c
         assert strided.iters == contiguous.iters
@@ -237,10 +238,10 @@ class TestContiguousColumns:
         layouts = []
         original = se.se_fixpoint
 
-        def probed(samples, cfg):
+        def probed(samples, prior, cfg):
             layouts.append((samples.x.flags.c_contiguous,
                             samples.v.flags.c_contiguous))
-            return original(samples, cfg)
+            return original(samples, prior, cfg)
 
         monkeypatch.setattr(se, "se_fixpoint", probed)
         se_sequential_trace(desk_config(n_adts=3), n_samples=1000)
