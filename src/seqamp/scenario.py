@@ -27,6 +27,7 @@ __all__ = [
     "Profiles",
     "Scenario",
     "derive_noise_var",
+    "channel_power",
     "gen_user_profiles",
     "gen_pilots",
     "markov_activity",
@@ -96,6 +97,11 @@ def _bessel_j0(x: np.ndarray) -> np.ndarray:
     return deficit
 
 
+def channel_power(cfg: SystemConfig, pathloss_db: np.ndarray) -> np.ndarray:
+    """rho_n = 10**((tx_power_dbm + pathloss_db - 30)/10) watts, per user."""
+    return 10.0 ** ((cfg.tx_power_dbm + pathloss_db - 30.0) / 10.0)
+
+
 def gen_user_profiles(cfg: SystemConfig, rng: np.random.Generator,
                       n: int | None = None) -> Profiles:
     """Draw per-user geometry and derived radio parameters.
@@ -112,8 +118,7 @@ def gen_user_profiles(cfg: SystemConfig, rng: np.random.Generator,
     # the AR-1 innovation variance (1 - eta^2)*rho must not go negative, so
     # |eta| <= 1 is enforced rather than trusted to the last ulp of J0
     eta = np.clip(_bessel_j0(2.0 * np.pi * doppler * cfg.adp_duration_s), -1.0, 1.0)
-    rho = 10.0 ** ((cfg.tx_power_dbm + pathloss_db - 30.0) / 10.0)
-    return Profiles(pathloss_db, rho, doppler, eta)
+    return Profiles(pathloss_db, channel_power(cfg, pathloss_db), doppler, eta)
 
 
 def gen_pilots(cfg: SystemConfig, rng: np.random.Generator) -> np.ndarray:

@@ -17,9 +17,10 @@ on M independent single-user trajectories: each sample carries its own
 scalar pseudo-observation phi = x + sqrt(c_t) v after each ADT, and the
 fixpoint is recomputed per ADT.  A static-prior trace over the identical
 samples provides the matched-pair baseline.  The activity chains, the unit
-channel draws and the noise do not depend on the transmit power or the
-pilot length, so a sweep over those draws them once (:class:`SeDraws`)
-and every trace rescales the channel draws by its own rho.
+channel draws, the noise and each trajectory's path loss, Doppler and eta
+do not depend on the transmit power or the pilot length, so a sweep over
+those draws them once (:class:`SeDraws`) and every trace forms its own rho
+from the path loss and rescales the channel draws by it.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from .denoiser import BgPrior
 from .denoiser import denoise_mean_parts as denoise_mean
 from .rng import complex_normal, stream
 from .scenario import ar1_channels  # noqa: F401  unused; perfbench traces this binding
-from .scenario import (ar1_scales, ar1_step, derive_noise_var, gen_user_profiles,
-                       markov_activity)
+from .scenario import (Profiles, ar1_scales, ar1_step, channel_power, derive_noise_var,
+                       gen_user_profiles, markov_activity)
 from .sequential import initial_prior, moment_match, prior_propagate
 
 __all__ = [
@@ -149,26 +150,39 @@ class SeDraws:
     ``activity`` is the Markov activity, ``channel`` the unit draws the
     AR-1 recursion scales by each trace's rho and eta, and ``noise`` the
     CN(0, 1) noise, each (T, M): row t, contiguous, is ADT t+1 of all M
-    trajectories.  They come from streams keyed by (seed, purpose) only,
-    so every trace whose config agrees on ``key`` (seed, lam, r_scale,
-    n_adts and the sample count) draws exactly them.
+    trajectories.  ``pathloss_db``, ``doppler_hz`` and ``eta`` are the
+    trajectories' (M,) link geometry; only rho, formed from the path loss,
+    depends on the power.  They come from streams keyed by (seed, purpose)
+    only, so every trace whose config agrees on ``key`` (the fields of
+    ``_DRAWS_KEY_FIELDS`` and the sample count) draws exactly them.
     """
 
     key: tuple
     activity: np.ndarray
     channel: np.ndarray
     noise: np.ndarray
+    pathloss_db: np.ndarray
+    doppler_hz: np.ndarray
+    eta: np.ndarray
+
+
+# the config fields the draws depend on: traffic, horizon and link geometry
+_DRAWS_KEY_FIELDS = ("seed", "lam", "r_scale", "n_adts", "dist_range_km",
+                     "speed_range_kmh", "pathloss_intercept_db", "pathloss_slope",
+                     "carrier_hz", "adp_duration_s")
 
 
 def _draws_key(cfg: SystemConfig, n_samples: int) -> tuple:
-    return (cfg.seed, cfg.lam, cfg.r_scale, cfg.n_adts, n_samples)
+    return tuple(getattr(cfg, name) for name in _DRAWS_KEY_FIELDS) + (n_samples,)
 
 
 def se_draws(cfg: SystemConfig, n_samples: int = SE_TRACE_SAMPLES) -> SeDraws:
     """The trajectories' draws from trial 0's streams of cfg.seed.
 
     Each is drawn as the (M, T) array it always was and stored transposed,
-    the complex ones written straight into their (T, M) buffers.
+    the complex ones written straight into their (T, M) buffers.  The
+    geometry comes from one :func:`gen_user_profiles` draw, whose rho is
+    dropped.
     """
     shape = (n_samples, cfg.n_adts)
     act = markov_activity(cfg.lam, cfg.p01, cfg.p10, n_samples, cfg.n_adts,
@@ -176,8 +190,10 @@ def se_draws(cfg: SystemConfig, n_samples: int = SE_TRACE_SAMPLES) -> SeDraws:
     channel, noise = np.empty((2, cfg.n_adts, n_samples), dtype=complex)
     complex_normal(stream(cfg.seed, 0, "se-channels"), shape, out=channel.T)
     complex_normal(stream(cfg.seed, 0, "se-noise"), shape, np.sqrt(0.5), out=noise.T)
+    geometry = gen_user_profiles(cfg, stream(cfg.seed, 0, "se-profiles"), n=n_samples)
     return SeDraws(_draws_key(cfg, n_samples), np.ascontiguousarray(act.T),
-                   channel, noise)
+                   channel, noise, geometry.pathloss_db, geometry.doppler_hz,
+                   geometry.ar_coeff)
 
 
 def se_sequential_trace(cfg: SystemConfig, n_samples: int = SE_TRACE_SAMPLES,
@@ -194,11 +210,11 @@ def se_sequential_trace(cfg: SystemConfig, n_samples: int = SE_TRACE_SAMPLES,
     if draws is None:
         draws = se_draws(cfg, n_samples)
     elif draws.key != key:
-        raise ValueError(f"SE draws made for (seed, lam, r_scale, n_adts, n_samples) "
-                         f"= {draws.key}, not {key}")
+        names = (*_DRAWS_KEY_FIELDS, "n_samples")
+        raise ValueError(f"SE draws made for {names} = {draws.key}, not {key}")
     t_total = cfg.n_adts
-    profiles = gen_user_profiles(cfg, stream(cfg.seed, 0, "se-profiles"), n=n_samples)
-    rho, eta = profiles.channel_var, profiles.ar_coeff
+    rho, eta = channel_power(cfg, draws.pathloss_db), draws.eta
+    profiles = Profiles(draws.pathloss_db, rho, draws.doppler_hz, eta)
 
     # one object for both priors at ADT 1, as in the algorithm's driver
     static_prior = prior = initial_prior(cfg, profiles)

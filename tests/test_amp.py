@@ -8,7 +8,7 @@ from seqamp.amp import (C0_FACTOR, AmpDivergenceError, adjoint, amp_init,
 from seqamp.config import SystemConfig, desk_config
 from seqamp.denoiser import BgPrior
 from seqamp.rng import stream
-from seqamp.scenario import make_scenario
+from seqamp.scenario import gen_pilots, make_scenario
 from seqamp.sequential import initial_prior
 from seqamp.state_evolution import se_sequential_trace
 
@@ -38,6 +38,10 @@ class TestInit:
         assert y[0] == 1.0 + 2.0j  # defensive copy
 
 
+ADJOINT_SHAPES = [desk_config(), SystemConfig(), SystemConfig(n_users=37, pilot_len=11)]
+ADJOINT_IDS = ["desk", "full", "odd"]
+
+
 class TestAdjoint:
     def test_matches_conjugate_transpose_product(self):
         rng = stream(5, 0, "adjoint")
@@ -50,6 +54,31 @@ class TestAdjoint:
         y = scn.received[:, 0]
         np.testing.assert_allclose(adjoint(scn.pilots, y), scn.pilots.conj().T @ y,
                                    rtol=1e-14, atol=0)
+
+    @staticmethod
+    def pilots_and_draws(cfg, k):
+        s = gen_pilots(cfg, stream(cfg.seed, 0, "adjoint-pilots"))
+        rng = stream(cfg.seed, 0, "adjoint-draws")
+        shape = (cfg.pilot_len, k)
+        return s, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    @pytest.mark.parametrize("cfg", ADJOINT_SHAPES, ids=ADJOINT_IDS)
+    def test_vector_bit_equal_to_recorded_form(self, cfg):
+        s, vs = self.pilots_and_draws(cfg, 20)
+        for v in vs.T:
+            v = np.ascontiguousarray(v)
+            # the form every recorded S-AMP, AMP-MMSE and OMP CSV was made with
+            assert np.array_equal(adjoint(s, v), np.conj(s.T @ np.conj(v)))
+
+    @pytest.mark.parametrize("k", [1, 2, 11])
+    @pytest.mark.parametrize("cfg", ADJOINT_SHAPES, ids=ADJOINT_IDS)
+    def test_block_columns_match_vector_calls(self, cfg, k):
+        s, block = self.pilots_and_draws(cfg, k)
+        got = adjoint(s, block)
+        assert got.shape == (cfg.n_users, k)
+        for j in range(k):
+            want = adjoint(s, np.ascontiguousarray(block[:, j]))
+            assert np.linalg.norm(got[:, j] - want) <= 1e-13 * np.linalg.norm(want)
 
     def test_amp_run_never_copies_pilots(self, peak_traced_bytes):
         cfg = SystemConfig(n_users=400, pilot_len=100, n_adts=1)

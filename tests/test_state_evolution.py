@@ -278,8 +278,10 @@ class TestSharedDraws:
         assert rows == want
 
     @pytest.mark.parametrize("change", [dict(seed=2), dict(lam=0.1), dict(r_scale=0.5),
-                                        dict(n_adts=5)],
-                             ids=["seed", "lam", "r_scale", "n_adts"])
+                                        dict(n_adts=5), dict(dist_range_km=(0.1, 1.0)),
+                                        dict(speed_range_kmh=(0.0, 100.0))],
+                             ids=["seed", "lam", "r_scale", "n_adts", "dist_range_km",
+                                  "speed_range_kmh"])
     def test_draws_for_another_key_raise(self, change):
         cfg = desk_config(n_adts=4)
         draws = se_draws(cfg, 500)
