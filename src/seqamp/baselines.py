@@ -40,15 +40,13 @@ class BaselineResult:
     """Output of a non-sequential recovery algorithm on one ADT or a block.
 
     For a column block (one column per ADT or per threshold), ``estimate``
-    is (N, k), ``iterations`` sums the sweeps of all columns and
-    ``residual_norm`` is the Frobenius norm of the residual block.
+    is (N, k) and ``iterations`` sums the sweeps of all columns.
     ``cap_hits`` counts the columns of soft-threshold AMP still running
     when the sweep budget ran out; OMP and oracle LS leave it 0.
     """
 
     estimate: np.ndarray      # (N,) or (N, k) complex
     iterations: int
-    residual_norm: float
     hit_rank_limit: bool = False
     cap_hits: int = 0
 
@@ -94,8 +92,8 @@ def amp_soft(y: np.ndarray, s_mat: np.ndarray, cfg: SystemConfig,
     the a.e. derivative of the denoiser, 1 - alpha*sqrt(c)/(2|phi|) on the
     unclipped set.
 
-    A 1-D ``y`` returns (N,) arrays; a block returns (N, k) arrays, the
-    summed sweeps and the Frobenius norm of the residual block.  Columns
+    A 1-D ``y`` returns an (N,) estimate; a block returns an (N, k) one and
+    the summed sweeps.  Columns
     that had not met the stop test after cfg.amp_iters sweeps are counted
     in ``cap_hits``.  Raises
     ValueError for an alpha that is not finite and positive, and
@@ -110,11 +108,10 @@ def amp_soft(y: np.ndarray, s_mat: np.ndarray, cfg: SystemConfig,
     alphas = _column_alphas(alpha, k)
 
     mu = np.zeros((n, k), dtype=complex)
-    z = block.copy()
     iterations = 0
     # the columns still running, and their compacted state
     run = np.arange(k)
-    y_run, z_run, mu_run, a_run = block, z, mu, alphas
+    y_run, z_run, mu_run, a_run = block, block, mu, alphas
     c_run = np.linalg.norm(z_run, axis=0) ** 2 / l_dim
     for it in range(1, cfg.amp_iters + 1):
         phi = adjoint(s_mat, z_run) + mu_run
@@ -139,18 +136,15 @@ def amp_soft(y: np.ndarray, s_mat: np.ndarray, cfg: SystemConfig,
         done = step < REL_TOL
         if done.any():
             mu[:, run[done]] = mu_run[:, done]
-            z[:, run[done]] = z_run[:, done]
             keep = ~done
             run, a_run, c_run = run[keep], a_run[keep], c_run[keep]
             y_run, z_run, mu_run = y_run[:, keep], z_run[:, keep], mu_run[:, keep]
             if not run.size:
                 break
     mu[:, run] = mu_run
-    z[:, run] = z_run
     if y.ndim == 1:
         mu = mu.reshape(n)
-    return BaselineResult(mu, iterations, float(np.linalg.norm(z)),
-                          cap_hits=int(run.size))
+    return BaselineResult(mu, iterations, cap_hits=int(run.size))
 
 
 def calibrate_soft_alpha(scenario: Scenario, cfg: SystemConfig) -> float:
@@ -233,8 +227,7 @@ def omp(y: np.ndarray, s_mat: np.ndarray, cfg: SystemConfig) -> BaselineResult:
     estimate = np.zeros(n, dtype=complex)
     if selected:
         estimate[selected] = np.linalg.solve(r_mat[:k, :k], q_h_y[:k])
-    return BaselineResult(estimate, k, float(np.linalg.norm(residual)),
-                          hit_rank_limit)
+    return BaselineResult(estimate, k, hit_rank_limit)
 
 
 def oracle_ls(y: np.ndarray, s_mat: np.ndarray,
@@ -251,7 +244,6 @@ def oracle_ls(y: np.ndarray, s_mat: np.ndarray,
     if support_idx.size > l_dim:
         raise ValueError(f"support size {support_idx.size} exceeds L = {l_dim}")
     estimate = np.zeros(n, dtype=complex)
-    residual = np.asarray(y, dtype=complex)
     rank_deficient = False
     if support_idx.size:
         sub = s_mat[:, support_idx]
@@ -263,6 +255,4 @@ def oracle_ls(y: np.ndarray, s_mat: np.ndarray,
         else:
             coef = np.linalg.solve(r, adjoint(q, y))
         estimate[support_idx] = coef
-        residual = residual - sub @ coef
-    return BaselineResult(estimate, 1, float(np.linalg.norm(residual)),
-                          rank_deficient)
+    return BaselineResult(estimate, 1, rank_deficient)

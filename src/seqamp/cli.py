@@ -30,42 +30,44 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _add_hidden(parser: argparse.ArgumentParser, key: str) -> None:
+    parser.add_argument(f"--{key.replace('_', '-')}", dest=key, metavar="V",
+                        help=argparse.SUPPRESS)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
+    """The flags of both ``run`` and ``se``."""
     parser.add_argument("--config", metavar="PATH", help="key = value config file")
     parser.add_argument("--seed", type=int, help="master seed (64-bit)")
-    parser.add_argument("--trials", dest="n_trials", type=int,
-                        help="run only: Monte-Carlo trials per point")
     parser.add_argument("--desk", action="store_true",
                         help="desk-scale profile (N=500, L=125, T=10, 20 trials)")
     parser.add_argument("--out", metavar="PATH", help="output CSV path")
-    parser.add_argument("--algos", metavar="LIST",
-                        help="run only: comma list from: " + " ".join(ALGORITHMS))
-    parser.add_argument("--workers", type=int,
-                        help="run only: parallel trial workers (default 1)")
-    # every other config key has a hidden flag of its own name
+    # every other config key but run's own has a hidden flag of its own name
     for key in SCALAR_KEYS:
-        if key not in ("seed", "n_trials"):
-            parser.add_argument(f"--{key.replace('_', '-')}", dest=key, metavar="V",
-                                help=argparse.SUPPRESS)
+        if key not in ("seed", "n_trials", "amp_iters"):
+            _add_hidden(parser, key)
+
+
+def _add_run_only(parser: argparse.ArgumentParser) -> None:
+    """The flags of ``run`` alone: se runs no algorithms, no trials and no AMP.
+
+    ``se`` config files may still set these keys, since the two commands
+    share config files.
+    """
+    parser.add_argument("--trials", dest="n_trials", type=int,
+                        help="Monte-Carlo trials per point")
+    parser.add_argument("--algos", metavar="LIST",
+                        help="comma list from: " + " ".join(ALGORITHMS))
+    parser.add_argument("--workers", type=int, default=1,
+                        help="parallel trial workers (default 1)")
+    _add_hidden(parser, "amp_iters")
 
 
 def _flags_from_args(args: argparse.Namespace) -> dict:
     """Config entries of the config-key flags given on the command line."""
-    return {key: getattr(args, key) for key in SCALAR_KEYS + ("algos", "out")
-            if getattr(args, key) is not None}
-
-
-def _reject_run_only_flags(args: argparse.Namespace) -> None:
-    """``se`` runs no algorithms and no Monte-Carlo trials, in one process.
-
-    A config file's keys are still accepted, since ``run`` and ``se`` share
-    config files; only the flags, which would be ignored, are refused.
-    """
-    flags = (("--algos", "algos"), ("--workers", "workers"), ("--trials", "n_trials"),
-             ("--amp-iters", "amp_iters"))
-    given = [flag for flag, dest in flags if getattr(args, dest) is not None]
-    if given:
-        raise ConfigError(f"se does not take {' or '.join(given)}")
+    given = vars(args)
+    return {key: given[key] for key in SCALAR_KEYS + ("algos", "out")
+            if given.get(key) is not None}
 
 
 def _criteria_ids(text: str | None) -> list[int] | None:
@@ -99,6 +101,7 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run Monte-Carlo sweeps, write metrics CSV")
     _add_common(p_run)
+    _add_run_only(p_run)
     p_se = sub.add_parser("se", help="run state-evolution traces, write CSV")
     _add_common(p_se)
     p_check = sub.add_parser("check", help="run the acceptance suite")
@@ -111,11 +114,8 @@ def main(argv=None) -> int:
         if args.command == "check":
             ids = _criteria_ids(args.criteria)
         else:
-            if args.command == "se":
-                _reject_run_only_flags(args)
-            workers = 1 if args.workers is None else args.workers
-            spec = load_config(args.config, _flags_from_args(args),
-                               desk=args.desk, workers=workers)
+            spec = load_config(args.config, _flags_from_args(args), desk=args.desk,
+                               workers=getattr(args, "workers", 1))
             if args.command == "se":
                 check_se_axis(spec)
     except ConfigError as exc:

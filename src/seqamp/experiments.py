@@ -31,7 +31,7 @@ from .config import SystemConfig, desk_config
 from .detection import dep_from_counts, detect_sequence, detection_counts, nmse_db
 from .scenario import Scenario, make_scenario
 from .sequential import s_amp_run
-from .state_evolution import SE_TRACE_SAMPLES, se_draws, se_sequential_trace
+from .state_evolution import SE_SWEEP_KEYS, SE_TRACE_SAMPLES, se_draws, se_sequential_trace
 
 __all__ = [
     "ConfigError",
@@ -45,7 +45,6 @@ __all__ = [
     "ALGORITHMS",
     "SCALAR_KEYS",
     "SWEEP_KEYS",
-    "SE_SWEEP_KEYS",
     "check_se_axis",
 ]
 
@@ -53,7 +52,6 @@ ALGORITHMS = ("s_amp", "amp_mmse", "amp_soft", "omp", "oracle_ls")
 SWEEP_KEYS = ("tx_power_dbm", "pilot_len", "r0", "lambda", "adp_duration_s")
 CSV_HEADER = "sweep_axis,sweep_value,algorithm,adt,nmse_x_db,nmse_h_db,dep,trials,seed"
 SE_CSV_HEADER = "t,algorithm,nor_ct,pilot_len,tx_power_dbm"
-SE_SWEEP_KEYS = ("pilot_len", "tx_power_dbm")  # the only sweep values an SE row shows
 CALIBRATION_TRIAL = -1  # held-out trial index for soft-threshold tuning
 
 # SystemConfig fields whose config keys differ from the field name:
@@ -411,13 +409,13 @@ def write_csv(records: list[MetricsRecord], path: str) -> None:
 def check_se_axis(spec: ExperimentSpec) -> None:
     """Raise ConfigError unless ``se`` can run the spec's sweep axis.
 
-    An SE row shows only pilot_len and tx_power_dbm, so a sweep over any
+    An SE row shows only the ``SE_SWEEP_KEYS`` fields, so a sweep over any
     other axis would give rows that nothing tells apart.  The same rule
     lets every sweep point share one set of trajectory draws.
     """
     if spec.axis not in (None, *SE_SWEEP_KEYS):
         raise ConfigError(f"se cannot sweep {spec.axis}: an SE row shows "
-                          "only pilot_len and tx_power_dbm")
+                          f"only {' and '.join(SE_SWEEP_KEYS)}")
 
 
 def run_se(spec: ExperimentSpec, n_samples: int = SE_TRACE_SAMPLES,

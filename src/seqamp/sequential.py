@@ -31,7 +31,7 @@ import numpy as np
 from .amp import AmpDivergenceError, AmpState, amp_run
 from .config import SystemConfig
 from .denoiser import BgPrior, active_branch
-from .scenario import Profiles, Scenario, ar_coeffs, channel_vars
+from .scenario import Scenario, ar_coeffs, channel_vars
 
 __all__ = [
     "PosteriorSummary",
@@ -78,9 +78,8 @@ class SequenceResult:
         return np.stack([r.amp.mu for r in self.records], axis=1)
 
 
-def initial_prior(cfg: SystemConfig, profiles: Profiles) -> BgPrior:
-    """First-frame prior: pi = lam, xi = 0, psi = rho_n for every user."""
-    rho = channel_vars(profiles)
+def initial_prior(cfg: SystemConfig, rho: np.ndarray) -> BgPrior:
+    """First-frame prior: pi = lam, xi = 0, psi = the channel power rho_n."""
     n = rho.shape[0]
     return BgPrior(np.full(n, cfg.lam), np.zeros(n, dtype=complex), rho)
 
@@ -139,7 +138,7 @@ def _run_sequence(scenario: Scenario, cfg: SystemConfig,
     """
     rho = channel_vars(scenario.profiles)
     eta = ar_coeffs(scenario.profiles)
-    prior = initial_prior(cfg, scenario.profiles)
+    prior = initial_prior(cfg, rho)
     static_prior = prior
     records = []
     for t in range(cfg.n_adts):

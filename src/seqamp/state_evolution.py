@@ -17,15 +17,15 @@ on M independent single-user trajectories: each sample carries its own
 scalar pseudo-observation phi = x + sqrt(c_t) v after each ADT, and the
 fixpoint is recomputed per ADT.  A static-prior trace over the identical
 samples provides the matched-pair baseline.  The activity chains, the unit
-channel draws, the noise and each trajectory's path loss, Doppler and eta
-do not depend on the transmit power or the pilot length, so a sweep over
-those draws them once (:class:`SeDraws`) and every trace forms its own rho
-from the path loss and rescales the channel draws by it.
+channel draws, the noise and each trajectory's path loss and eta do not
+depend on the transmit power or the pilot length (``SE_SWEEP_KEYS``), so a
+sweep over those draws them once (:class:`SeDraws`) and every trace forms
+its own rho from the path loss and rescales the channel draws by it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .denoiser import BgPrior
 from .denoiser import denoise_mean_parts as denoise_mean
 from .rng import complex_normal, stream
 from .scenario import ar1_channels  # noqa: F401  unused; perfbench traces this binding
-from .scenario import (Profiles, ar1_scales, ar1_step, channel_power, derive_noise_var,
+from .scenario import (ar1_scales, ar1_step, channel_power, derive_noise_var,
                        gen_user_profiles, markov_activity)
 from .sequential import initial_prior, moment_match, prior_propagate
 
@@ -49,6 +49,7 @@ __all__ = [
     "se_fixpoint",
     "se_draws",
     "se_sequential_trace",
+    "SE_SWEEP_KEYS",
 ]
 
 SE_STEP_SAMPLES = 200_000    # criterion 5's sample count
@@ -56,6 +57,8 @@ SE_TRACE_SAMPLES = 20_000    # default trajectories for sequential traces
 FIXPOINT_TOL = 1e-4
 FIXPOINT_MAX_ITERS = 200
 NOR_REF_DBM = 13.0           # reference power P0 of nor(c_t) = (P/P0) c_t
+# the only config fields in which traces that share one SeDraws may differ
+SE_SWEEP_KEYS = ("pilot_len", "tx_power_dbm")
 
 
 @dataclass(frozen=True)
@@ -150,30 +153,19 @@ class SeDraws:
     ``activity`` is the Markov activity, ``channel`` the unit draws the
     AR-1 recursion scales by each trace's rho and eta, and ``noise`` the
     CN(0, 1) noise, each (T, M): row t, contiguous, is ADT t+1 of all M
-    trajectories.  ``pathloss_db``, ``doppler_hz`` and ``eta`` are the
-    trajectories' (M,) link geometry; only rho, formed from the path loss,
-    depends on the power.  They come from streams keyed by (seed, purpose)
-    only, so every trace whose config agrees on ``key`` (the fields of
-    ``_DRAWS_KEY_FIELDS`` and the sample count) draws exactly them.
+    trajectories.  ``pathloss_db`` and ``eta`` are the trajectories' (M,)
+    link geometry; only rho, formed from the path loss, depends on the
+    power.  They come from streams keyed by (seed, purpose) only, so every
+    trace whose config differs from ``cfg``, the config they were drawn
+    for, in ``SE_SWEEP_KEYS`` alone draws exactly them.
     """
 
-    key: tuple
+    cfg: SystemConfig
     activity: np.ndarray
     channel: np.ndarray
     noise: np.ndarray
     pathloss_db: np.ndarray
-    doppler_hz: np.ndarray
     eta: np.ndarray
-
-
-# the config fields the draws depend on: traffic, horizon and link geometry
-_DRAWS_KEY_FIELDS = ("seed", "lam", "r_scale", "n_adts", "dist_range_km",
-                     "speed_range_kmh", "pathloss_intercept_db", "pathloss_slope",
-                     "carrier_hz", "adp_duration_s")
-
-
-def _draws_key(cfg: SystemConfig, n_samples: int) -> tuple:
-    return tuple(getattr(cfg, name) for name in _DRAWS_KEY_FIELDS) + (n_samples,)
 
 
 def se_draws(cfg: SystemConfig, n_samples: int = SE_TRACE_SAMPLES) -> SeDraws:
@@ -191,9 +183,8 @@ def se_draws(cfg: SystemConfig, n_samples: int = SE_TRACE_SAMPLES) -> SeDraws:
     complex_normal(stream(cfg.seed, 0, "se-channels"), shape, out=channel.T)
     complex_normal(stream(cfg.seed, 0, "se-noise"), shape, np.sqrt(0.5), out=noise.T)
     geometry = gen_user_profiles(cfg, stream(cfg.seed, 0, "se-profiles"), n=n_samples)
-    return SeDraws(_draws_key(cfg, n_samples), np.ascontiguousarray(act.T),
-                   channel, noise, geometry.pathloss_db, geometry.doppler_hz,
-                   geometry.ar_coeff)
+    return SeDraws(cfg, np.ascontiguousarray(act.T), channel, noise,
+                   geometry.pathloss_db, geometry.ar_coeff)
 
 
 def se_sequential_trace(cfg: SystemConfig, n_samples: int = SE_TRACE_SAMPLES,
@@ -201,23 +192,26 @@ def se_sequential_trace(cfg: SystemConfig, n_samples: int = SE_TRACE_SAMPLES,
     """Paired sequential / static fixpoint traces over cfg.n_adts ADTs.
 
     The trajectories come from trial 0's streams of cfg.seed: ``draws``,
-    made by :func:`se_draws` for a config with the same draws key, or
-    drawn here when None.  A ``draws`` with another key raises ValueError.
+    made by :func:`se_draws` for n_samples trajectories of a config that
+    differs from cfg in ``SE_SWEEP_KEYS`` alone, or drawn here when None.
+    Other ``draws`` raise ValueError naming each field that differs.
     The AR-1 channel is stepped one ADT at a time on one (M,) state, so a
     trace allocates nothing of size (M, T).
     """
-    key = _draws_key(cfg, n_samples)
     if draws is None:
         draws = se_draws(cfg, n_samples)
-    elif draws.key != key:
-        names = (*_DRAWS_KEY_FIELDS, "n_samples")
-        raise ValueError(f"SE draws made for {names} = {draws.key}, not {key}")
+    made = {f.name: (getattr(draws.cfg, f.name), getattr(cfg, f.name))
+            for f in fields(SystemConfig) if f.name not in SE_SWEEP_KEYS}
+    made["n_samples"] = (draws.eta.size, n_samples)
+    differ = [f"{name} = {had!r}, not {want!r}"
+              for name, (had, want) in made.items() if had != want]
+    if differ:
+        raise ValueError(f"SE draws made for {'; '.join(differ)}")
     t_total = cfg.n_adts
     rho, eta = channel_power(cfg, draws.pathloss_db), draws.eta
-    profiles = Profiles(draws.pathloss_db, rho, draws.doppler_hz, eta)
 
     # one object for both priors at ADT 1, as in the algorithm's driver
-    static_prior = prior = initial_prior(cfg, profiles)
+    static_prior = prior = initial_prior(cfg, rho)
     c_seq = np.empty(t_total)
     c_static = np.empty(t_total)
     all_converged = True

@@ -83,7 +83,7 @@ class TestAdjoint:
     def test_amp_run_never_copies_pilots(self, peak_traced_bytes):
         cfg = SystemConfig(n_users=400, pilot_len=100, n_adts=1)
         scn = make_scenario(cfg, 0)
-        prior = initial_prior(cfg, scn.profiles)
+        prior = initial_prior(cfg, scn.profiles.channel_var)
         peak = peak_traced_bytes(lambda: amp_run(
             scn.received[:, 0], scn.pilots, prior, cfg))
         assert peak < scn.pilots.nbytes / 2
@@ -130,7 +130,7 @@ class TestRunContract:
     def test_converged_flag(self):
         cfg = desk_config(n_adts=1)
         scn = make_scenario(cfg, 0)
-        prior = initial_prior(cfg, scn.profiles)
+        prior = initial_prior(cfg, scn.profiles.channel_var)
 
         def run(iters):
             return amp_run(scn.received[:, 0], scn.pilots, prior,
@@ -144,7 +144,7 @@ class TestRunContract:
     def test_final_phi_consistency(self):
         cfg = SystemConfig(n_users=40, pilot_len=20, amp_iters=30)
         scn = make_scenario(cfg.with_(n_adts=1), 0)
-        prior = initial_prior(cfg, scn.profiles)
+        prior = initial_prior(cfg, scn.profiles.channel_var)
         st = amp_run(scn.received[:, 0], scn.pilots, prior, cfg)
         recomputed = scn.pilots.conj().T @ st.z + st.mu
         assert np.array_equal(st.phi, recomputed)
@@ -152,7 +152,7 @@ class TestRunContract:
     def test_determinism(self):
         cfg = SystemConfig(n_users=40, pilot_len=20, amp_iters=25)
         scn = make_scenario(cfg.with_(n_adts=1), 1)
-        prior = initial_prior(cfg, scn.profiles)
+        prior = initial_prior(cfg, scn.profiles.channel_var)
         a = amp_run(scn.received[:, 0], scn.pilots, prior, cfg)
         b = amp_run(scn.received[:, 0], scn.pilots, prior, cfg)
         assert np.array_equal(a.mu, b.mu) and a.c == b.c
@@ -173,7 +173,7 @@ class TestRunContract:
         cfg = desk_config(n_users=200, pilot_len=50, n_adts=1)
         scn = make_scenario(cfg, 0)
         y = scn.received[:, 0]
-        prior = initial_prior(cfg, scn.profiles)
+        prior = initial_prior(cfg, scn.profiles.channel_var)
         n_sweeps = amp_run(y, scn.pilots, prior, cfg).iter
         assert n_sweeps > 3
         st = amp_init(y, cfg)
@@ -190,7 +190,7 @@ class TestSweepInvariants:
     def test_residual_energy_consistency_and_onsager(self):
         cfg = SystemConfig(n_users=60, pilot_len=30, amp_iters=1)
         scn = make_scenario(cfg.with_(n_adts=1), 2)
-        prior = initial_prior(cfg, scn.profiles)
+        prior = initial_prior(cfg, scn.profiles.channel_var)
         st = amp_init(scn.received[:, 0], cfg)
         from seqamp.denoiser import denoise_deriv
         for _ in range(6):
@@ -208,7 +208,7 @@ class TestSweepInvariants:
         cs = []
         for trial in range(10):
             scn = make_scenario(cfg, trial)
-            prior = initial_prior(cfg, scn.profiles)
+            prior = initial_prior(cfg, scn.profiles.channel_var)
             cs.append(amp_run(scn.received[:, 0], scn.pilots, prior, cfg).c)
         trace = se_sequential_trace(cfg, n_samples=100_000)
         assert trace.converged

@@ -25,7 +25,7 @@ BAD = [pytest.param(np.nan, id="nan"), pytest.param(np.inf, id="inf")]
 def desk():
     cfg = desk_config(n_adts=4)
     scn = make_scenario(cfg, 0)
-    return cfg, scn, initial_prior(cfg, scn.profiles)
+    return cfg, scn, initial_prior(cfg, scn.profiles.channel_var)
 
 
 def amp_message(sweep: int) -> str:

@@ -492,14 +492,26 @@ class TestCli:
         (["--amp-iters", "10"], "--amp-iters"),
     ])
     def test_se_rejects_run_only_flags(self, tmp_path, capsys, flags, named):
-        # se would ignore them, so they are refused rather than dropped
+        # se runs no algorithms, no trials and no AMP, so it has no such flag
         out = tmp_path / "se.csv"
-        code = cli_main(["se", "--n-users", "100", "--pilot-len", "25",
-                         "--n-adts", "1", *flags, "--out", str(out)])
-        assert code == 1
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["se", "--n-users", "100", "--pilot-len", "25",
+                      "--n-adts", "1", *flags, "--out", str(out)])
+        assert exc.value.code == 1
         captured = capsys.readouterr()
-        assert captured.err == f"config error: se does not take {named}\n"
+        error = captured.err.splitlines()[-1]
+        assert error.startswith("seqamp: error: unrecognized arguments:")
+        assert all(flag in error for flag in named.split(" or "))
         assert not captured.out and not out.exists()
+
+    def test_only_run_lists_run_only_flags(self, capsys):
+        helps = {}
+        for command in ("run", "se"):
+            with pytest.raises(SystemExit):
+                cli_main([command, "--help"])
+            helps[command] = capsys.readouterr().out
+        for flag in ("--algos", "--workers", "--trials"):
+            assert flag in helps["run"] and flag not in helps["se"]
 
     @pytest.mark.parametrize("key, values", [("lambda", "0.05,0.1"), ("r0", "0,3"),
                                              ("adp_duration_s", "1e-4,2e-4")])

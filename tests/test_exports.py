@@ -4,7 +4,8 @@ A deleted function whose name stays in a module's ``__all__`` breaks
 ``from seqamp.<module> import *`` only; one that stays in the package's
 ``__init__`` breaks ``import seqamp`` for everybody.  Likewise every
 binding the benchmark's tracing wraps (``perfbench/bench_trace.SITES``)
-must exist, or the benchmark fails inside its run.
+must exist, or the benchmark fails inside its run.  And no module keeps an
+import it does not use, unless that import is such a traced binding.
 """
 
 import ast
@@ -38,6 +39,50 @@ def bench_trace_sites():
     sys.modules[spec.name] = module  # dataclasses resolve annotations through it
     spec.loader.exec_module(module)
     return [site[:2] for site in module.SITES]
+
+
+def unused_imports(source: str, allowed=()) -> list[str]:
+    """Names a module imports but neither reads nor lists in ``__all__``.
+
+    ``from __future__`` imports and the names in ``allowed`` are skipped.
+    """
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return sorted(bound - used - set(allowed))
+
+
+def site_bindings(module_name: str) -> set[str]:
+    """The attributes of ``seqamp.<module_name>`` the benchmark traces."""
+    return {attr for module, attr in bench_trace_sites()
+            if module == f"seqamp.{module_name}"}
+
+
+# MODULES leaves out __init__.py, which imports only to re-export;
+# test_package_imports_are_exported_names covers it
+@pytest.mark.parametrize("name", MODULES)
+def test_module_has_no_unused_import(name):
+    unused = unused_imports((SRC / f"{name}.py").read_text(), site_bindings(name))
+    assert not unused, f"seqamp.{name} imports unused {unused}"
+
+
+def test_unused_import_check_catches_a_leftover_import():
+    source = (SRC / "state_evolution.py").read_text()
+    allowed = site_bindings("state_evolution")
+    assert unused_imports(source, allowed) == []
+    assert unused_imports(source + "from .scenario import Profiles\n",
+                          allowed) == ["Profiles"]
+    # a traced binding passes only because SITES names it
+    assert unused_imports(source) == ["ar1_channels"]
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -276,7 +276,7 @@ class TestSequenceRuns:
     def test_first_frame_prior_values(self):
         cfg = desk_config(n_users=30, pilot_len=10)
         scn = make_scenario(cfg, 0)
-        prior = initial_prior(cfg, scn.profiles)
+        prior = initial_prior(cfg, scn.profiles.channel_var)
         assert np.all(prior.pi == cfg.lam)
         assert np.all(prior.xi == 0)
         assert np.array_equal(prior.psi, channel_vars(scn.profiles))

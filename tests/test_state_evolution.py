@@ -1,5 +1,7 @@
 """State-evolution step, fixpoint and sequential traces."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -248,6 +250,13 @@ class TestContiguousColumns:
         assert layouts == [(True, True)] * 6
 
 
+def _nudged(value):
+    """A valid config value other than ``value``: ints plus one, floats times 1.5."""
+    if isinstance(value, tuple):
+        return tuple(_nudged(x) for x in value)
+    return value + 1 if isinstance(value, int) else value * 1.5
+
+
 def _trace_arrays(tr):
     return (tr.c_seq, tr.c_static, tr.nor_seq, tr.nor_static)
 
@@ -277,20 +286,28 @@ class TestSharedDraws:
         want.sort(key=lambda r: (r[3], r[4], r[0], r[1]))
         assert rows == want
 
-    @pytest.mark.parametrize("change", [dict(seed=2), dict(lam=0.1), dict(r_scale=0.5),
-                                        dict(n_adts=5), dict(dist_range_km=(0.1, 1.0)),
-                                        dict(speed_range_kmh=(0.0, 100.0))],
-                             ids=["seed", "lam", "r_scale", "n_adts", "dist_range_km",
-                                  "speed_range_kmh"])
-    def test_draws_for_another_key_raise(self, change):
+    # every field outside SE_SWEEP_KEYS, so a field added to SystemConfig is
+    # covered without editing this list
+    @pytest.mark.parametrize("name", [f.name for f in fields(SystemConfig)
+                                      if f.name not in se.SE_SWEEP_KEYS])
+    def test_draws_for_another_key_raise(self, name):
         cfg = desk_config(n_adts=4)
         draws = se_draws(cfg, 500)
-        with pytest.raises(ValueError, match="SE draws made for"):
-            se_sequential_trace(cfg.with_(**change), n_samples=500, draws=draws)
+        other = cfg.with_(**{name: _nudged(getattr(cfg, name))})
+        with pytest.raises(ValueError, match=f"SE draws made for {name} = "):
+            se_sequential_trace(other, n_samples=500, draws=draws)
+
+    def test_error_names_every_mismatch(self):
+        cfg = desk_config(n_adts=4)
+        with pytest.raises(ValueError) as exc:
+            se_sequential_trace(cfg.with_(seed=2, lam=0.1), n_samples=400,
+                                draws=se_draws(cfg, 500))
+        assert str(exc.value) == ("SE draws made for lam = 0.05, not 0.1; "
+                                  "seed = 1, not 2; n_samples = 500, not 400")
 
     def test_draws_for_another_sample_count_raise(self):
         cfg = desk_config(n_adts=4)
-        with pytest.raises(ValueError, match="SE draws made for"):
+        with pytest.raises(ValueError, match="SE draws made for n_samples = 500, not 400"):
             se_sequential_trace(cfg, n_samples=400, draws=se_draws(cfg, 500))
 
     def test_sweep_point_allocates_less_than_one_trajectory_array(self,
