@@ -37,6 +37,7 @@ __all__ = ["AmpState", "AmpDivergenceError", "adjoint", "amp_init", "amp_iterate
 REL_TOL = 1e-6      # early-exit tolerance on relative change of mu
 _REL_FLOOR = 1e-30  # denominator floor for all-zero signals
 C0_FACTOR = 100.0   # seed c0 = C0_FACTOR * noise_var
+_C_FLOOR = np.finfo(float).tiny  # keeps c > 0 when z is exactly zero
 
 
 class AmpDivergenceError(RuntimeError):
@@ -97,13 +98,16 @@ def amp_iterate(state: AmpState, s_mat: np.ndarray, y: np.ndarray,
     mu_new = denoise_mean(phi, state.c, priors)
     v_new = denoise_var(phi, state.c, priors)
     onsager = (state.z / l_dim) * np.sum(denoise_deriv(phi, state.c, priors))
-    z_new = y - s_mat @ mu_new + onsager
+    # y - S mu_new + onsager, formed in the product's buffer
+    z_new = s_mat @ mu_new
+    np.subtract(y, z_new, out=z_new)
+    z_new += onsager
     # ||z||^2/L: the residual-energy estimate of the effective noise
     # VARIANCE (c pairs with psi and noise_var everywhere, so it must
     # carry variance units).  The tiny floor only engages when z is
     # exactly zero (all-zero observations) and keeps c > 0.  A non-finite
     # mu_new makes S mu_new, z_new and so c non-finite: c alone is tested.
-    c_new = float(max(np.linalg.norm(z_new) ** 2 / l_dim, np.finfo(float).tiny))
+    c_new = float(max(np.linalg.norm(z_new) ** 2 / l_dim, _C_FLOOR))
     if not np.isfinite(c_new):
         raise AmpDivergenceError(
             f"non-finite AMP iterate at sweep {state.iter + 1} (c={c_new!r})"

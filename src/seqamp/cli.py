@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import acceptance
 from .experiments import (ALGORITHMS, SCALAR_KEYS, ConfigError, check_se_axis,
                           load_config, run_experiment, run_se, write_csv,
                           write_se_csv)
@@ -42,6 +41,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--desk", action="store_true",
                         help="desk-scale profile (N=500, L=125, T=10, 20 trials)")
     parser.add_argument("--out", metavar="PATH", help="output CSV path")
+    parser.add_argument("--workers", type=int, default=1,
+                        help="worker processes for run's trials or se's sweep "
+                             "points (default 1)")
     # every other config key but run's own has a hidden flag of its own name
     for key in SCALAR_KEYS:
         if key not in ("seed", "n_trials", "amp_iters"):
@@ -58,8 +60,6 @@ def _add_run_only(parser: argparse.ArgumentParser) -> None:
                         help="Monte-Carlo trials per point")
     parser.add_argument("--algos", metavar="LIST",
                         help="comma list from: " + " ".join(ALGORITHMS))
-    parser.add_argument("--workers", type=int, default=1,
-                        help="parallel trial workers (default 1)")
     _add_hidden(parser, "amp_iters")
 
 
@@ -77,6 +77,7 @@ def _criteria_ids(text: str | None) -> list[int] | None:
     """
     if text is None:
         return None
+    from . import acceptance
     ids = []
     for tok in filter(None, (t.strip() for t in text.split(","))):
         cid = int(tok) if tok.isdecimal() else None
@@ -115,7 +116,7 @@ def main(argv=None) -> int:
             ids = _criteria_ids(args.criteria)
         else:
             spec = load_config(args.config, _flags_from_args(args), desk=args.desk,
-                               workers=getattr(args, "workers", 1))
+                               workers=args.workers)
             if args.command == "se":
                 check_se_axis(spec)
     except ConfigError as exc:
@@ -123,6 +124,7 @@ def main(argv=None) -> int:
         return 1
 
     if args.command == "check":
+        from . import acceptance
         return 0 if acceptance.run_checks(ids) else 1
 
     if args.command == "se":

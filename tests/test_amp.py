@@ -201,6 +201,20 @@ class TestSweepInvariants:
             assert st.c == pytest.approx(np.linalg.norm(st.z) ** 2 / cfg.pilot_len,
                                          rel=1e-12)
 
+    def test_residual_is_the_written_expression_bit_for_bit(self):
+        # the sweep forms z in place; the written expression is the reference
+        from seqamp.denoiser import denoise_deriv
+        cfg = desk_config(n_adts=1)
+        scn = make_scenario(cfg, 4)
+        y, s_mat = scn.received[:, 0], scn.pilots
+        prior = initial_prior(cfg, scn.profiles.channel_var)
+        st = amp_init(y, cfg)
+        for _ in range(8):
+            new = amp_iterate(st, s_mat, y, prior)
+            onsager = (st.z / cfg.pilot_len) * np.sum(denoise_deriv(new.phi, st.c, prior))
+            assert np.array_equal(new.z, y - s_mat @ new.mu + onsager)
+            st = new
+
     def test_empirical_c_tracks_se_fixpoint(self):
         # cross-module consistency at moderate scale (tight version lives in
         # the acceptance suite at N=1000, L=250)

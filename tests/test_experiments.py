@@ -306,19 +306,24 @@ class TestRunExperiment:
         assert outs[0] == outs[1]
 
     def test_one_pool_per_run(self, monkeypatch):
-        import seqamp.experiments as experiments
+        import concurrent.futures
         opened = []
-        pool_class = experiments.ProcessPoolExecutor
+        pool_class = concurrent.futures.ProcessPoolExecutor
 
         def counting(*args, **kwargs):
             opened.append(kwargs)
             return pool_class(*args, **kwargs)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", counting)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting)
         run_experiment(tiny_spec(workers=2))   # two sweep points
         assert opened == [{"max_workers": 2}]
         run_experiment(tiny_spec())
         assert len(opened) == 1
+        powers = dict(axis="tx_power_dbm", values=(27.0, 33.0))
+        run_se(tiny_spec(workers=2, **powers), n_samples=200)
+        assert opened == [{"max_workers": 2}] * 2
+        run_se(tiny_spec(**powers), n_samples=200)
+        assert len(opened) == 2
 
     def test_csv_schema(self, tmp_path):
         records, _ = run_experiment(tiny_spec())
@@ -485,14 +490,15 @@ class TestCli:
 
     @pytest.mark.parametrize("flags, named", [
         (["--algos", "s_amp"], "--algos"),
-        (["--workers", "2"], "--workers"),
-        (["--workers", "1"], "--workers"),
-        (["--algos", "s_amp", "--workers", "2"], "--algos or --workers"),
+        (["--trials", "3", "--workers", "2"], "--trials"),
+        (["--amp-iters", "10", "--workers", "1"], "--amp-iters"),
+        (["--algos", "s_amp", "--workers", "2"], "--algos"),
         (["--trials", "3"], "--trials"),
         (["--amp-iters", "10"], "--amp-iters"),
     ])
     def test_se_rejects_run_only_flags(self, tmp_path, capsys, flags, named):
-        # se runs no algorithms, no trials and no AMP, so it has no such flag
+        # se runs no algorithms, no trials and no AMP, so it has no such
+        # flag; --workers, which it has, is never named
         out = tmp_path / "se.csv"
         with pytest.raises(SystemExit) as exc:
             cli_main(["se", "--n-users", "100", "--pilot-len", "25",
@@ -501,7 +507,7 @@ class TestCli:
         captured = capsys.readouterr()
         error = captured.err.splitlines()[-1]
         assert error.startswith("seqamp: error: unrecognized arguments:")
-        assert all(flag in error for flag in named.split(" or "))
+        assert named in error and "--workers" not in error
         assert not captured.out and not out.exists()
 
     def test_only_run_lists_run_only_flags(self, capsys):
@@ -510,8 +516,9 @@ class TestCli:
             with pytest.raises(SystemExit):
                 cli_main([command, "--help"])
             helps[command] = capsys.readouterr().out
-        for flag in ("--algos", "--workers", "--trials"):
+        for flag in ("--algos", "--trials"):
             assert flag in helps["run"] and flag not in helps["se"]
+        assert "--workers" in helps["run"] and "--workers" in helps["se"]
 
     @pytest.mark.parametrize("key, values", [("lambda", "0.05,0.1"), ("r0", "0,3"),
                                              ("adp_duration_s", "1e-4,2e-4")])
@@ -531,6 +538,15 @@ class TestCli:
         assert captured.err == (f"config error: se cannot sweep {key}: an SE row "
                                 "shows only pilot_len and tx_power_dbm\n")
         assert not captured.out and not out.exists()
+
+    def test_se_workers_write_the_serial_csv(self, tmp_path):
+        outs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"se{workers}.csv"
+            assert cli_main(["se", "--desk", "--pilot-len", "100,125", "--n-adts", "3",
+                             "--workers", workers, "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_se_accepts_a_pilot_len_sweep(self, tmp_path):
         out = tmp_path / "se.csv"
@@ -643,22 +659,27 @@ class TestCli:
         assert done.stdout.strip() == "False"
 
     def test_run_and_se_load_no_scipy(self, tmp_path):
+        # nor, when serial, a process pool, the acceptance suite or its oracle
         src = Path(__file__).resolve().parents[1] / "src"
+        unused = ("scipy", "multiprocessing", "concurrent.futures",
+                  "seqamp.acceptance", "seqamp.exact_filter")
         code = ("import sys; sys.path.insert(0, sys.argv[1]); import seqamp; "
                 "from seqamp.cli import main; out = sys.argv[2]; "
                 "codes = [main(['run', '--desk', '--trials', '1', '--n-adts', '2', "
                 "'--algos', sys.argv[3], '--out', out + '/r.csv']), "
                 "main(['se', '--desk', '--n-adts', '2', '--out', out + '/se.csv'])]; "
-                "print(codes, sorted(m for m in sys.modules if m.startswith('scipy')))")
+                "print(codes, sorted(m for m in sys.modules for u in sys.argv[4:] "
+                "if m == u or m.startswith(u + '.')))")
         done = subprocess.run([sys.executable, "-c", code, str(src), str(tmp_path),
-                               ",".join(ALGORITHMS)],
+                               ",".join(ALGORITHMS), *unused],
                               capture_output=True, text=True, timeout=300, check=True)
         assert done.stdout.splitlines()[-1] == "[0, 0] []"
 
     def test_zero_workers_is_config_error(self, capsys):
-        assert cli_main(["run", "--workers", "0"]) == 1
-        captured = capsys.readouterr()
-        assert captured.err.startswith("config error: ") and not captured.out
+        for command in ("run", "se"):
+            assert cli_main([command, "--workers", "0"]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith("config error: ") and not captured.out
 
     def test_partial_failure_exit_code(self, tmp_path):
         # oracle support exceeds L at lambda = 0.5, L = 2: exit code 2 with
