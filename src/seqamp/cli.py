@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
-from .experiments import (ALGORITHMS, SCALAR_KEYS, ConfigError, check_se_axis,
-                          load_config, run_experiment, run_se, write_csv,
-                          write_se_csv)
+from .experiments import (ALGORITHMS, CONFIG_KEYS, SCALAR_KEYS, ConfigError,
+                          check_se_axis, load_config, run_experiment, run_se,
+                          write_csv, write_se_csv)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,8 +67,16 @@ def _add_run_only(parser: argparse.ArgumentParser) -> None:
 def _flags_from_args(args: argparse.Namespace) -> dict:
     """Config entries of the config-key flags given on the command line."""
     given = vars(args)
-    return {key: given[key] for key in SCALAR_KEYS + ("algos", "out")
-            if given.get(key) is not None}
+    return {key: given[key] for key in CONFIG_KEYS if given.get(key) is not None}
+
+
+def _check_out(path: str) -> None:
+    """Raise ConfigError unless a CSV can be written at ``path``; checked before the run."""
+    target = Path(path)
+    if not target.parent.is_dir():
+        raise ConfigError(f"cannot write {path}: {target.parent} is not a directory")
+    if target.is_dir():
+        raise ConfigError(f"cannot write {path}: it is a directory")
 
 
 def _criteria_ids(text: str | None) -> list[int] | None:
@@ -119,6 +128,8 @@ def main(argv=None) -> int:
                                workers=args.workers)
             if args.command == "se":
                 check_se_axis(spec)
+            out = spec.out or ("se_trace.csv" if args.command == "se" else "results.csv")
+            _check_out(out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -130,12 +141,10 @@ def main(argv=None) -> int:
     if args.command == "se":
         kind, errors = "state-evolution", []
         rows = run_se(spec, errors=errors)
-        out = spec.out or "se_trace.csv"
         write_se_csv(rows, out)
     else:
         kind = "algorithm"
         rows, errors = run_experiment(spec)
-        out = spec.out or "results.csv"
         write_csv(rows, out)
     print(f"wrote {len(rows)} rows to {out}")
     for line in errors:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
-__all__ = ["SystemConfig", "desk_config", "SPEED_OF_LIGHT", "MAX_DOPPLER_ARG"]
+__all__ = ["SystemConfig", "desk_config", "doppler", "SPEED_OF_LIGHT", "MAX_DOPPLER_ARG"]
 
 SPEED_OF_LIGHT = 2.99792458e8  # m/s
 # largest Doppler argument 2*pi*f_D*T_ADP accepted: J0 costs O(argument) per
@@ -80,9 +80,7 @@ class SystemConfig:
             raise ValueError("speed_range_kmh must satisfy 0 <= v_min <= v_max")
         if self.amp_iters < 0 or self.n_trials < 1:
             raise ValueError("amp_iters must be >= 0 and n_trials >= 1")
-        # same expression as gen_user_profiles, at the top speed
-        doppler = self.speed_range_kmh[1] / 3.6 * self.carrier_hz / SPEED_OF_LIGHT
-        arg = 2.0 * math.pi * doppler * self.adp_duration_s
+        _, arg = doppler(self, self.speed_range_kmh[1])
         if arg > MAX_DOPPLER_ARG:
             raise ValueError(f"Doppler argument 2*pi*f_D*T_ADP = {arg:.4g} at the top "
                              f"speed exceeds {MAX_DOPPLER_ARG:g}")
@@ -100,6 +98,12 @@ class SystemConfig:
     def with_(self, **kwargs) -> "SystemConfig":
         """Copy with selected fields replaced."""
         return replace(self, **kwargs)
+
+
+def doppler(cfg: SystemConfig, speed_kmh):
+    """(f_D, 2*pi*f_D*T_ADP) at ``speed_kmh`` (a float or an array): f_D = v*f_c/c in Hz."""
+    f_d = speed_kmh / 3.6 * cfg.carrier_hz / SPEED_OF_LIGHT
+    return f_d, 2.0 * math.pi * f_d * cfg.adp_duration_s
 
 
 def desk_config(**overrides) -> SystemConfig:

@@ -6,8 +6,8 @@ Keys mirror the SystemConfig fields (``lambda`` maps to the ``lam`` field;
 etc.).  Exactly one of the sweepable keys (tx_power_dbm, pilot_len, r0,
 lambda, adp_duration_s) may carry a comma-separated list, which becomes the
 sweep axis.  CLI flags override file values, which override defaults.
-``r0`` and ``r_scale`` spell one setting: the file, or the flags, may give
-only one of them, and a flag for either replaces the file's.
+The file, or the flags, may give each setting only once; ``r0`` and
+``r_scale`` spell one setting, and a flag for either replaces the file's.
 
 Every (sweep point, trial) pair owns hash-derived streams, all requested
 algorithms consume the identical Scenario (paired comparison), and rows are
@@ -43,6 +43,7 @@ __all__ = [
     "write_se_csv",
     "ALGORITHMS",
     "SCALAR_KEYS",
+    "CONFIG_KEYS",
     "SWEEP_KEYS",
     "check_se_axis",
 ]
@@ -68,8 +69,8 @@ SCALAR_KEYS = tuple(key for f in fields(SystemConfig)
                     for key in _FIELD_KEYS.get(f.name, (f.name,)))
 _FIELD_TYPES = get_type_hints(SystemConfig)
 _INT_KEYS = {name for name, kind in _FIELD_TYPES.items() if kind is int}
-_STR_KEYS = {"algos", "out"}
-_ALL_KEYS = set(SCALAR_KEYS) | _STR_KEYS
+# every config key: the SystemConfig keys, then the two string keys
+CONFIG_KEYS = SCALAR_KEYS + ("algos", "out")
 
 
 class ConfigError(ValueError):
@@ -169,7 +170,7 @@ def _r_scale_from_r0(r0) -> float:
 
 
 def _parse_scalar(key: str, text: str, where: str):
-    if key in _STR_KEYS:
+    if key not in SCALAR_KEYS:
         return text
     try:
         return int(text) if key in _INT_KEYS else float(text)
@@ -178,8 +179,8 @@ def _parse_scalar(key: str, text: str, where: str):
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse ``key = value`` lines into a raw entry dict (lists for sweeps)."""
-    entries: dict = {}
+    """Parse ``key = value`` lines into the entries of :func:`_entries`."""
+    items = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -187,15 +188,32 @@ def parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in _ALL_KEYS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        entries[key] = _parse_entry(key, value, f"line {lineno}")
+        items.append((key.strip(), value.strip(), f"line {lineno}"))
+    return _entries(items)
+
+
+def _entries(items) -> dict:
+    """{setting: (key, value, where)} from one source's (key, text, where) triples.
+
+    Values are parsed, lists for sweeps.  A source gives each setting once:
+    r0 and r_scale spell one setting, every other key is its own, and a
+    second key for a setting is a ConfigError naming both places.
+    """
+    entries: dict = {}
+    for key, text, where in items:
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+        setting = "r_scale" if key in _FIELD_KEYS["r_scale"] else key
+        if setting in entries:
+            first_key, _, first = entries[setting]
+            raise ConfigError(f"{setting} set twice: {first} ({first_key}) and "
+                              f"{where} ({key})")
+        entries[setting] = (key, _parse_entry(key, text, where), where)
     return entries
 
 
 def _parse_entry(key: str, value: str, where: str):
-    if "," in value and key not in _STR_KEYS:
+    if "," in value and key in SCALAR_KEYS:
         if key not in SWEEP_KEYS:
             raise ConfigError(f"{where}: key {key!r} does not accept a list")
         parts = [p.strip() for p in value.split(",") if p.strip()]
@@ -214,13 +232,14 @@ def _build_spec(entries: dict, desk: bool, workers: int) -> ExperimentSpec:
     axis = sweeps[0] if sweeps else None
     values = tuple(entries[axis]) if sweeps else ()
     scalars = {key: val for key, val in entries.items()
-               if key != axis and key not in _STR_KEYS}
+               if key != axis and key in SCALAR_KEYS}
     try:
         base = defaults.with_(**_field_values(defaults, scalars))
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    algos = entries.get("algos", "s_amp,amp_mmse")
-    algorithms = tuple(a.strip() for a in algos.split(",") if a.strip())
+    algorithms = ExperimentSpec.algorithms
+    if "algos" in entries:
+        algorithms = tuple(a.strip() for a in entries["algos"].split(",") if a.strip())
     out = entries.get("out")
     return ExperimentSpec(base, axis, values, algorithms, out, workers)
 
@@ -235,27 +254,10 @@ def load_config(path: str | None = None, flags: dict | None = None,
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         entries = parse_config_text(text)
-        _check_one_r_spelling(entries, f"config file {path}")
-    flag_entries = {}
-    for key, value in (flags or {}).items():
-        if value is None:
-            continue
-        if key not in _ALL_KEYS:
-            raise ConfigError(f"unknown config key {key!r} from flags")
-        flag_entries[key] = _parse_entry(key, str(value), f"flag --{key}")
-    _check_one_r_spelling(flag_entries, "flags")
-    if any(key in flag_entries for key in _FIELD_KEYS["r_scale"]):
-        # a flag for r overrides the file's r under either spelling
-        for key in _FIELD_KEYS["r_scale"]:
-            entries.pop(key, None)
-    entries.update(flag_entries)
-    return _build_spec(entries, desk, workers)
-
-
-def _check_one_r_spelling(entries: dict, where: str) -> None:
-    """r0 and r_scale spell one setting: one source may give only one."""
-    if all(key in entries for key in _FIELD_KEYS["r_scale"]):
-        raise ConfigError(f"{where} set both r_scale and r0; give only one")
+    # a flag replaces the file's value of its setting, under either spelling
+    entries.update(_entries((key, str(value), f"flag --{key}")
+                            for key, value in (flags or {}).items() if value is not None))
+    return _build_spec({key: val for key, val, _ in entries.values()}, desk, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +275,7 @@ def _algo_matrices(name: str, scenario: Scenario, cfg: SystemConfig,
         # the ADTs are independent columns of one block
         res = baselines.amp_soft(scenario.received, scenario.pilots, cfg, alpha)
         return res.estimate, res.support
-    n, t_total = scenario.sparse_signal.shape
+    n, t_total = scenario.activity.shape
     x_hat = np.zeros((n, t_total), dtype=complex)
     dec = np.zeros((n, t_total), dtype=np.int8)
     for t in range(t_total):
@@ -458,15 +460,13 @@ def run_se(spec: ExperimentSpec, n_samples: int = SE_TRACE_SAMPLES,
     for (value, cfg), trace in zip(points, traces):
         nor_seq, nor_static = trace.nor_seq, trace.nor_static
         if not trace.converged:
-            nor_seq = nor_static = np.full(len(trace.adt), np.nan)
+            nor_seq = nor_static = np.full(cfg.n_adts, np.nan)
             if errors is not None:
                 errors.append(f"{axis_name}={0 if value is None else value}: "
                               "fixpoint did not converge")
-        for i, t in enumerate(trace.adt):
-            rows.append((int(t), "s_amp", nor_seq[i],
-                         cfg.pilot_len, cfg.tx_power_dbm))
-            rows.append((int(t), "amp_mmse", nor_static[i],
-                         cfg.pilot_len, cfg.tx_power_dbm))
+        for t in range(1, cfg.n_adts + 1):
+            for algo, nor in (("s_amp", nor_seq), ("amp_mmse", nor_static)):
+                rows.append((t, algo, nor[t - 1], cfg.pilot_len, cfg.tx_power_dbm))
     rows.sort(key=lambda r: (r[3], r[4], r[0], r[1]))
     return rows
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SPEED_OF_LIGHT, SystemConfig
+from .config import SystemConfig, doppler
 from .rng import complex_normal, stream
 
 __all__ = [
@@ -64,8 +64,12 @@ class Scenario:
     profiles: Profiles
     activity: np.ndarray        # (N, T) int8 in {0, 1}
     channels: np.ndarray        # (N, T) complex
-    sparse_signal: np.ndarray   # (N, T) complex, activity * channels
     received: np.ndarray        # (L, T) complex
+
+    @property
+    def sparse_signal(self) -> np.ndarray:
+        """(N, T) complex x = activity * channels, formed at each access."""
+        return self.activity * self.channels
 
 
 def derive_noise_var(cfg: SystemConfig) -> float:
@@ -114,11 +118,11 @@ def gen_user_profiles(cfg: SystemConfig, rng: np.random.Generator,
     d_km = rng.uniform(cfg.dist_range_km[0], cfg.dist_range_km[1], n)
     v_kmh = rng.uniform(cfg.speed_range_kmh[0], cfg.speed_range_kmh[1], n)
     pathloss_db = cfg.pathloss_intercept_db + cfg.pathloss_slope * np.log10(d_km)
-    doppler = v_kmh / 3.6 * cfg.carrier_hz / SPEED_OF_LIGHT
+    doppler_hz, arg = doppler(cfg, v_kmh)
     # the AR-1 innovation variance (1 - eta^2)*rho must not go negative, so
     # |eta| <= 1 is enforced rather than trusted to the last ulp of J0
-    eta = np.clip(_bessel_j0(2.0 * np.pi * doppler * cfg.adp_duration_s), -1.0, 1.0)
-    return Profiles(pathloss_db, channel_power(cfg, pathloss_db), doppler, eta)
+    eta = np.clip(_bessel_j0(arg), -1.0, 1.0)
+    return Profiles(pathloss_db, channel_power(cfg, pathloss_db), doppler_hz, eta)
 
 
 def gen_pilots(cfg: SystemConfig, rng: np.random.Generator) -> np.ndarray:
@@ -212,10 +216,9 @@ def make_scenario(cfg: SystemConfig, trial: int = 0,
                                stream(cfg.seed, trial, "activity"))
     channels = ar1_channels(profiles.channel_var, profiles.ar_coeff, cfg.n_adts,
                             stream(cfg.seed, trial, "channels"))
-    sparse = activity * channels
-    received = synthesize_received(pilots, sparse, derive_noise_var(cfg),
+    received = synthesize_received(pilots, activity * channels, derive_noise_var(cfg),
                                    stream(cfg.seed, trial, "noise"))
-    return Scenario(pilots, profiles, activity, channels, sparse, received)
+    return Scenario(pilots, profiles, activity, channels, received)
 
 
 def channel_vars(profiles: Profiles) -> np.ndarray:

@@ -93,9 +93,8 @@ class SeFixpoint:
 
 @dataclass(frozen=True)
 class SeTrace:
-    """Per-ADT fixpoints of the sequential and static recursions."""
+    """Per-ADT fixpoints of the sequential and static recursions; row t is ADT t+1."""
 
-    adt: np.ndarray          # 1-based ADT indices
     c_seq: np.ndarray
     c_static: np.ndarray
     nor_seq: np.ndarray      # (P/P0) * c_t
@@ -237,5 +236,5 @@ def se_sequential_trace(cfg: SystemConfig, n_samples: int = SE_TRACE_SAMPLES,
         prior = prior_propagate(post, eta, rho, cfg)
 
     nor = 10.0 ** ((cfg.tx_power_dbm - NOR_REF_DBM) / 10.0)
-    return SeTrace(np.arange(1, t_total + 1), c_seq, c_static,
-                   nor * c_seq, nor * c_static, n_samples, all_converged)
+    return SeTrace(c_seq, c_static, nor * c_seq, nor * c_static, n_samples,
+                   all_converged)

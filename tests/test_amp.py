@@ -12,12 +12,7 @@ from seqamp.scenario import gen_pilots, make_scenario
 from seqamp.sequential import initial_prior
 from seqamp.state_evolution import se_sequential_trace
 
-
-def scalar_cfg(noise_var):
-    # psd/bandwidth chosen so derive_noise_var(cfg) == noise_var
-    psd = 30.0 + 10.0 * np.log10(noise_var)
-    return SystemConfig(n_users=1, pilot_len=1, n_adts=1,
-                        noise_psd_dbm_hz=psd, bandwidth_hz=1.0)
+from helpers import noise_config
 
 
 class TestInit:
@@ -26,7 +21,8 @@ class TestInit:
         assert np.all(st.z == 0) and np.all(st.mu == 0) and st.iter == 0
 
     def test_c0_product(self):
-        st = amp_init(np.zeros(1, dtype=complex), scalar_cfg(1e-13))
+        cfg = noise_config(1e-13, n_users=1, pilot_len=1, n_adts=1)
+        st = amp_init(np.zeros(1, dtype=complex), cfg)
         assert C0_FACTOR == 100.0
         assert st.c == pytest.approx(1e-11)
 

@@ -14,6 +14,8 @@ from seqamp.rng import stream
 from seqamp.scenario import derive_noise_var, gen_pilots, make_scenario
 from seqamp.sequential import s_amp_run
 
+from helpers import noise_config
+
 
 @pytest.fixture(scope="module")
 def guard_case():
@@ -22,14 +24,9 @@ def guard_case():
     return cfg, make_scenario(cfg, 0)
 
 
-def noise_cfg(noise_var, **kw):
-    psd = 30.0 + 10.0 * np.log10(noise_var)
-    return SystemConfig(noise_psd_dbm_hz=psd, bandwidth_hz=1.0, **kw)
-
-
 class TestAmpSoft:
     def test_huge_alpha_zeroes_everything(self):
-        cfg = noise_cfg(0.01, n_users=32, pilot_len=16, amp_iters=20)
+        cfg = noise_config(0.01, n_users=32, pilot_len=16, amp_iters=20)
         scn_pilots = gen_pilots(cfg, stream(0, 0, "s"))
         y = scn_pilots @ (np.arange(32) == 3).astype(complex)
         res = amp_soft(y, scn_pilots, cfg, alpha=1e6)
@@ -39,7 +36,7 @@ class TestAmpSoft:
     def test_orthonormal_single_iteration_exactness(self):
         # S = I, one sweep: estimate = soft threshold of y at alpha*||y||/sqrt(L)
         n = 12
-        cfg = noise_cfg(0.01, n_users=n, pilot_len=n, amp_iters=1)
+        cfg = noise_config(0.01, n_users=n, pilot_len=n, amp_iters=1)
         s = np.eye(n, dtype=complex)
         rng = stream(1, 0, "y")
         y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -50,7 +47,7 @@ class TestAmpSoft:
         assert np.allclose(res.estimate, expected)
 
     def test_rejects_nonpositive_alpha(self):
-        cfg = noise_cfg(0.01, n_users=8, pilot_len=4)
+        cfg = noise_config(0.01, n_users=8, pilot_len=4)
         with pytest.raises(ValueError):
             amp_soft(np.zeros(4, dtype=complex), np.zeros((4, 8), dtype=complex),
                      cfg, alpha=0.0)
@@ -68,13 +65,13 @@ class TestAmpSoft:
 
     @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_non_finite_or_nonpositive_alpha(self, alpha):
-        cfg = noise_cfg(0.01, n_users=8, pilot_len=4)
+        cfg = noise_config(0.01, n_users=8, pilot_len=4)
         with pytest.raises(ValueError, match="column 0"):
             amp_soft(np.ones(4, dtype=complex), np.ones((4, 8), dtype=complex),
                      cfg, alpha=alpha)
 
     def test_rejects_grid_with_one_bad_alpha(self):
-        cfg = noise_cfg(0.01, n_users=8, pilot_len=4)
+        cfg = noise_config(0.01, n_users=8, pilot_len=4)
         with pytest.raises(ValueError, match="column 2 has nan"):
             amp_soft(np.ones((4, 4), dtype=complex), np.ones((4, 8), dtype=complex),
                      cfg, alpha=[1.0, 1.2, math.nan, 1.5])
@@ -241,7 +238,7 @@ class TestOmp:
         s = np.zeros((4, 4), dtype=complex)
         s[0, 0] = s[0, 1] = s[1, 2] = s[2, 3] = 1.0
         y = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex)
-        cfg = noise_cfg(1e-6, n_users=4, pilot_len=4, lam=0.25)
+        cfg = noise_config(1e-6, n_users=4, pilot_len=4, lam=0.25)
         res = omp(y, s, cfg)
         assert res.hit_rank_limit and res.iterations == 1
         assert np.all(np.isfinite(res.estimate))
@@ -249,7 +246,7 @@ class TestOmp:
 
     def test_exact_recovery_orthogonal_noiseless(self):
         n = 16
-        cfg = noise_cfg(1e-12, n_users=n, pilot_len=n, lam=0.1)
+        cfg = noise_config(1e-12, n_users=n, pilot_len=n, lam=0.1)
         s = np.eye(n, dtype=complex)
         x = np.zeros(n, dtype=complex)
         x[[2, 7, 11]] = [1.0, -0.5 + 0.2j, 0.8j]
@@ -258,7 +255,7 @@ class TestOmp:
         assert res.iterations == 3
 
     def test_zero_observation_empty_support(self):
-        cfg = noise_cfg(0.01, n_users=16, pilot_len=8)
+        cfg = noise_config(0.01, n_users=16, pilot_len=8)
         s = gen_pilots(cfg, stream(0, 0, "s"))
         res = omp(np.zeros(8, dtype=complex), s, cfg)
         assert res.iterations == 0 and np.all(res.support == 0)
@@ -281,7 +278,7 @@ class TestOmp:
         assert peak < scn.pilots.nbytes / 2
 
     def test_default_iteration_cap(self):
-        cfg = noise_cfg(1e-30, n_users=100, pilot_len=30, lam=0.05)
+        cfg = noise_config(1e-30, n_users=100, pilot_len=30, lam=0.05)
         s = gen_pilots(cfg, stream(0, 0, "s"))
         rng = stream(1, 0, "x")
         x = (rng.random(100) < 0.5) * (rng.standard_normal(100) + 0j)

@@ -13,11 +13,7 @@ from seqamp.denoiser import (BgPrior, _logistic_neg, active_branch, denoise_deri
                              log_gamma)
 from seqamp.quadrature import x_moments
 
-
-def logistic(t):
-    """1/(1 + exp(-t)), the formula of scipy.special.expit, for the oracles."""
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-t))
+from helpers import logistic
 
 
 class TestLogistic:

@@ -3,6 +3,7 @@
 import gc
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -18,8 +19,8 @@ from hypothesis import strategies as st
 
 from seqamp.cli import main as cli_main
 from seqamp.config import SystemConfig, desk_config
-from seqamp.experiments import (ALGORITHMS, CALIBRATION_TRIAL, CSV_HEADER,
-                                SCALAR_KEYS, SWEEP_KEYS, ConfigError,
+from seqamp.experiments import (ALGORITHMS, CALIBRATION_TRIAL, CONFIG_KEYS,
+                                CSV_HEADER, SCALAR_KEYS, SWEEP_KEYS, ConfigError,
                                 ExperimentSpec, load_config, parse_config_text,
                                 run_experiment, run_se, write_csv, write_se_csv)
 from seqamp.state_evolution import NOR_REF_DBM
@@ -51,7 +52,7 @@ config_values = st.one_of(
     st.sampled_from(ALGORITHMS),
     st.text(max_size=12),
 )
-known_key_lines = st.tuples(st.sampled_from(SCALAR_KEYS + ("algos", "out")),
+known_key_lines = st.tuples(st.sampled_from(CONFIG_KEYS),
                             config_values).map(" = ".join)
 config_lines = st.one_of(known_key_lines, known_key_lines, known_key_lines,
                          st.text(max_size=20))
@@ -182,8 +183,26 @@ class TestConfigParsing:
     def test_r0_and_r_scale_together_rejected(self, tmp_path, text, flags):
         path = tmp_path / "exp.cfg"
         path.write_text(text)
-        with pytest.raises(ConfigError, match="both r_scale and r0"):
+        with pytest.raises(ConfigError, match="r_scale set twice: ") as exc:
             load_config(str(path), flags)
+        assert "(r0)" in str(exc.value) and "(r_scale)" in str(exc.value)
+
+    @pytest.mark.parametrize("text, message", [
+        ("lambda = 0.1\nn_users = 100\nlambda = 0.2\n",
+         "lambda set twice: line 1 (lambda) and line 3 (lambda)"),
+        # each range end is a setting of its own
+        ("dist_min_km = 0.1\ndist_max_km = 0.5\ndist_min_km = 0.2\n",
+         "dist_min_km set twice: line 1 (dist_min_km) and line 3 (dist_min_km)"),
+        ("pilot_len = 100\npilot_len = 200\n",
+         "pilot_len set twice: line 1 (pilot_len) and line 2 (pilot_len)"),
+    ], ids=["lambda", "dist_min_km", "pilot_len"])
+    def test_setting_given_twice_in_a_file_rejected(self, tmp_path, text, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config_text(text)
+        path = tmp_path / "exp.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_config(str(path), {})
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("key", FLOAT_KEYS)
@@ -629,6 +648,27 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.startswith("config error: ") and not captured.out
 
+    @pytest.mark.parametrize("out", ["missing/r.csv", "file/r.csv", "dir"],
+                             ids=["missing-parent", "parent-is-a-file", "is-a-dir"])
+    @pytest.mark.parametrize("command", ["run", "se"])
+    def test_unwritable_out_is_config_error_before_the_run(self, tmp_path, capsys,
+                                                           monkeypatch, command, out):
+        import seqamp.cli as cli
+        ran = []
+        monkeypatch.setattr(cli, "run_experiment", lambda *a: ran.append(a))
+        monkeypatch.setattr(cli, "run_se", lambda *a, **k: ran.append(a))
+        (tmp_path / "file").write_text("")
+        (tmp_path / "dir").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        path = tmp_path / out
+        assert cli_main([command, "--n-users", "40", "--pilot-len", "20",
+                         "--n-adts", "2", "--out", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: cannot write {path}: ")
+        assert not captured.out and ran == []
+        assert sorted(tmp_path.rglob("*")) == before
+        assert (tmp_path / "file").read_text() == ""
+
     @pytest.mark.parametrize("sweep", ["lambda = 0.1, 2", "tx_power_dbm = 30, nan"])
     def test_bad_sweep_point_is_config_error(self, tmp_path, capsys, sweep):
         cfg = tmp_path / "exp.cfg"
@@ -723,3 +763,15 @@ class TestCli:
         soft = [r for r in rows if r[2] == "amp_soft"]
         assert [r[3] for r in soft] == ["all", "1", "2", "3"]
         assert all(math.isfinite(float(x)) for r in soft for x in r[4:7])
+
+
+def readme_list(label: str) -> tuple[str, ...]:
+    """The backticked comma list after ``label:`` in README.md."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.search(rf"{label}: `([^`]*)`", text).group(1)
+    return tuple(key.strip() for key in listed.split(","))
+
+
+def test_readme_lists_the_config_keys():
+    assert readme_list("Keys") == CONFIG_KEYS
+    assert readme_list("Sweepable") == SWEEP_KEYS

@@ -1,8 +1,8 @@
 """Every exported name of the package resolves to a definition.
 
 A deleted function whose name stays in a module's ``__all__`` breaks
-``from seqamp.<module> import *`` only; one that stays in the package's
-``__init__`` breaks ``import seqamp`` for everybody.  Likewise every
+``from seqamp.<module> import *``.  The package itself exports no names,
+so each module's ``__all__`` is the one list of its names.  Likewise every
 binding the benchmark's tracing wraps (``perfbench/bench_trace.SITES``)
 must exist, or the benchmark fails inside its run.  And no module keeps an
 import it does not use, unless that import is such a traced binding.
@@ -22,14 +22,6 @@ import seqamp
 SRC = Path(seqamp.__file__).parent
 MODULES = sorted(m.name for m in pkgutil.iter_modules([str(SRC)]))
 BENCH_TRACE = Path(__file__).resolve().parents[1] / "perfbench" / "bench_trace.py"
-
-
-def package_imports():
-    """(module, name) for every ``from .module import name`` in __init__.py."""
-    tree = ast.parse((SRC / "__init__.py").read_text())
-    return [(node.module, alias.name) for node in tree.body
-            if isinstance(node, ast.ImportFrom) and node.level == 1
-            for alias in node.names]
 
 
 def bench_trace_sites():
@@ -67,8 +59,7 @@ def site_bindings(module_name: str) -> set[str]:
             if module == f"seqamp.{module_name}"}
 
 
-# MODULES leaves out __init__.py, which imports only to re-export;
-# test_package_imports_are_exported_names covers it
+# MODULES leaves out __init__.py, which holds only the package docstring
 @pytest.mark.parametrize("name", MODULES)
 def test_module_has_no_unused_import(name):
     unused = unused_imports((SRC / f"{name}.py").read_text(), site_bindings(name))
@@ -90,15 +81,6 @@ def test_module_all_resolves(name):
     module = importlib.import_module(f"seqamp.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, f"seqamp.{name}.__all__ names undefined {missing}"
-
-
-def test_package_imports_are_exported_names():
-    pairs = package_imports()
-    assert pairs
-    for module_name, name in pairs:
-        module = importlib.import_module(f"seqamp.{module_name}")
-        assert hasattr(module, name), f"seqamp.{module_name} has no {name}"
-        assert name in module.__all__, f"{name} missing from seqamp.{module_name}.__all__"
 
 
 @pytest.mark.parametrize("module_name, attr", bench_trace_sites())

@@ -62,10 +62,10 @@ def test_power_rescaling_invariance(unshifted, delta_db):
 
 def permuted_users(scn: Scenario, perm: np.ndarray) -> Scenario:
     """The scenario with user n relabelled perm^{-1}(n): S's columns, the
-    profiles and the signal and activity rows permuted alike."""
+    profiles and the channel and activity rows permuted alike."""
     profiles = Profiles(*(getattr(scn.profiles, f.name)[perm] for f in fields(Profiles)))
     return Scenario(scn.pilots[:, perm], profiles, scn.activity[perm],
-                    scn.channels[perm], scn.sparse_signal[perm], scn.received)
+                    scn.channels[perm], scn.received)
 
 
 @pytest.mark.parametrize("trial", range(3))

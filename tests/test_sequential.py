@@ -13,6 +13,8 @@ from seqamp.scenario import channel_vars, make_scenario
 from seqamp.sequential import (initial_prior, moment_match, posterior_update,
                                prior_propagate, s_amp_run)
 
+from helpers import logistic
+
 
 class TestMomentMatch:
     def test_symmetric_hand_chain(self):
@@ -118,12 +120,6 @@ class TestMomentMatch:
         assert len(built) == 1
         for field in ("pi_bar", "xi_bar", "psi_bar"):
             assert np.array_equal(getattr(got, field), getattr(want, field))
-
-
-def logistic(t):
-    """1/(1 + exp(-t)), the formula of scipy.special.expit."""
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-t))
 
 
 # moment_match as it was on complex arrays, verbatim but for tau and kappa,

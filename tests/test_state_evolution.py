@@ -18,11 +18,7 @@ from seqamp.experiments import load_config, run_se
 from seqamp.state_evolution import (NOR_REF_DBM, SeSamples, se_draws, se_fixpoint,
                                     se_sequential_trace, se_step)
 
-
-def config_with_noise(noise_var, n_users, pilot_len, **kw):
-    psd = 30.0 + 10.0 * np.log10(noise_var)
-    return SystemConfig(n_users=n_users, pilot_len=pilot_len,
-                        noise_psd_dbm_hz=psd, bandwidth_hz=1.0, **kw)
+from helpers import noise_config
 
 
 def bg_samples(m, lam, rho, rng):
@@ -52,13 +48,14 @@ class TestSeStep:
         # with the load (N/L -> 0 itself is outside the config invariant)
         samples, prior = bg_samples(20_000, 0.05, 1.0, stream(0, 0, "se"))
         noise_var = 0.01
-        excess = [se_step(1.0, samples, prior, config_with_noise(noise_var, n, 100))
-                  - noise_var for n in (400, 200, 100)]
+        excess = [se_step(1.0, samples, prior,
+                          noise_config(noise_var, n_users=n, pilot_len=100)) - noise_var
+                  for n in (400, 200, 100)]
         assert excess[1] == pytest.approx(excess[0] / 2, rel=1e-9)
         assert excess[2] == pytest.approx(excess[0] / 4, rel=1e-9)
 
     def test_perfect_denoiser_stub(self, monkeypatch):
-        cfg = config_with_noise(0.37, n_users=500, pilot_len=100)
+        cfg = noise_config(0.37, n_users=500, pilot_len=100)
         samples, prior = bg_samples(5_000, cfg.lam, 1.0, stream(0, 0, "se"))
         # se_step's denoiser is the parts kernel, bound as se.denoise_mean
         monkeypatch.setattr(se, "denoise_mean",
@@ -72,7 +69,7 @@ class TestSeStep:
     def test_against_radial_quadrature(self):
         # batch sized so the 1% tolerance sits at ~3 sigma of the MC noise
         lam, rho, c, noise_var = 0.05, 1.0, 1.0, 0.01
-        cfg = config_with_noise(noise_var, n_users=500, pilot_len=100, lam=lam)
+        cfg = noise_config(noise_var, n_users=500, pilot_len=100, lam=lam)
         samples, prior = bg_samples(2_000_000, lam, rho, stream(1, 0, "se-quad"))
         mc = se_step(c, samples, prior, cfg)
         ref = noise_var + (cfg.n_users / cfg.pilot_len) * \
@@ -81,12 +78,12 @@ class TestSeStep:
 
     def test_monotone_in_load(self):
         samples, prior = bg_samples(50_000, 0.05, 1.0, stream(2, 0, "se"))
-        outs = [se_step(0.5, samples, prior, config_with_noise(0.01, n, 100))
+        outs = [se_step(0.5, samples, prior, noise_config(0.01, n_users=n, pilot_len=100))
                 for n in (100, 200, 400, 800)]
         assert all(a <= b for a, b in zip(outs, outs[1:]))
 
     def test_never_below_noise_floor(self):
-        cfg = config_with_noise(0.05, n_users=300, pilot_len=100)
+        cfg = noise_config(0.05, n_users=300, pilot_len=100)
         samples, prior = bg_samples(20_000, cfg.lam, 1.0, stream(3, 0, "se"))
         for c in (0.01, 0.1, 1.0, 10.0):
             assert se_step(c, samples, prior, cfg) >= 0.05
@@ -143,7 +140,7 @@ class TestSeStepPartwise:
 
 class TestSeFixpoint:
     def test_perfect_denoiser_converges_immediately(self, monkeypatch):
-        cfg = config_with_noise(0.2, n_users=500, pilot_len=100)
+        cfg = noise_config(0.2, n_users=500, pilot_len=100)
         samples, prior = bg_samples(5_000, cfg.lam, 1.0, stream(0, 0, "se"))
         monkeypatch.setattr(se, "denoise_mean",
                             lambda re, im, c, pr: (samples.x_re, samples.x_im))
@@ -152,19 +149,20 @@ class TestSeFixpoint:
         assert fp.iters <= 2
 
     def test_sparse_limit_returns_noise_floor(self):
-        cfg = config_with_noise(0.1, n_users=500, pilot_len=100, lam=1e-4)
+        cfg = noise_config(0.1, n_users=500, pilot_len=100, lam=1e-4)
         samples, prior = bg_samples(50_000, cfg.lam, 1.0, stream(4, 0, "se"))
         fp = se_fixpoint(samples, prior, cfg)
         assert fp.converged
         assert fp.c == pytest.approx(0.1, rel=0.02)
 
     def test_fixpoint_above_noise_floor(self):
-        cfg = config_with_noise(0.01, n_users=500, pilot_len=100, lam=0.05)
+        cfg = noise_config(0.01, n_users=500, pilot_len=100, lam=0.05)
         samples, prior = bg_samples(100_000, cfg.lam, 1.0, stream(5, 0, "se"))
         fp = se_fixpoint(samples, prior, cfg)
         assert fp.converged and fp.c >= 0.01
 
-    @pytest.mark.parametrize("cfg", [desk_config(), config_with_noise(0.01, 500, 100)],
+    @pytest.mark.parametrize("cfg", [desk_config(),
+                                     noise_config(0.01, n_users=500, pilot_len=100)],
                              ids=["desk", "noise-0.01"])
     def test_seeded_at_amp_init_c(self, cfg, monkeypatch):
         # state evolution predicts AMP's c, so it starts where amp_init does
@@ -278,10 +276,10 @@ class TestSharedDraws:
         want = []
         for _, cfg in spec.sweep_points():
             tr = se_sequential_trace(cfg, n_samples=1000)
-            for i, t in enumerate(tr.adt):
-                want.append((int(t), "s_amp", tr.nor_seq[i], cfg.pilot_len,
+            for i in range(cfg.n_adts):
+                want.append((i + 1, "s_amp", tr.nor_seq[i], cfg.pilot_len,
                              cfg.tx_power_dbm))
-                want.append((int(t), "amp_mmse", tr.nor_static[i], cfg.pilot_len,
+                want.append((i + 1, "amp_mmse", tr.nor_static[i], cfg.pilot_len,
                              cfg.tx_power_dbm))
         want.sort(key=lambda r: (r[3], r[4], r[0], r[1]))
         assert rows == want
