@@ -8,9 +8,10 @@ carrier); :func:`desk_config` shrinks dimensions so the full comparison
 suite runs in minutes while preserving the load ratio N/L and the expected
 number of active users per measurement.
 
-Only settings a run may vary are fields: the AMP seed ``amp.C0_FACTOR`` and
-P0 ``state_evolution.NOR_REF_DBM`` are constants, and the soft-threshold
-multiplier is calibrated per sweep point.
+Only settings a run may vary are fields: the carrier ``CARRIER_HZ``, the
+path loss ``scenario.PATHLOSS_INTERCEPT_DB`` and ``scenario.PATHLOSS_SLOPE``,
+the AMP seed ``amp.C0_FACTOR`` and P0 ``state_evolution.NOR_REF_DBM`` are
+constants, and the soft-threshold multiplier is calibrated per sweep point.
 """
 
 from __future__ import annotations
@@ -18,9 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
-__all__ = ["SystemConfig", "desk_config", "doppler", "SPEED_OF_LIGHT", "MAX_DOPPLER_ARG"]
+__all__ = ["SystemConfig", "desk_config", "doppler", "SPEED_OF_LIGHT", "CARRIER_HZ",
+           "MAX_DOPPLER_ARG"]
 
 SPEED_OF_LIGHT = 2.99792458e8  # m/s
+CARRIER_HZ = 3.5e9
 # largest Doppler argument 2*pi*f_D*T_ADP accepted: J0 costs O(argument) per
 # user, and beyond it |eta| = |J0| < 0.01, so the channel is all but memoryless
 MAX_DOPPLER_ARG = 1e4
@@ -46,11 +49,10 @@ class SystemConfig:
     noise_psd_dbm_hz: float = -169.0
     bandwidth_hz: float = 1e7
     adp_duration_s: float = 100e-6  # ADP duration (pilot-to-pilot spacing)
-    carrier_hz: float = 3.5e9
-    dist_range_km: tuple[float, float] = (0.05, 1.0)
-    speed_range_kmh: tuple[float, float] = (0.0, 50.0)
-    pathloss_intercept_db: float = -128.1
-    pathloss_slope: float = -36.7   # dB per decade of distance
+    dist_min_km: float = 0.05
+    dist_max_km: float = 1.0
+    speed_min_kmh: float = 0.0
+    speed_max_kmh: float = 50.0
     amp_iters: int = 50             # inner-loop iteration cap I
     seed: int = 1
     n_trials: int = 20
@@ -58,8 +60,7 @@ class SystemConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            ends = value if isinstance(value, tuple) else (value,)
-            if any(isinstance(x, float) and not math.isfinite(x) for x in ends):
+            if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
         if not (self.n_users > 0 and self.pilot_len > 0 and self.n_adts > 0):
             raise ValueError("dimensions must be positive")
@@ -71,16 +72,15 @@ class SystemConfig:
             raise ValueError("r_scale must lie in (0, 1]")
         if not (0.0 < self.p01 < 1.0 and 0.0 < self.p10 < 1.0):
             raise ValueError("derived transition probabilities must lie in (0, 1)")
-        for name in ("bandwidth_hz", "adp_duration_s", "carrier_hz"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if not 0.0 < self.dist_range_km[0] <= self.dist_range_km[1]:
-            raise ValueError("dist_range_km must satisfy 0 < d_min <= d_max")
-        if not 0.0 <= self.speed_range_kmh[0] <= self.speed_range_kmh[1]:
-            raise ValueError("speed_range_kmh must satisfy 0 <= v_min <= v_max")
+        if not (self.bandwidth_hz > 0 and self.adp_duration_s > 0):
+            raise ValueError("bandwidth_hz and adp_duration_s must be positive")
+        if not 0.0 < self.dist_min_km <= self.dist_max_km:
+            raise ValueError("distances must satisfy 0 < dist_min_km <= dist_max_km")
+        if not 0.0 <= self.speed_min_kmh <= self.speed_max_kmh:
+            raise ValueError("speeds must satisfy 0 <= speed_min_kmh <= speed_max_kmh")
         if self.amp_iters < 0 or self.n_trials < 1:
             raise ValueError("amp_iters must be >= 0 and n_trials >= 1")
-        _, arg = doppler(self, self.speed_range_kmh[1])
+        _, arg = doppler(self, self.speed_max_kmh)
         if arg > MAX_DOPPLER_ARG:
             raise ValueError(f"Doppler argument 2*pi*f_D*T_ADP = {arg:.4g} at the top "
                              f"speed exceeds {MAX_DOPPLER_ARG:g}")
@@ -102,7 +102,7 @@ class SystemConfig:
 
 def doppler(cfg: SystemConfig, speed_kmh):
     """(f_D, 2*pi*f_D*T_ADP) at ``speed_kmh`` (a float or an array): f_D = v*f_c/c in Hz."""
-    f_d = speed_kmh / 3.6 * cfg.carrier_hz / SPEED_OF_LIGHT
+    f_d = speed_kmh / 3.6 * CARRIER_HZ / SPEED_OF_LIGHT
     return f_d, 2.0 * math.pi * f_d * cfg.adp_duration_s
 
 

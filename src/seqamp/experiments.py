@@ -1,13 +1,13 @@
 """Experiment harness: config parsing, seeded sweeps, CSV emission.
 
 The config file is line-oriented ``key = value`` text with ``#`` comments.
-Keys mirror the SystemConfig fields (``lambda`` maps to the ``lam`` field;
-``r0`` sets ``r_scale = 1/2**r0``; range fields split into ``dist_min_km``
-etc.).  Exactly one of the sweepable keys (tx_power_dbm, pilot_len, r0,
-lambda, adp_duration_s) may carry a comma-separated list, which becomes the
-sweep axis.  CLI flags override file values, which override defaults.
-The file, or the flags, may give each setting only once; ``r0`` and
-``r_scale`` spell one setting, and a flag for either replaces the file's.
+Keys are the SystemConfig fields (``lambda`` maps to the ``lam`` field;
+``r0`` sets ``r_scale = 1/2**r0``).  Exactly one of the sweepable keys
+(tx_power_dbm, pilot_len, r0, lambda, adp_duration_s) may carry a
+comma-separated list, which becomes the sweep axis.  CLI flags override
+file values, which override defaults.  The file, or the flags, may give
+each setting only once; ``r0`` and ``r_scale`` spell one setting, and a
+flag for either replaces the file's.
 
 Every (sweep point, trial) pair owns hash-derived streams, all requested
 algorithms consume the identical Scenario (paired comparison), and rows are
@@ -55,15 +55,9 @@ SE_CSV_HEADER = "t,algorithm,nor_ct,pilot_len,tx_power_dbm"
 CALIBRATION_TRIAL = -1  # held-out trial index for soft-threshold tuning
 
 # SystemConfig fields whose config keys differ from the field name:
-# ``lambda`` sets ``lam``, ``r0`` is a second spelling of ``r_scale``
-# (r_scale = 1/2**r0), and a range field is set one end at a time.  Every
-# other field is keyed by its own name.
-_FIELD_KEYS = {
-    "lam": ("lambda",),
-    "r_scale": ("r_scale", "r0"),
-    "dist_range_km": ("dist_min_km", "dist_max_km"),
-    "speed_range_kmh": ("speed_min_kmh", "speed_max_kmh"),
-}
+# ``lambda`` sets ``lam``, and ``r0`` is a second spelling of ``r_scale``
+# (r_scale = 1/2**r0).  Every other field is keyed by its own name.
+_FIELD_KEYS = {"lam": ("lambda",), "r_scale": ("r_scale", "r0")}
 _KEY_FIELD = {key: name for name, keys in _FIELD_KEYS.items() for key in keys}
 SCALAR_KEYS = tuple(key for f in fields(SystemConfig)
                     for key in _FIELD_KEYS.get(f.name, (f.name,)))
@@ -118,12 +112,17 @@ class ExperimentSpec:
             points.append(point)
 
     def _point(self, value) -> SystemConfig:
-        return self.base.with_(**_field_values(self.base, {self.axis: value}))
+        return self.base.with_(**_field_values({self.axis: value}))
+
+    @property
+    def label(self) -> str:
+        """The sweep axis as rows and error lines name it; "none" without one."""
+        return self.axis or "none"
 
     def sweep_points(self) -> list[tuple[object, SystemConfig]]:
-        """(value, config) pairs; a single (None, base) point without an axis."""
+        """(value, config) pairs; a single (0, base) point without an axis."""
         if self.axis is None:
-            return [(None, self.base)]
+            return [(0, self.base)]
         return [(v, self._point(v)) for v in self.values]
 
 
@@ -141,21 +140,19 @@ class MetricsRecord:
     seed: int
 
 
-def _field_values(base: SystemConfig, entries: dict) -> dict:
+def _field_values(entries: dict) -> dict:
     """SystemConfig field values set by scalar config ``entries``.
 
-    Each value is cast by its field's type; ``r0`` becomes ``r_scale`` and
-    a range end replaces its end of ``base``'s range.
+    Each value is cast by its field's type, and an int field refuses a
+    value that is not a whole number; ``r0`` becomes ``r_scale``.
     """
     values: dict = {}
     for key, val in entries.items():
         name = _KEY_FIELD.get(key, key)
         if key == "r0":
             val = _r_scale_from_r0(val)
-        elif name in ("dist_range_km", "speed_range_kmh"):
-            bounds = list(values.get(name, getattr(base, name)))
-            bounds[_FIELD_KEYS[name].index(key)] = float(val)
-            val = tuple(bounds)
+        elif name in _INT_KEYS and not float(val).is_integer():
+            raise ValueError(f"{name} must be a whole number, got {val!r}")
         else:
             val = _FIELD_TYPES[name](val)
         values[name] = val
@@ -234,7 +231,7 @@ def _build_spec(entries: dict, desk: bool, workers: int) -> ExperimentSpec:
     scalars = {key: val for key, val in entries.items()
                if key != axis and key in SCALAR_KEYS}
     try:
-        base = defaults.with_(**_field_values(defaults, scalars))
+        base = defaults.with_(**_field_values(scalars))
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     algorithms = ExperimentSpec.algorithms
@@ -326,12 +323,11 @@ def _pooled_records(axis_name: str, value, cfg: SystemConfig, algorithms,
     records = []
     errors = []
     n_trials = len(trial_results)
-    value_repr = 0 if value is None else value
     for name in algorithms:
         raws = [tr[name] for tr in trial_results]
         failures = [r for r in raws if isinstance(r, str)]
         if failures:
-            errors.append(f"{name} @ {axis_name}={value_repr}: {failures[0]}")
+            errors.append(f"{name} @ {axis_name}={value}: {failures[0]}")
             rows = [("all", (float("nan"),) * 3)]
         else:
             total = np.sum(np.stack(raws), axis=0)  # (8, T)
@@ -339,7 +335,7 @@ def _pooled_records(axis_name: str, value, cfg: SystemConfig, algorithms,
             rows = [(adt, (nmse_db(s[0], s[1]), nmse_db(s[2], s[3]),
                            dep_from_counts(*s[4:8])))
                     for adt, s in columns]
-        records.extend(MetricsRecord(axis_name, value_repr, name, adt, *metrics,
+        records.extend(MetricsRecord(axis_name, value, name, adt, *metrics,
                                      n_trials, elapsed, cfg.seed)
                        for adt, metrics in rows)
     return records, errors
@@ -374,7 +370,6 @@ def run_experiment(spec: ExperimentSpec):
     """
     records: list[MetricsRecord] = []
     errors: list[str] = []
-    axis_name = spec.axis if spec.axis is not None else "none"
     with _task_map(spec.workers) as trial_map:
         for value, cfg in spec.sweep_points():
             t0 = time.perf_counter()
@@ -395,7 +390,7 @@ def run_experiment(spec: ExperimentSpec):
                 for tr in trial_results:
                     tr["amp_soft"] = cal_error
             elapsed = time.perf_counter() - t0
-            recs, errs = _pooled_records(axis_name, value, cfg, spec.algorithms,
+            recs, errs = _pooled_records(spec.label, value, cfg, spec.algorithms,
                                          trial_results, elapsed)
             records.extend(recs)
             errors.extend(errs)
@@ -451,7 +446,6 @@ def run_se(spec: ExperimentSpec, n_samples: int = SE_TRACE_SAMPLES,
     check_se_axis(spec)
     draws = se_draws(spec.base, n_samples) if spec.workers == 1 else None
     rows = []
-    axis_name = spec.axis if spec.axis is not None else "none"
     points = spec.sweep_points()
     n = len(points)
     with _task_map(spec.workers) as point_map:
@@ -462,8 +456,7 @@ def run_se(spec: ExperimentSpec, n_samples: int = SE_TRACE_SAMPLES,
         if not trace.converged:
             nor_seq = nor_static = np.full(cfg.n_adts, np.nan)
             if errors is not None:
-                errors.append(f"{axis_name}={0 if value is None else value}: "
-                              "fixpoint did not converge")
+                errors.append(f"{spec.label}={value}: fixpoint did not converge")
         for t in range(1, cfg.n_adts + 1):
             for algo, nor in (("s_amp", nor_seq), ("amp_mmse", nor_static)):
                 rows.append((t, algo, nor[t - 1], cfg.pilot_len, cfg.tx_power_dbm))

@@ -18,11 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqamp.cli import main as cli_main
-from seqamp.config import SystemConfig, desk_config
+from seqamp.config import CARRIER_HZ, SystemConfig, desk_config
 from seqamp.experiments import (ALGORITHMS, CALIBRATION_TRIAL, CONFIG_KEYS,
                                 CSV_HEADER, SCALAR_KEYS, SWEEP_KEYS, ConfigError,
                                 ExperimentSpec, load_config, parse_config_text,
                                 run_experiment, run_se, write_csv, write_se_csv)
+from seqamp.scenario import PATHLOSS_INTERCEPT_DB, PATHLOSS_SLOPE
 from seqamp.state_evolution import NOR_REF_DBM
 
 # every config key that sets a float (the int fields are keyed by their names)
@@ -31,12 +32,8 @@ FLOAT_KEYS = [key for key in SCALAR_KEYS
 
 
 def all_finite(cfg: SystemConfig) -> bool:
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        for x in (value if isinstance(value, tuple) else (value,)):
-            if isinstance(x, float) and not math.isfinite(x):
-                return False
-    return True
+    values = [getattr(cfg, f.name) for f in fields(cfg)]
+    return all(math.isfinite(x) for x in values if isinstance(x, float))
 
 
 # two points per sweep key, both off the defaults
@@ -66,10 +63,10 @@ class TestConfigParsing:
         assert cfg.lam == 0.05 and cfg.r_scale == 0.1
         assert cfg.adp_duration_s == pytest.approx(100e-6)
         assert cfg.noise_psd_dbm_hz == -169.0 and cfg.bandwidth_hz == 1e7
-        assert cfg.carrier_hz == 3.5e9
-        assert cfg.pathloss_intercept_db == -128.1 and cfg.pathloss_slope == -36.7
-        assert cfg.dist_range_km == (0.05, 1.0)
-        assert cfg.speed_range_kmh == (0.0, 50.0)
+        assert CARRIER_HZ == 3.5e9
+        assert PATHLOSS_INTERCEPT_DB == -128.1 and PATHLOSS_SLOPE == -36.7
+        assert (cfg.dist_min_km, cfg.dist_max_km) == (0.05, 1.0)
+        assert (cfg.speed_min_kmh, cfg.speed_max_kmh) == (0.0, 50.0)
         assert NOR_REF_DBM == 13.0
 
     def test_flag_overrides_file(self, tmp_path):
@@ -114,8 +111,8 @@ class TestConfigParsing:
     def test_range_keys(self):
         spec = load_config(None, {"dist_min_km": "0.2", "dist_max_km": "0.8",
                                   "speed_max_kmh": "10"})
-        assert spec.base.dist_range_km == (0.2, 0.8)
-        assert spec.base.speed_range_kmh == (0.0, 10.0)
+        assert (spec.base.dist_min_km, spec.base.dist_max_km) == (0.2, 0.8)
+        assert (spec.base.speed_min_kmh, spec.base.speed_max_kmh) == (0.0, 10.0)
 
     def test_nonsweepable_list_rejected(self):
         with pytest.raises(ConfigError, match="does not accept a list"):
@@ -165,8 +162,10 @@ class TestConfigParsing:
     def test_every_scalar_field_round_trips_with_its_type(self, tmp_path):
         # lam is keyed as lambda; each value differs from the default
         types = get_type_hints(SystemConfig)
-        want = {f.name: (f.default + 1 if types[f.name] is int else f.default / 2)
-                for f in fields(SystemConfig) if types[f.name] in (int, float)}
+        assert all(types[f.name] in (int, float) for f in fields(SystemConfig))
+        want = {f.name: (f.default + 1 if types[f.name] is int
+                         else f.default / 2 if f.default else 1.0)
+                for f in fields(SystemConfig)}
         path = tmp_path / "all.cfg"
         path.write_text("".join(f"{'lambda' if name == 'lam' else name} = {value}\n"
                                 for name, value in want.items()))
@@ -260,6 +259,13 @@ class TestConfigParsing:
                               values=("30", np.float32(27.5)))
         powers = [cfg.tx_power_dbm for _, cfg in spec.sweep_points()]
         assert powers == [30.0, 27.5] and all(type(p) is float for p in powers)
+
+    @pytest.mark.parametrize("value", [100.5, math.inf])
+    def test_direct_spec_refuses_an_int_value_that_is_not_whole(self, value):
+        # int() would run 100.5 at pilot_len 100 and overflow on inf
+        message = f"sweep point pilot_len = {value}: pilot_len must be a whole number"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            ExperimentSpec(SystemConfig(), axis="pilot_len", values=(value, 200.9))
 
     def test_r_flag_overrides_other_spelling_in_file(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -449,7 +455,8 @@ class TestCli:
         assert code == 0
         assert out.exists() and out.read_text().startswith(CSV_HEADER)
 
-    @pytest.mark.parametrize("args", [["--soft-alpha", "1.9"], ["--seed", "x"]])
+    @pytest.mark.parametrize("args", [["--soft-alpha", "1.9"], ["--seed", "x"],
+                                      ["--carrier-hz", "3.5e9"]])
     @pytest.mark.parametrize("command", ["run", "se"])
     def test_usage_error_exits_1(self, tmp_path, monkeypatch, capsys, command, args):
         # exit 2 means "results written, some rows failed", so an unknown
@@ -592,12 +599,15 @@ class TestCli:
         assert len(out.read_text().splitlines()) == 3
 
     @pytest.mark.parametrize("key, value", [("soft_alpha", "1.9"), ("c0_factor", "100"),
-                                            ("nor_ref_dbm", "13")])
+                                            ("nor_ref_dbm", "13"), ("carrier_hz", "3.5e9"),
+                                            ("pathloss_intercept_db", "-128.1"),
+                                            ("pathloss_slope", "-36.7")])
     @pytest.mark.parametrize("command", ["run", "se"])
     def test_fixed_constant_key_is_config_error(self, tmp_path, capsys, command,
                                                 key, value):
-        # the soft threshold is calibrated, c0 and P0 are constants: a file
-        # setting one would change nothing, so it is refused
+        # the soft threshold is calibrated; c0, P0, the carrier and the
+        # path-loss law are constants: a file setting one would change
+        # nothing, so it is refused
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(f"n_users = 100\npilot_len = 25\nn_adts = 1\n{key} = {value}\n")
         out = tmp_path / "out.csv"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import j0 as scipy_j0
 
-from seqamp.config import SPEED_OF_LIGHT, SystemConfig, desk_config
+from seqamp.config import CARRIER_HZ, SPEED_OF_LIGHT, SystemConfig, desk_config
 from seqamp.rng import stream
 from seqamp.scenario import (_bessel_j0, ar1_channels, derive_noise_var, gen_pilots,
                              gen_user_profiles, make_scenario, markov_activity,
@@ -40,8 +40,8 @@ def eta_at(x):
     2*pi*D*T_b is x, reached by pinning the speed range to one speed."""
     cfg = SystemConfig(n_users=1, pilot_len=1)
     doppler = x / (2.0 * np.pi * cfg.adp_duration_s)
-    v_kmh = doppler * SPEED_OF_LIGHT / cfg.carrier_hz * 3.6
-    p = gen_user_profiles(cfg.with_(speed_range_kmh=(v_kmh, v_kmh)),
+    v_kmh = doppler * SPEED_OF_LIGHT / CARRIER_HZ * 3.6
+    p = gen_user_profiles(cfg.with_(speed_min_kmh=v_kmh, speed_max_kmh=v_kmh),
                           stream(0, 0, "p"))
     return float(p.ar_coeff[0])
 
@@ -66,8 +66,8 @@ class TestBesselJ0:
     def test_operating_range_accuracy(self):
         # Doppler arguments 0..20 over 100001 users
         cfg = SystemConfig(n_users=100001, pilot_len=1)
-        v_max = 20.0 / (2.0 * np.pi * cfg.adp_duration_s) * SPEED_OF_LIGHT / cfg.carrier_hz * 3.6
-        p = gen_user_profiles(cfg.with_(speed_range_kmh=(0.0, v_max)), stream(0, 0, "p"))
+        v_max = 20.0 / (2.0 * np.pi * cfg.adp_duration_s) * SPEED_OF_LIGHT / CARRIER_HZ * 3.6
+        p = gen_user_profiles(cfg.with_(speed_max_kmh=v_max), stream(0, 0, "p"))
         x = 2.0 * np.pi * p.doppler_hz * cfg.adp_duration_s
         assert x.max() > 19.0
         assert np.max(np.abs(p.ar_coeff - scipy_j0(x))) <= 1e-7
@@ -97,7 +97,7 @@ class TestBesselJ0:
         assert np.max(np.abs(_bessel_j0(x) - scipy_j0(x))) <= tol
 
     def test_below_one_at_a_thousandth_km_per_hour(self):
-        cfg = SystemConfig(n_users=8, pilot_len=4, speed_range_kmh=(0.001, 0.001))
+        cfg = SystemConfig(n_users=8, pilot_len=4, speed_min_kmh=0.001, speed_max_kmh=0.001)
         assert np.all(gen_user_profiles(cfg, stream(0, 0, "p")).ar_coeff < 1.0)
 
     def test_profiles_memory_does_not_grow_with_node_count(self, peak_traced_bytes):
@@ -105,8 +105,8 @@ class TestBesselJ0:
         # grid of them would need over 60 times the bound
         n = 20000
         cfg = SystemConfig(n_users=n, pilot_len=4)
-        v_max = 1e3 / (2.0 * np.pi * cfg.adp_duration_s) * SPEED_OF_LIGHT / cfg.carrier_hz * 3.6
-        cfg = cfg.with_(speed_range_kmh=(0.0, v_max))
+        v_max = 1e3 / (2.0 * np.pi * cfg.adp_duration_s) * SPEED_OF_LIGHT / CARRIER_HZ * 3.6
+        cfg = cfg.with_(speed_max_kmh=v_max)
         profiles = []
         peak = peak_traced_bytes(
             lambda: profiles.append(gen_user_profiles(cfg, stream(0, 0, "p"))))
@@ -131,20 +131,20 @@ class TestNoiseVar:
 
 class TestUserProfiles:
     def test_pathloss_at_one_km(self):
-        cfg = SystemConfig(n_users=4, pilot_len=4, dist_range_km=(1.0, 1.0))
+        cfg = SystemConfig(n_users=4, pilot_len=4, dist_min_km=1.0, dist_max_km=1.0)
         profiles = gen_user_profiles(cfg, stream(0, 0, "p"))
         for pathloss_db in profiles.pathloss_db:
             assert pathloss_db == pytest.approx(-128.1, abs=1e-9)
 
     def test_pathloss_at_100m(self):
-        cfg = SystemConfig(n_users=4, pilot_len=4, dist_range_km=(0.1, 0.1))
+        cfg = SystemConfig(n_users=4, pilot_len=4, dist_min_km=0.1, dist_max_km=0.1)
         profiles = gen_user_profiles(cfg, stream(0, 0, "p"))
         assert profiles.pathloss_db[0] == pytest.approx(-91.4, abs=1e-9)
 
     def test_doppler_and_ar_coefficient(self):
         # 50 km/h at 3.5 GHz: D = v*f_c/c ~ 162.1 Hz; eta = J0(2*pi*D*T_b)
-        cfg = SystemConfig(n_users=2, pilot_len=2, speed_range_kmh=(50.0, 50.0),
-                           carrier_hz=3.5e9, adp_duration_s=100e-6)
+        cfg = SystemConfig(n_users=2, pilot_len=2, speed_min_kmh=50.0, speed_max_kmh=50.0,
+                           adp_duration_s=100e-6)
         p = gen_user_profiles(cfg, stream(0, 0, "p"))
         assert p.doppler_hz[0] == pytest.approx(162.1, abs=0.1)
         assert p.ar_coeff[0] == pytest.approx(j0_series(2 * np.pi * 162.1 * 100e-6), abs=1e-5)
@@ -159,17 +159,17 @@ class TestUserProfiles:
         x = 2 * np.pi * p.doppler_hz * cfg.adp_duration_s
         oracle = np.array([j0_series(xi) for xi in x])
         assert np.max(np.abs(p.ar_coeff - oracle)) <= 1e-12
-        slow = cfg.with_(speed_range_kmh=(0.001, 0.01))
+        slow = cfg.with_(speed_min_kmh=0.001, speed_max_kmh=0.01)
         assert np.all(gen_user_profiles(slow, stream(0, 0, "p")).ar_coeff < 1.0)
 
     def test_channel_var_absorbs_tx_power(self):
-        cfg = SystemConfig(n_users=4, pilot_len=4, dist_range_km=(1.0, 1.0),
+        cfg = SystemConfig(n_users=4, pilot_len=4, dist_min_km=1.0, dist_max_km=1.0,
                            tx_power_dbm=33.0)
         p = gen_user_profiles(cfg, stream(0, 0, "p"))
         assert p.channel_var[0] == pytest.approx(10 ** ((33.0 - 128.1 - 30.0) / 10.0))
 
     def test_ar_coeff_bounded(self):
-        cfg = SystemConfig(n_users=200, pilot_len=100, speed_range_kmh=(0.0, 0.0))
+        cfg = SystemConfig(n_users=200, pilot_len=100, speed_max_kmh=0.0)
         profiles = gen_user_profiles(cfg, stream(0, 0, "p"))
         assert all(abs(eta) <= 1.0 for eta in profiles.ar_coeff)
 
@@ -324,7 +324,7 @@ class TestConfigValidation:
 
     def test_rejects_zero_distance(self):
         with pytest.raises(ValueError):
-            SystemConfig(dist_range_km=(0.0, 1.0))
+            SystemConfig(dist_min_km=0.0)
 
     def test_r_scale_one_allowed(self):
         cfg = SystemConfig(r_scale=1.0)

@@ -188,12 +188,12 @@ class TestSequentialTrace:
         # r = 1 makes the activity prior exactly static; a speed sitting on
         # the first Bessel zero (2.4048 = 2*pi*D*T_b) makes eta ~ 0, so the
         # channel prior resets each ADT as well.
-        from seqamp.config import SPEED_OF_LIGHT
+        from seqamp.config import CARRIER_HZ, SPEED_OF_LIGHT
         first_zero = 2.404825557695773
         cfg0 = desk_config(n_adts=5, r_scale=1.0)
         doppler = first_zero / (2 * np.pi * cfg0.adp_duration_s)
-        v_kmh = doppler * SPEED_OF_LIGHT / cfg0.carrier_hz * 3.6
-        cfg = cfg0.with_(speed_range_kmh=(v_kmh, v_kmh))
+        v_kmh = doppler * SPEED_OF_LIGHT / CARRIER_HZ * 3.6
+        cfg = cfg0.with_(speed_min_kmh=v_kmh, speed_max_kmh=v_kmh)
         tr = se_sequential_trace(cfg, n_samples=4000)
         assert np.allclose(tr.c_seq, tr.c_static, rtol=1e-6)
 
@@ -249,10 +249,11 @@ class TestContiguousColumns:
 
 
 def _nudged(value):
-    """A valid config value other than ``value``: ints plus one, floats times 1.5."""
-    if isinstance(value, tuple):
-        return tuple(_nudged(x) for x in value)
-    return value + 1 if isinstance(value, int) else value * 1.5
+    """A valid config value other than ``value``: ints plus one, floats times
+    1.5, and a zero float one."""
+    if isinstance(value, int):
+        return value + 1
+    return value * 1.5 if value else 1.0
 
 
 def _trace_arrays(tr):
