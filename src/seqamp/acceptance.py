@@ -332,7 +332,7 @@ CHECKS = {
 }
 
 
-def run_checks(criteria=None, out=print) -> bool:
+def run_checks(criteria=None) -> bool:
     """Run selected (default: all) criteria; one PASS/FAIL line each."""
     ids = sorted(CHECKS) if criteria is None else sorted(criteria)
     all_passed = True
@@ -341,7 +341,7 @@ def run_checks(criteria=None, out=print) -> bool:
         result = CHECKS[cid]()
         elapsed = time.perf_counter() - start
         status = "PASS" if result.passed else "FAIL"
-        out(f"{status}  criterion {result.criterion:2d}  {result.name}: "
-            f"{result.detail}  [{elapsed:.1f}s]")
+        print(f"{status}  criterion {result.criterion:2d}  {result.name}: "
+              f"{result.detail}  [{elapsed:.1f}s]")
         all_passed &= result.passed
     return all_passed

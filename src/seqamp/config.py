@@ -19,8 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
-__all__ = ["SystemConfig", "desk_config", "doppler", "SPEED_OF_LIGHT", "CARRIER_HZ",
-           "MAX_DOPPLER_ARG"]
+__all__ = ["SystemConfig", "desk_config", "doppler", "parse_number", "SPEED_OF_LIGHT",
+           "CARRIER_HZ", "MAX_DOPPLER_ARG"]
 
 SPEED_OF_LIGHT = 2.99792458e8  # m/s
 CARRIER_HZ = 3.5e9
@@ -58,10 +58,20 @@ class SystemConfig:
     n_trials: int = 20
 
     def __post_init__(self):
+        # an int field takes a whole number and stores int() of it, so 64-bit
+        # seeds stay exact; a float field stores a finite Python float
         for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
+            kind, value = (int if f.type == "int" else float), getattr(self, f.name)
+            try:
+                value = parse_number(value) if isinstance(value, str) else value
+                number = kind(value)
+                valid = number == value if kind is int else math.isfinite(number)
+            except (TypeError, ValueError, OverflowError):  # nan, inf, an int past float range
+                valid = False
+            if not valid:
+                rule = "a whole number" if kind is int else "finite"
+                raise ValueError(f"{f.name} must be {rule}, got {value!r}")
+            object.__setattr__(self, f.name, number)
         if not (self.n_users > 0 and self.pilot_len > 0 and self.n_adts > 0):
             raise ValueError("dimensions must be positive")
         if self.pilot_len > self.n_users:
@@ -98,6 +108,14 @@ class SystemConfig:
     def with_(self, **kwargs) -> "SystemConfig":
         """Copy with selected fields replaced."""
         return replace(self, **kwargs)
+
+
+def parse_number(text: str):
+    """``text`` read as an int, or else as a float; ValueError if neither."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
 
 
 def doppler(cfg: SystemConfig, speed_kmh):

@@ -2,12 +2,12 @@
 
 The config file is line-oriented ``key = value`` text with ``#`` comments.
 Keys are the SystemConfig fields (``lambda`` maps to the ``lam`` field;
-``r0`` sets ``r_scale = 1/2**r0``).  Exactly one of the sweepable keys
-(tx_power_dbm, pilot_len, r0, lambda, adp_duration_s) may carry a
-comma-separated list, which becomes the sweep axis.  CLI flags override
-file values, which override defaults.  The file, or the flags, may give
-each setting only once; ``r0`` and ``r_scale`` spell one setting, and a
-flag for either replaces the file's.
+``r0`` sets ``r_scale = 1/2**r0``); a value reads as an int, or else a
+float, and SystemConfig types and checks every field.  Exactly one of the
+``SWEEP_KEYS`` may carry a comma-separated list, which becomes the sweep
+axis.  CLI flags override file values, which override defaults.  The file,
+or the flags, may give each setting only once; ``r0`` and ``r_scale``
+spell one setting, and a flag for either replaces the file's.
 
 Every (sweep point, trial) pair owns hash-derived streams, all requested
 algorithms consume the identical Scenario (paired comparison), and rows are
@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import get_type_hints
 
 import numpy as np
 
 from . import baselines
-from .config import SystemConfig, desk_config
+from .config import SystemConfig, desk_config, parse_number
 from .detection import dep_from_counts, detect_sequence, detection_counts, nmse_db
 from .scenario import Scenario, make_scenario
 from .sequential import s_amp_run
@@ -61,8 +60,6 @@ _FIELD_KEYS = {"lam": ("lambda",), "r_scale": ("r_scale", "r0")}
 _KEY_FIELD = {key: name for name, keys in _FIELD_KEYS.items() for key in keys}
 SCALAR_KEYS = tuple(key for f in fields(SystemConfig)
                     for key in _FIELD_KEYS.get(f.name, (f.name,)))
-_FIELD_TYPES = get_type_hints(SystemConfig)
-_INT_KEYS = {name for name, kind in _FIELD_TYPES.items() if kind is int}
 # every config key: the SystemConfig keys, then the two string keys
 CONFIG_KEYS = SCALAR_KEYS + ("algos", "out")
 
@@ -85,12 +82,15 @@ class ExperimentSpec:
     algorithms: tuple[str, ...] = ("s_amp", "amp_mmse")
     out: str | None = None
     workers: int = 1
+    _points: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bad = [a for a in self.algorithms if a not in ALGORITHMS]
         if bad:
             raise ConfigError(f"unknown algorithm(s): {', '.join(bad)}")
-        if (self.axis is not None or self.values) and self.axis not in SWEEP_KEYS:
+        if self.axis is None and self.values:
+            raise ConfigError("sweep values given without a sweep axis")
+        if self.axis is not None and self.axis not in SWEEP_KEYS:
             raise ConfigError(f"{self.axis} is not a sweepable key")
         if not self.algorithms:
             raise ConfigError("at least one algorithm is required")
@@ -98,21 +98,21 @@ class ExperimentSpec:
             raise ConfigError(f"algorithm listed twice: {', '.join(self.algorithms)}")
         if self.workers < 1:
             raise ConfigError(f"workers must be at least 1, got {self.workers}")
+        if self.out == "":
+            raise ConfigError("out is empty: give a CSV path or leave out unset")
         if self.axis is not None and not self.values:
             raise ConfigError(f"sweep axis {self.axis} has no values")
-        points = []
+        points = {}  # each point's config -> the value it runs at: its field, or float(r0)
         for value in self.values:
             try:
-                point = self._point(value)
+                cfg = self.base.with_(**_field_values({self.axis: value}))
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"sweep point {self.axis} = {value}: {exc}") from exc
-            if point in points:
-                raise ConfigError(f"sweep point {self.axis} = {value} repeats "
-                                  f"{self.values[points.index(point)]}")
-            points.append(point)
-
-    def _point(self, value) -> SystemConfig:
-        return self.base.with_(**_field_values({self.axis: value}))
+            if cfg in points:
+                raise ConfigError(f"sweep point {self.axis} = {value} repeats {points[cfg]}")
+            points[cfg] = (float(value) if self.axis == "r0"
+                           else getattr(cfg, _KEY_FIELD.get(self.axis, self.axis)))
+        object.__setattr__(self, "_points", points)
 
     @property
     def label(self) -> str:
@@ -120,10 +120,8 @@ class ExperimentSpec:
         return self.axis or "none"
 
     def sweep_points(self) -> list[tuple[object, SystemConfig]]:
-        """(value, config) pairs; a single (0, base) point without an axis."""
-        if self.axis is None:
-            return [(0, self.base)]
-        return [(v, self._point(v)) for v in self.values]
+        """The (value, config) pairs built with the spec; (0, base) without an axis."""
+        return [(v, cfg) for cfg, v in self._points.items()] or [(0, self.base)]
 
 
 @dataclass(frozen=True)
@@ -141,36 +139,21 @@ class MetricsRecord:
 
 
 def _field_values(entries: dict) -> dict:
-    """SystemConfig field values set by scalar config ``entries``.
-
-    Each value is cast by its field's type, and an int field refuses a
-    value that is not a whole number; ``r0`` becomes ``r_scale``.
-    """
-    values: dict = {}
-    for key, val in entries.items():
-        name = _KEY_FIELD.get(key, key)
-        if key == "r0":
-            val = _r_scale_from_r0(val)
-        elif name in _INT_KEYS and not float(val).is_integer():
-            raise ValueError(f"{name} must be a whole number, got {val!r}")
-        else:
-            val = _FIELD_TYPES[name](val)
-        values[name] = val
+    """SystemConfig field values of scalar config ``entries``; ``r0`` becomes ``r_scale``."""
+    values = {_KEY_FIELD.get(key, key): val for key, val in entries.items()}
+    if "r0" in entries:
+        try:
+            values["r_scale"] = 1.0 / 2.0 ** float(entries["r0"])
+        except (OverflowError, ZeroDivisionError):
+            raise ConfigError(f"r0 = {entries['r0']} is out of range") from None
     return values
-
-
-def _r_scale_from_r0(r0) -> float:
-    try:
-        return 1.0 / 2.0 ** float(r0)
-    except (OverflowError, ZeroDivisionError):
-        raise ConfigError(f"r0 = {r0} is out of range") from None
 
 
 def _parse_scalar(key: str, text: str, where: str):
     if key not in SCALAR_KEYS:
         return text
     try:
-        return int(text) if key in _INT_KEYS else float(text)
+        return parse_number(text)
     except ValueError:
         raise ConfigError(f"{where}: malformed value {text!r} for key {key!r}") from None
 
@@ -237,8 +220,7 @@ def _build_spec(entries: dict, desk: bool, workers: int) -> ExperimentSpec:
     algorithms = ExperimentSpec.algorithms
     if "algos" in entries:
         algorithms = tuple(a.strip() for a in entries["algos"].split(",") if a.strip())
-    out = entries.get("out")
-    return ExperimentSpec(base, axis, values, algorithms, out, workers)
+    return ExperimentSpec(base, axis, values, algorithms, entries.get("out"), workers)
 
 
 def load_config(path: str | None = None, flags: dict | None = None,

@@ -4,6 +4,7 @@ import gc
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -267,6 +268,39 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
             ExperimentSpec(SystemConfig(), axis="pilot_len", values=(value, 200.9))
 
+    def test_values_without_an_axis_rejected(self):
+        with pytest.raises(ConfigError, match="^sweep values given without a sweep axis$"):
+            ExperimentSpec(SystemConfig(), values=(1, 2))
+
+    def test_file_values_follow_the_field_type_rule(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("seed = 18446744073709551615\npilot_len = 1.25e2\n")
+        base = load_config(str(path), {}).base
+        assert base.seed == 2**64 - 1 and type(base.seed) is int
+        assert base.pilot_len == 125 and type(base.pilot_len) is int
+        path.write_text("pilot_len = 100.5\n")
+        with pytest.raises(ConfigError,
+                           match=r"^pilot_len must be a whole number, got 100\.5$"):
+            load_config(str(path), {})
+
+    def test_sweep_points_are_built_once(self):
+        spec = ExperimentSpec(SystemConfig(), axis="tx_power_dbm", values=(27, 30))
+        first, second = spec.sweep_points(), spec.sweep_points()
+        assert first == second
+        assert all(a[1] is b[1] for a, b in zip(first, second))
+        spec = ExperimentSpec(SystemConfig())
+        assert spec.sweep_points() == [(0, spec.base)]
+        assert spec.sweep_points()[0][1] is spec.base
+
+    @pytest.mark.parametrize("axis, values, want", [
+        ("tx_power_dbm", (27, "30"), [27.0, 30.0]),
+        ("pilot_len", (100.0, "1.25e2"), [100, 125]),
+        ("r0", (0, "3"), [0.0, 3.0]),
+    ])
+    def test_sweep_values_name_the_point_they_run_at(self, axis, values, want):
+        got = [v for v, _ in ExperimentSpec(SystemConfig(), axis, values).sweep_points()]
+        assert got == want and [type(v) for v in got] == [type(w) for w in want]
+
     def test_r_flag_overrides_other_spelling_in_file(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("r0 = 3\n")
@@ -499,6 +533,22 @@ class TestCli:
                          "--n-adts", "1", *out_args])
         assert code == 0
         assert [p.name for p in tmp_path.iterdir()] == [written]
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("command", ["run", "se"])
+    def test_empty_out_is_config_error(self, tmp_path, capsys, monkeypatch, command,
+                                       source):
+        # an empty out once wrote the command's default CSV
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("n_users = 40\npilot_len = 20\nn_adts = 1\nout =\n")
+        given = ["--out", ""] if source == "flag" else ["--config", str(cfg)]
+        assert cli_main([command, "--n-users", "40", "--pilot-len", "20",
+                         "--n-adts", "1", *given]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("config error: out is empty: give a CSV path or "
+                                "leave out unset\n")
+        assert not captured.out and [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
 
     def test_se_nonconvergence_exits_2(self, tmp_path, capsys, monkeypatch):
         import seqamp.state_evolution as se
@@ -785,3 +835,28 @@ def readme_list(label: str) -> tuple[str, ...]:
 def test_readme_lists_the_config_keys():
     assert readme_list("Keys") == CONFIG_KEYS
     assert readme_list("Sweepable") == SWEEP_KEYS
+
+
+def test_readme_refactor_commands_resolve(tmp_path, monkeypatch):
+    # every command of README's "Checking a refactor" block loads its config
+    # and exits 0; the runs and writes are patched out
+    import seqamp.cli as cli
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Checking a refactor.*?```bash\n(.*?)```", text, re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "run_experiment", lambda spec: ([], []))
+    monkeypatch.setattr(cli, "run_se", lambda spec, errors: [])
+    monkeypatch.setattr(cli, "write_csv", lambda rows, out: None)
+    monkeypatch.setattr(cli, "write_se_csv", lambda rows, out: None)
+    commands = []
+    for line in block.splitlines():
+        words = shlex.split(line, comments=True)
+        if words[:1] == ["printf"]:
+            assert words[2:] == [">", "refactor.cfg"]
+            (tmp_path / "refactor.cfg").write_text(words[1].replace("\\n", "\n"))
+        elif words:
+            assert words[0] == "seqamp", line
+            commands.append(words[1:])
+    assert (tmp_path / "refactor.cfg").exists() and len(commands) >= 11
+    for argv in commands:
+        assert cli_main(argv) == 0, argv

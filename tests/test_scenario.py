@@ -329,3 +329,26 @@ class TestConfigValidation:
     def test_r_scale_one_allowed(self):
         cfg = SystemConfig(r_scale=1.0)
         assert cfg.p01 == pytest.approx(1 - cfg.lam)
+
+    @pytest.mark.parametrize("build, name", [
+        (lambda: desk_config(pilot_len=100.5), "pilot_len"),
+        (lambda: SystemConfig(seed=1.5), "seed"),
+        (lambda: SystemConfig(tx_power_dbm=np.float32("nan")), "tx_power_dbm"),
+    ], ids=["pilot_len", "seed", "tx_power_dbm"])
+    def test_rejects_a_value_its_field_cannot_hold(self, build, name):
+        # each once built a config that ran: pilot_len died in make_scenario,
+        # seed 1.5 ran seed 1's streams, and a float32 NaN power passed
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            build()
+
+    def test_fields_store_python_numbers(self):
+        power = SystemConfig(tx_power_dbm=33).tx_power_dbm
+        assert power == 33.0 and type(power) is float
+        pilot_len = SystemConfig(pilot_len=np.int64(100)).pilot_len
+        assert pilot_len == 100 and type(pilot_len) is int
+        assert SystemConfig(seed=2**64 - 1).seed == 2**64 - 1
+        assert SystemConfig(seed="18446744073709551615").seed == 2**64 - 1
+
+    def test_float_field_beyond_float_range_is_not_finite(self):
+        with pytest.raises(ValueError, match="^tx_power_dbm must be finite, got 10{400}"):
+            SystemConfig(tx_power_dbm=10**400)
