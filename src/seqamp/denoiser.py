@@ -143,34 +143,24 @@ def _parts(phi, shape):
     return phi.real, phi.imag, scalar
 
 
-def _log_evidence(re, im, c, psi, total, xi_parts, xi_sq):
-    """log[CN(phi; 0, c)/CN(phi; xi, total)], total = psi + c, as a new array.
-
-    ``xi_parts`` is (Re xi, Im xi); None drops the xi terms, which are
-    exact zeros for a zero mean.
-    """
+def _log_gamma(re, im, c, prior: BgPrior, total):
+    """log gamma as a new array, total = psi + c; a zero mean's xi terms are skipped."""
     num = re * re
     tmp = im * im
     num += tmp
-    num *= psi
-    if xi_parts is not None:
-        cross = np.multiply(xi_parts[0], re, out=tmp)
-        cross += xi_parts[1] * im
+    num *= prior.psi
+    if not prior.zero_mean:
+        cross = np.multiply(prior.xi_re, re, out=tmp)
+        cross += prior.xi_im * im
         cross *= 2.0 * c
         num += cross
-        num -= np.multiply(c, xi_sq, out=tmp)
+        num -= np.multiply(c, prior.xi_sq, out=tmp)
     # log(total/c) - num/(c*total), the quotient's sign moved into the
     # divisor (IEEE division is sign-symmetric)
     num /= np.multiply(total, -c, out=tmp)
     num += np.log(np.divide(total, c, out=tmp), out=tmp)
+    num += prior.log_odds
     return num
-
-
-def _log_gamma(re, im, c, prior: BgPrior, total):
-    xi_parts = None if prior.zero_mean else (prior.xi_re, prior.xi_im)
-    lg = _log_evidence(re, im, c, prior.psi, total, xi_parts, prior.xi_sq)
-    lg += prior.log_odds
-    return lg
 
 
 def log_gamma(phi, c, prior: BgPrior):
@@ -204,11 +194,16 @@ def _linear_mmse(re, im, c, prior: BgPrior, total, out_parts):
         m_part *= inv
 
 
-def _complex_linear_mmse(re, im, c, prior: BgPrior, total):
-    """The Gaussian-branch mean as a new complex array."""
+def _front(phi, c, prior: BgPrior):
+    """(lg, m, total, scalar): log gamma and the Gaussian-branch mean at phi.
+
+    New arrays at the output shape (m complex), total = psi + c, ``_parts``' flag.
+    """
+    re, im, scalar = _parts(phi, prior.shape)
+    total = prior.psi + c
     m = np.empty(re.shape, dtype=complex)
     _linear_mmse(re, im, c, prior, total, (m.real, m.imag))
-    return m
+    return _log_gamma(re, im, c, prior, total), m, total, scalar
 
 
 def active_branch(phi, c, prior: BgPrior):
@@ -217,10 +212,8 @@ def active_branch(phi, c, prior: BgPrior):
     m = (psi*phi + xi*c)/(psi+c) is the posterior mean given activity, and
     F = w*m.  New arrays, 0-d for a scalar phi and prior.
     """
-    re, im, scalar = _parts(phi, prior.shape)
-    total = prior.psi + c
-    w = _logistic_neg(_log_gamma(re, im, c, prior, total))
-    m = _complex_linear_mmse(re, im, c, prior, total)
+    lg, m, _, scalar = _front(phi, c, prior)
+    w = _logistic_neg(lg)
     return (w.reshape(()), m.reshape(())) if scalar else (w, m)
 
 
@@ -253,12 +246,10 @@ def denoise_var(phi, c, prior: BgPrior):
     gamma |F|^2 = [gamma/(1+gamma)] * [1/(1+gamma)] * |m|^2 with m the
     Gaussian-branch mean, so both factors stay in [0, 1].
     """
-    re, im, scalar = _parts(phi, prior.shape)
-    total = prior.psi + c
-    lg = _log_gamma(re, im, c, prior, total)
+    lg, m, total, scalar = _front(phi, c, prior)
     s_idle = _logistic_neg(-lg)   # gamma/(1+gamma) = logistic(lg)
     s_act = _logistic_neg(lg)     # (1+gamma)^{-1}
-    m2 = np.abs(_complex_linear_mmse(re, im, c, prior, total)) ** 2
+    m2 = np.abs(m) ** 2
     s_idle *= s_act
     s_idle *= m2
     s_act *= prior.psi * c / total   # kappa

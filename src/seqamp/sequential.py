@@ -9,8 +9,8 @@ the matched summary is pushed through the known Markov / AR-1 transition
 kernels to become the next prior.  The mixture is the denoiser's: with
 weight pi_bar = 1/(1+gamma) the user is active and h ~ CN(tau, kappa), tau
 the Gaussian-branch mean and kappa = psi*c/(psi+c); otherwise h keeps its
-prior.  ``denoiser.active_branch`` gives pi_bar and tau, so for a zero-mean
-prior xi_bar is the denoiser's F.  Propagation:
+prior.  ``denoiser.active_branch`` gives pi_bar and tau at the prior as
+given, so for a zero-mean prior xi_bar is the denoiser's F.  Propagation:
 
     pi_hat+  = p10 (1 - pi_bar) + (1 - p01) pi_bar
     xi_hat+  = eta * xi_bar
@@ -44,7 +44,6 @@ __all__ = [
     "s_amp_run",
 ]
 
-_PI_CLIP = 1e-12          # open-interval clip for interior pi before gamma
 _PSI_FLOOR_REL = 1e-18    # floor on psi_bar, relative to the channel power
 
 
@@ -88,17 +87,11 @@ def moment_match(phi, c, prior: BgPrior,
                  rho: np.ndarray | None = None) -> PosteriorSummary:
     """Project the exact two-component posterior onto Bernoulli x Gaussian.
 
-    Boundary priors pi in {0, 1} pass through (their +/-inf log-odds
-    short-circuit gamma); other pi are clipped to [1e-12, 1-1e-12], in a
-    second prior built only if that moves one.  ``rho`` scales the tiny
-    floor on psi_bar, a difference of near-equal terms; it defaults to the
-    prior variance.
+    ``prior`` is used as given, the prior the denoiser read: the log-odds
+    kernels are exact for every pi in [0, 1], +/-inf at the boundaries.
+    ``rho`` scales the tiny floor on psi_bar, a difference of near-equal
+    terms; it defaults to the prior variance.
     """
-    pi = prior.pi
-    interior = (pi > 0.0) & (pi < 1.0)
-    pi_safe = np.where(interior, np.clip(pi, _PI_CLIP, 1.0 - _PI_CLIP), pi)
-    if not np.array_equal(pi_safe, pi):
-        prior = BgPrior(pi_safe, prior.xi, prior.psi)
     pi_bar, tau = active_branch(phi, c, prior)
     kappa = prior.psi * c / (prior.psi + c)
     xi_bar = pi_bar * tau + (1.0 - pi_bar) * prior.xi

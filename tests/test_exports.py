@@ -4,8 +4,10 @@ A deleted function whose name stays in a module's ``__all__`` breaks
 ``from seqamp.<module> import *``.  The package itself exports no names,
 so each module's ``__all__`` is the one list of its names.  Likewise every
 binding the benchmark's tracing wraps (``perfbench/bench_trace.SITES``)
-must exist, or the benchmark fails inside its run.  And no module keeps an
-import it does not use, unless that import is such a traced binding.
+must exist, or the benchmark fails inside its run.  No module keeps an
+import it does not use, unless that import is such a traced binding, and
+no module keeps a private function, class or constant that nothing in the
+package reads.
 """
 
 import ast
@@ -53,6 +55,40 @@ def unused_imports(source: str, allowed=()) -> list[str]:
     return sorted(bound - used - set(allowed))
 
 
+def unread_privates(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each private module-level name no module reads.
+
+    ``sources`` maps module names to their source.  A name is read where it
+    is loaded, taken as an attribute or imported; its definition is no read.
+    """
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                names = []
+            defined += [(module, n) for n in names
+                        if n.startswith("_") and not n.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    return sorted(f"{module}.{name}" for module, name in defined if name not in read)
+
+
+def package_sources() -> dict[str, str]:
+    return {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+
+
 def site_bindings(module_name: str) -> set[str]:
     """The attributes of ``seqamp.<module_name>`` the benchmark traces."""
     return {attr for module, attr in bench_trace_sites()
@@ -74,6 +110,18 @@ def test_unused_import_check_catches_a_leftover_import():
                           allowed) == ["Profiles"]
     # a traced binding passes only because SITES names it
     assert unused_imports(source) == ["ar1_channels"]
+
+
+def test_every_private_name_is_read():
+    unread = unread_privates(package_sources())
+    assert not unread, f"nothing in seqamp reads {unread}"
+
+
+def test_unread_private_check_catches_a_leftover_helper():
+    sources = package_sources()
+    sources["denoiser"] += "\n\ndef _helper(t):\n    return t * _EXP_CLAMP\n"
+    sources["sequential"] += "\n_LEFTOVER = 1e-12\n"
+    assert unread_privates(sources) == ["denoiser._helper", "sequential._LEFTOVER"]
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from seqamp.baselines import amp_mmse
 from seqamp.config import SystemConfig, desk_config
-from seqamp.denoiser import BgPrior, denoise_mean, gamma, log_gamma
+from seqamp.denoiser import BgPrior, active_branch, denoise_mean, gamma, log_gamma
 from seqamp.quadrature import h_moments
 from seqamp.scenario import channel_vars, make_scenario
 from seqamp.sequential import (initial_prior, moment_match, posterior_update,
@@ -90,52 +90,32 @@ class TestMomentMatch:
         assert mm.psi_bar[0] >= 1e-18
 
     def test_zero_mean_xi_bar_is_denoiser_mean(self):
+        # the prior is used as given, so this holds at every pi in [0, 1]:
+        # per-user draws, then every user at a tiny, near-one or boundary pi
         rng = np.random.default_rng(43)
         n, c = 20_000, 0.3
         psi = rng.uniform(0.1, 2.0, n)
         active = rng.random(n) < 0.3
         phi = (np.sqrt(np.where(active, psi + c, c))
                * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
-        prior = BgPrior(rng.uniform(0.01, 0.99, n), np.zeros(n, dtype=complex), psi)
-        mm = moment_match(phi, c, prior)
-        assert np.array_equal(mm.xi_bar, denoise_mean(phi, c, prior))
-
-    def test_clip_builds_a_prior_only_when_it_moves_pi(self, monkeypatch):
-        phi = np.array([0.9 - 0.4j, 0.1 + 0.2j, -1.5 + 0j, 0.3j, 2.0 + 1j])
-        xi = np.array([0j, 0.5 - 0.5j, 0j, 1j, -0.2 + 0j])
-        psi = np.array([0.5, 1.0, 2.0, 0.7, 1.3])
-        in_range = BgPrior(np.array([0.0, 1e-12, 0.3, 1.0 - 1e-12, 1.0]), xi, psi)
-        below = BgPrior(np.array([0.0, 1e-15, 0.3, 1.0 - 1e-16, 1.0]), xi, psi)
-        built = []
-        post_init = BgPrior.__post_init__
-
-        def counting(prior):
-            built.append(prior)
-            post_init(prior)
-
-        monkeypatch.setattr(BgPrior, "__post_init__", counting)
-        want = moment_match(phi, 0.4, in_range)
-        assert built == []
-        got = moment_match(phi, 0.4, below)
-        assert len(built) == 1
-        for field in ("pi_bar", "xi_bar", "psi_bar"):
-            assert np.array_equal(getattr(got, field), getattr(want, field))
+        zero = np.zeros(n, dtype=complex)
+        for pi in (rng.uniform(0.01, 0.99, n), 5e-324, 1e-15, 1.0 - 1e-16, 0.0, 1.0):
+            prior = BgPrior(pi, zero, psi)
+            mm = moment_match(phi, c, prior)
+            assert np.array_equal(mm.xi_bar, denoise_mean(phi, c, prior))
+            assert np.array_equal(mm.pi_bar, active_branch(phi, c, prior)[0])
+            assert np.all(np.isfinite(mm.psi_bar)) and np.all(mm.psi_bar > 0.0)
 
 
-# moment_match as it was on complex arrays, verbatim but for tau and kappa,
-# which take the denoiser's complex Gaussian-branch forms; log_gamma's
-# part-wise form is pinned to its complex one in test_denoiser, so it is
-# called as it is.
+# moment_match on complex arrays: its moment formulas verbatim, with tau and
+# kappa in the denoiser's complex Gaussian-branch forms and the prior used as
+# given; log_gamma's part-wise form is pinned to its complex one in
+# test_denoiser, so it is called as it is.
 def complex_moment_match(phi, c, prior, rho=None):
-    pi = prior.pi
-    interior = (pi > 0.0) & (pi < 1.0)
-    pi_safe = np.where(interior, np.clip(pi, 1e-12, 1.0 - 1e-12), pi)
-    prior_safe = BgPrior(pi_safe, prior.xi, prior.psi)
-
     kappa = prior.psi * c / (prior.psi + c)
     tau = ((prior.psi * np.asarray(phi, dtype=complex) + prior.xi * c)
            / (prior.psi + c))
-    pi_bar = logistic(-log_gamma(phi, c, prior_safe))
+    pi_bar = logistic(-log_gamma(phi, c, prior))
     xi_bar = pi_bar * tau + (1.0 - pi_bar) * prior.xi
     second = (pi_bar * (np.abs(tau) ** 2 + kappa)
               + (1.0 - pi_bar) * (np.abs(prior.xi) ** 2 + prior.psi))
