@@ -1,7 +1,8 @@
 """Acceptance suite: one check per release criterion.
 
-Each check is deterministic (fixed seeds), self-contained and returns a
-CheckResult; :func:`run_checks` prints one PASS/FAIL line per criterion.
+Each check is deterministic (fixed seeds), self-contained and returns its
+verdict and detail line; ``CHECKS`` gives each criterion number its name and
+check, and :func:`run_checks` prints one PASS/FAIL line per criterion.
 The same functions back ``tests/test_acceptance.py`` and the CLI ``check``
 subcommand.
 """
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import tempfile
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +20,8 @@ from . import quadrature
 from .baselines import amp_mmse
 from .config import SystemConfig, desk_config
 from .denoiser import BgPrior, denoise_mean, denoise_var, gamma
-from .exact_filter import (ar1_grid_kernel, exact_sssm_filter, grid_axis,
-                           grid_kl, mixture_on_grid, product_on_grid,
-                           push_transition)
+from .exact_filter import (ar1_grid_kernel, exact_sssm_filter, grid_kl,
+                           mixture_on_grid, product_on_grid, push_transition)
 from .experiments import ExperimentSpec, run_experiment, write_csv
 from .rng import stream
 from .scenario import (ar1_channels, gen_user_profiles, make_scenario,
@@ -29,17 +29,9 @@ from .scenario import (ar1_channels, gen_user_profiles, make_scenario,
 from .sequential import moment_match, s_amp_run
 from .state_evolution import SE_STEP_SAMPLES, se_sequential_trace
 
-__all__ = ["CheckResult", "CHECKS", "run_checks"]
+__all__ = ["CHECKS", "run_checks"]
 
 _PAIRED = ("s_amp", "amp_mmse")  # S-AMP against its static-prior twin
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    criterion: int
-    name: str
-    passed: bool
-    detail: str
 
 
 def _draw_model(rng: np.random.Generator):
@@ -55,7 +47,7 @@ def _draw_model(rng: np.random.Generator):
     return phi, c, pi, xi, psi
 
 
-def check_denoiser_oracle() -> CheckResult:
+def check_denoiser_oracle() -> tuple[bool, str]:
     """Criterion 1: F and G match 2-D quadrature to relative 1e-5, < 30 s."""
     start = time.perf_counter()
     n_draws = 200
@@ -71,13 +63,12 @@ def check_denoiser_oracle() -> CheckResult:
                     abs(f - f_ref) / max(abs(f_ref), 1e-9),
                     abs(g - g_ref) / max(abs(g_ref), 1e-9))
     elapsed = time.perf_counter() - start
-    return CheckResult(1, "denoiser quadrature oracle",
-                       worst <= 1e-5 and elapsed < 30.0,
-                       f"max rel err {worst:.2e} over {n_draws} draws (tol 1e-5), "
-                       f"{elapsed:.1f}s (limit 30s)")
+    return (worst <= 1e-5 and elapsed < 30.0,
+            f"max rel err {worst:.2e} over {n_draws} draws (tol 1e-5), "
+            f"{elapsed:.1f}s (limit 30s)")
 
 
-def check_moment_matching() -> CheckResult:
+def check_moment_matching() -> tuple[bool, str]:
     """Criterion 2: matched moments vs quadrature (1e-6) and pi identity (1e-12)."""
     rng = np.random.default_rng(1002)
     worst_mom = 0.0
@@ -93,13 +84,12 @@ def check_moment_matching() -> CheckResult:
                         abs(mm.psi_bar[0] - vh) / max(vh, 1e-9))
         worst_id = max(worst_id,
                        abs(mm.pi_bar[0] - 1.0 / (1.0 + float(gamma(phi, c, prior)))))
-    passed = worst_mom <= 1e-6 and worst_id <= 1e-12
-    return CheckResult(2, "moment-matching quadrature oracle", passed,
-                       f"max rel err {worst_mom:.2e} (tol 1e-6), "
-                       f"pi identity dev {worst_id:.2e} (tol 1e-12)")
+    return (worst_mom <= 1e-6 and worst_id <= 1e-12,
+            f"max rel err {worst_mom:.2e} (tol 1e-6), "
+            f"pi identity dev {worst_id:.2e} (tol 1e-12)")
 
 
-def check_degenerate_collapse() -> CheckResult:
+def check_degenerate_collapse() -> tuple[bool, str]:
     """Criterion 3: with p01 = 1-lam, p10 = lam, eta = 0, S-AMP == AMP-MMSE bitwise."""
     n_instances = 10
     cfg = desk_config(r_scale=1.0)
@@ -118,10 +108,8 @@ def check_degenerate_collapse() -> CheckResult:
                     and np.array_equal(a.prior.xi, b.prior.xi)
                     and np.array_equal(a.prior.psi, b.prior.psi))
             if not same:
-                return CheckResult(3, "degenerate-collapse bit equality", False,
-                                   f"trial {trial}, ADT {t + 1}: outputs differ")
-    return CheckResult(3, "degenerate-collapse bit equality", True,
-                       f"{n_instances} desk instances bit-identical across all ADTs")
+                return False, f"trial {trial}, ADT {t + 1}: outputs differ"
+    return True, f"{n_instances} desk instances bit-identical across all ADTs"
 
 
 def _pooled_metrics(spec: ExperimentSpec) -> dict:
@@ -137,7 +125,7 @@ def _pooled_metrics(spec: ExperimentSpec) -> dict:
             for r in records if r.adt == "all"}
 
 
-def check_temporal_gain() -> CheckResult:
+def check_temporal_gain() -> tuple[bool, str]:
     """Criterion 4: desk profile, 20 paired trials: >= 1.5 dB NMSE gain and
     DEP ratio <= 0.6, < 5 min.
 
@@ -153,14 +141,13 @@ def check_temporal_gain() -> CheckResult:
     elapsed = time.perf_counter() - start
     gain = nmse_m - nmse_s
     ratio = dep_s / dep_m
-    passed = gain >= 1.5 and ratio <= 0.6 and elapsed < 300.0
-    return CheckResult(4, "temporal gain over AMP-MMSE", passed,
-                       f"NMSE gain {gain:.2f} dB (need >= 1.5), "
-                       f"DEP ratio {ratio:.3f} (need <= 0.6), "
-                       f"{elapsed:.0f}s (limit 300s)")
+    return (gain >= 1.5 and ratio <= 0.6 and elapsed < 300.0,
+            f"NMSE gain {gain:.2f} dB (need >= 1.5), "
+            f"DEP ratio {ratio:.3f} (need <= 0.6), "
+            f"{elapsed:.0f}s (limit 300s)")
 
 
-def check_se_consistency() -> CheckResult:
+def check_se_consistency() -> tuple[bool, str]:
     """Criterion 5: fixpoint within 15% of empirical c; traces; < 3 min.
 
     The fixpoint clause compares the mean over 20 trials of AMP-MMSE's
@@ -184,15 +171,14 @@ def check_se_consistency() -> CheckResult:
     dominance = bool(np.all(trace.c_seq[1:] <= trace.c_static[1:] * (1.0 + 1e-9)))
 
     elapsed = time.perf_counter() - start
-    passed = (dev <= 0.15 and t1_dev <= 0.01 and dominance and se_one.converged
-              and elapsed < 180.0)
-    return CheckResult(5, "state-evolution consistency", passed,
-                       f"fixpoint dev {dev:.3f} (tol 0.15), t=1 trace dev {t1_dev:.2e} "
-                       f"(tol 0.01), t>=2 dominance {dominance}, "
-                       f"{elapsed:.0f}s (limit 180s)")
+    return (dev <= 0.15 and t1_dev <= 0.01 and dominance and se_one.converged
+            and elapsed < 180.0,
+            f"fixpoint dev {dev:.3f} (tol 0.15), t=1 trace dev {t1_dev:.2e} "
+            f"(tol 0.01), t>=2 dominance {dominance}, "
+            f"{elapsed:.0f}s (limit 180s)")
 
 
-def check_kl_contraction() -> CheckResult:
+def check_kl_contraction() -> tuple[bool, str]:
     """Criterion 6: KL(exact || matched) never grows through a transition."""
     n_instances = 100
     rng = np.random.default_rng(1006)
@@ -214,7 +200,7 @@ def check_kl_contraction() -> CheckResult:
                                      + 1j * rng.standard_normal(t_total))
         phis = act * h + noise
         post = exact_sssm_filter(phis, cs, eta, rho, cfg)[-1]
-        xs = grid_axis(6.0 * np.sqrt(rho), 201)
+        xs = np.linspace(-6.0 * np.sqrt(rho), 6.0 * np.sqrt(rho), 201)
         p = mixture_on_grid(post, xs)
         q = product_on_grid(post.e_a, post.e_h, post.var_h, xs)
         kernel = ar1_grid_kernel(xs, eta, rho)
@@ -222,12 +208,11 @@ def check_kl_contraction() -> CheckResult:
         after = grid_kl(push_transition(p, kernel, cfg.p01, cfg.p10),
                         push_transition(q, kernel, cfg.p01, cfg.p10))
         worst = max(worst, after - before)
-    return CheckResult(6, "KL contraction through transition", worst <= 1e-6,
-                       f"worst KL increase {worst:.2e} over {n_instances} "
-                       f"instances (tol 1e-6)")
+    return (worst <= 1e-6,
+            f"worst KL increase {worst:.2e} over {n_instances} instances (tol 1e-6)")
 
 
-def check_stationarity() -> CheckResult:
+def check_stationarity() -> tuple[bool, str]:
     """Criterion 7: activity fraction and AR-1 variance / lag-1 correlation."""
     lam, r = 0.05, 0.1
     act = markov_activity(lam, r * (1 - lam), r * lam, 2000, 500,
@@ -243,13 +228,12 @@ def check_stationarity() -> CheckResult:
     corr = float(np.sum(lag) / np.sum(np.abs(h[:, :-1]) ** 2))
     corr_dev = abs(corr - eta)
 
-    passed = frac_dev <= 0.005 and var_dev <= 0.02 and corr_dev <= 0.005
-    return CheckResult(7, "traffic/channel stationarity", passed,
-                       f"activity dev {frac_dev:.4f} (tol 0.005), AR-1 var dev "
-                       f"{var_dev:.4f} (tol 0.02), lag-1 dev {corr_dev:.5f} (tol 0.005)")
+    return (frac_dev <= 0.005 and var_dev <= 0.02 and corr_dev <= 0.005,
+            f"activity dev {frac_dev:.4f} (tol 0.005), AR-1 var dev "
+            f"{var_dev:.4f} (tol 0.02), lag-1 dev {corr_dev:.5f} (tol 0.005)")
 
 
-def check_r0_monotonicity() -> CheckResult:
+def check_r0_monotonicity() -> tuple[bool, str]:
     """Criterion 8: S-AMP improves with r0; AMP-MMSE flat (Spearman trend)."""
     # imported here: scipy.stats takes most of the CLI's start-up time and
     # no other command needs it
@@ -261,45 +245,35 @@ def check_r0_monotonicity() -> CheckResult:
     # [k, i, 0] is NMSE and [k, i, 1] DEP of algorithm k at r0s[i]
     metrics = np.array([[pooled[r0, a] for r0 in r0s] for a in _PAIRED])
     nmse, dep = metrics[..., 0], metrics[..., 1]
-    rho_s_dep = spearmanr(r0s, dep[0]).statistic
-    rho_s_nmse = spearmanr(r0s, nmse[0]).statistic
-    rho_m_dep = spearmanr(r0s, dep[1]).statistic
-    rho_m_nmse = spearmanr(r0s, nmse[1]).statistic
-
-    def flat(rho_m, series_m, series_s):
-        # AMP-MMSE never reads r, so its trend is sampling noise: accept if
-        # there is no significant rank trend (n=6 one-sided 5% critical value
-        # 0.829) or if its total variation is small next to the systematic
-        # S-AMP response (rank tests on sub-noise spreads are uninformative).
-        variation = np.ptp(series_m) / max(np.ptp(series_s), 1e-12)
-        return abs(rho_m) < 0.829 or variation <= 0.35
-
-    passed = (rho_s_dep <= -0.8 and rho_s_nmse <= -0.8
-              and flat(rho_m_dep, dep[1], dep[0])
-              and flat(rho_m_nmse, nmse[1], nmse[0]))
-    return CheckResult(8, "r0 sweep monotonicity", passed,
-                       f"S-AMP spearman dep {rho_s_dep:.3f} nmse {rho_s_nmse:.3f} "
-                       f"(need <= -0.8); AMP-MMSE dep {rho_m_dep:.3f} nmse "
-                       f"{rho_m_nmse:.3f} with variation ratios "
-                       f"{np.ptp(dep[1]) / np.ptp(dep[0]):.2f}/"
-                       f"{np.ptp(nmse[1]) / np.ptp(nmse[0]):.2f} (flat)")
+    rho_s_dep, rho_s_nmse, rho_m_dep, rho_m_nmse = (
+        spearmanr(r0s, series).statistic for series in (dep[0], nmse[0], dep[1], nmse[1]))
+    # AMP-MMSE never reads r, so its trend is sampling noise: it counts as
+    # flat if there is no significant rank trend (n=6 one-sided 5% critical
+    # value 0.829) or if its total variation is small next to the systematic
+    # S-AMP response (rank tests on sub-noise spreads are uninformative).
+    var_dep, var_nmse = (np.ptp(m[1]) / max(np.ptp(m[0]), 1e-12) for m in (dep, nmse))
+    return (rho_s_dep <= -0.8 and rho_s_nmse <= -0.8
+            and (abs(rho_m_dep) < 0.829 or var_dep <= 0.35)
+            and (abs(rho_m_nmse) < 0.829 or var_nmse <= 0.35),
+            f"S-AMP spearman dep {rho_s_dep:.3f} nmse {rho_s_nmse:.3f} "
+            f"(need <= -0.8); AMP-MMSE dep {rho_m_dep:.3f} nmse "
+            f"{rho_m_nmse:.3f} with variation ratios {var_dep:.2f}/{var_nmse:.2f} (flat)")
 
 
-def check_baseline_ordering() -> CheckResult:
+def check_baseline_ordering() -> tuple[bool, str]:
     """Criterion 9: oracle LS <= OMP/soft in channel NMSE; S-AMP < oracle LS."""
     # the harness calibrates amp_soft's threshold on its held-out trial
     algorithms = ("s_amp", "oracle_ls", "omp", "amp_soft")
     cfg = desk_config(r_scale=1.0 / 32.0, n_trials=12)
     pooled = _pooled_metrics(ExperimentSpec(cfg, algorithms=algorithms))
     nmse = {a: pooled[0, a][0] for a in algorithms}
-    passed = (nmse["oracle_ls"] <= nmse["omp"]
-              and nmse["oracle_ls"] <= nmse["amp_soft"]
-              and nmse["s_amp"] < nmse["oracle_ls"])
-    detail = ", ".join(f"{k} {v:.2f} dB" for k, v in nmse.items())
-    return CheckResult(9, "baseline NMSE ordering", passed, detail)
+    return (nmse["oracle_ls"] <= nmse["omp"]
+            and nmse["oracle_ls"] <= nmse["amp_soft"]
+            and nmse["s_amp"] < nmse["oracle_ls"],
+            ", ".join(f"{k} {v:.2f} dB" for k, v in nmse.items()))
 
 
-def check_determinism() -> CheckResult:
+def check_determinism() -> tuple[bool, str]:
     """Criterion 10: identical config + seed produce a byte-identical CSV."""
     cfg = SystemConfig(n_users=100, pilot_len=40, n_adts=3, n_trials=2, seed=5)
     spec = ExperimentSpec(cfg, axis="pilot_len", values=(30, 40),
@@ -309,26 +283,25 @@ def check_determinism() -> CheckResult:
         for p in paths:
             records, errors = run_experiment(spec)
             if errors:
-                return CheckResult(10, "byte-identical reruns", False,
-                                   f"algorithm errors: {errors}")
+                return False, f"algorithm errors: {errors}"
             write_csv(records, str(p))
         same = paths[0].read_bytes() == paths[1].read_bytes()
         n_bytes = len(paths[0].read_bytes())
-    return CheckResult(10, "byte-identical reruns", same,
-                       f"two runs, {n_bytes} bytes each, identical={same}")
+    return same, f"two runs, {n_bytes} bytes each, identical={same}"
 
 
+# criterion number -> (name, check)
 CHECKS = {
-    1: check_denoiser_oracle,
-    2: check_moment_matching,
-    3: check_degenerate_collapse,
-    4: check_temporal_gain,
-    5: check_se_consistency,
-    6: check_kl_contraction,
-    7: check_stationarity,
-    8: check_r0_monotonicity,
-    9: check_baseline_ordering,
-    10: check_determinism,
+    1: ("denoiser quadrature oracle", check_denoiser_oracle),
+    2: ("moment-matching quadrature oracle", check_moment_matching),
+    3: ("degenerate-collapse bit equality", check_degenerate_collapse),
+    4: ("temporal gain over AMP-MMSE", check_temporal_gain),
+    5: ("state-evolution consistency", check_se_consistency),
+    6: ("KL contraction through transition", check_kl_contraction),
+    7: ("traffic/channel stationarity", check_stationarity),
+    8: ("r0 sweep monotonicity", check_r0_monotonicity),
+    9: ("baseline NMSE ordering", check_baseline_ordering),
+    10: ("byte-identical reruns", check_determinism),
 }
 
 
@@ -337,11 +310,11 @@ def run_checks(criteria=None) -> bool:
     ids = sorted(CHECKS) if criteria is None else sorted(criteria)
     all_passed = True
     for cid in ids:
+        name, check = CHECKS[cid]
         start = time.perf_counter()
-        result = CHECKS[cid]()
+        passed, detail = check()
         elapsed = time.perf_counter() - start
-        status = "PASS" if result.passed else "FAIL"
-        print(f"{status}  criterion {result.criterion:2d}  {result.name}: "
-              f"{result.detail}  [{elapsed:.1f}s]")
-        all_passed &= result.passed
+        print(f"{'PASS' if passed else 'FAIL'}  criterion {cid:2d}  {name}: "
+              f"{detail}  [{elapsed:.1f}s]")
+        all_passed &= passed
     return all_passed

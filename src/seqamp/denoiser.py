@@ -66,8 +66,6 @@ __all__ = [
     "denoise_deriv",
 ]
 
-_EXP_CLAMP = 700.0  # exp argument bound keeping results inside float64
-
 
 @dataclass(frozen=True)
 class BgPrior:
@@ -171,14 +169,9 @@ def log_gamma(phi, c, prior: BgPrior):
 
 
 def gamma(phi, c, prior: BgPrior):
-    """The ratio gamma itself, exponent clamped to +/-700.
-
-    Rejects boundary priors: at pi in {0, 1} gamma is +inf / 0 and callers
-    are expected to short-circuit (F/G/denoise_* handle those internally).
-    """
-    if np.any(prior.pi <= 0.0) or np.any(prior.pi >= 1.0):
-        raise ValueError("gamma requires 0 < pi < 1; boundaries short-circuit in F/G")
-    return np.exp(np.clip(log_gamma(phi, c, prior), -_EXP_CLAMP, _EXP_CLAMP))
+    """The ratio gamma itself, exp(log gamma): +inf at pi = 0 or on overflow, 0 at pi = 1."""
+    with np.errstate(over="ignore"):
+        return np.exp(log_gamma(phi, c, prior))
 
 
 def _linear_mmse(re, im, c, prior: BgPrior, total, out_parts):

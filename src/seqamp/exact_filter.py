@@ -25,7 +25,6 @@ from .config import SystemConfig
 __all__ = [
     "MixturePosterior",
     "exact_sssm_filter",
-    "grid_axis",
     "mixture_on_grid",
     "product_on_grid",
     "ar1_grid_kernel",
@@ -122,11 +121,6 @@ def exact_sssm_filter(observations, noise_levels, eta: float, rho: float,
     return out
 
 
-def grid_axis(half_width: float, n_points: int = 201) -> np.ndarray:
-    """Symmetric axis of n_points covering [-half_width, half_width]."""
-    return np.linspace(-half_width, half_width, n_points)
-
-
 def _axis_gauss(xs: np.ndarray, mean: float, var: float) -> np.ndarray:
     return np.exp(-((xs - mean) ** 2) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
 
@@ -145,13 +139,13 @@ def mixture_on_grid(post: MixturePosterior, xs: np.ndarray) -> np.ndarray:
 
 def product_on_grid(pi: float, xi: complex, psi: float,
                     xs: np.ndarray) -> np.ndarray:
-    """Discretise the matched product Bernoulli(pi) x CN(xi, psi)."""
-    re = _axis_gauss(xs, np.real(xi), psi / 2.0)
-    im = _axis_gauss(xs, np.imag(xi), psi / 2.0)
-    h_density = np.outer(re, im)
-    q = np.stack([(1.0 - pi) * h_density, pi * h_density])
-    q = np.maximum(q, _LOG_FLOOR)
-    return q / q.sum()
+    """Discretise the matched product Bernoulli(pi) x CN(xi, psi).
+
+    It is the two-component mixture (1-pi) [a=0] CN(xi, psi) + pi [a=1] CN(xi, psi).
+    """
+    return mixture_on_grid(MixturePosterior(np.array([1.0 - pi, pi]), np.array([0, 1]),
+                                            np.full(2, xi, dtype=complex),
+                                            np.full(2, psi)), xs)
 
 
 def ar1_grid_kernel(xs: np.ndarray, eta: float, rho: float) -> np.ndarray:

@@ -27,9 +27,11 @@ import numpy as np
 from . import baselines
 from .config import SystemConfig, desk_config, parse_number
 from .detection import dep_from_counts, detect_sequence, detection_counts, nmse_db
-from .scenario import Scenario, make_scenario
+from .scenario import (Scenario, channel_power, derive_noise_var, make_scenario,
+                       path_loss_db)
 from .sequential import s_amp_run
-from .state_evolution import SE_SWEEP_KEYS, SE_TRACE_SAMPLES, se_draws, se_sequential_trace
+from .state_evolution import (NOR_REF_DBM, SE_SWEEP_KEYS, SE_TRACE_SAMPLES, se_draws,
+                              se_sequential_trace)
 
 __all__ = [
     "ConfigError",
@@ -74,6 +76,8 @@ class ExperimentSpec:
 
     ``out`` is the CSV path; None leaves the choice to the command, which
     writes ``results.csv`` for ``run`` and ``se_trace.csv`` for ``se``.
+    Each sweep point's config is built once, here, and every point the
+    spec runs must pass :func:`_check_powers`.
     """
 
     base: SystemConfig
@@ -106,12 +110,15 @@ class ExperimentSpec:
         for value in self.values:
             try:
                 cfg = self.base.with_(**_field_values({self.axis: value}))
+                _check_powers(cfg)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"sweep point {self.axis} = {value}: {exc}") from exc
             if cfg in points:
                 raise ConfigError(f"sweep point {self.axis} = {value} repeats {points[cfg]}")
             points[cfg] = (float(value) if self.axis == "r0"
                            else getattr(cfg, _KEY_FIELD.get(self.axis, self.axis)))
+        if not self.values:
+            _check_powers(self.base)
         object.__setattr__(self, "_points", points)
 
     @property
@@ -136,6 +143,27 @@ class MetricsRecord:
     trials: int
     wall_time_s: float
     seed: int
+
+
+def _check_powers(cfg: SystemConfig) -> None:
+    """Raise ConfigError unless the noise power and the channel power at both
+    range ends, by the scenario's own laws, are finite and positive watts."""
+    try:
+        noise = derive_noise_var(cfg)
+    except OverflowError:
+        noise = np.inf
+    ends = np.array([cfg.dist_min_km, cfg.dist_max_km])
+    with np.errstate(over="ignore"):
+        rho_min, rho_max = channel_power(cfg, path_loss_db(ends))
+    for power, what in (
+            (noise, f"noise power at noise_psd_dbm_hz = {cfg.noise_psd_dbm_hz:g} "
+                    f"and bandwidth_hz = {cfg.bandwidth_hz:g}"),
+            (rho_min, f"channel power at tx_power_dbm = {cfg.tx_power_dbm:g} "
+                      f"and dist_min_km = {cfg.dist_min_km:g}"),
+            (rho_max, f"channel power at tx_power_dbm = {cfg.tx_power_dbm:g} "
+                      f"and dist_max_km = {cfg.dist_max_km:g}")):
+        if not 0.0 < power < np.inf:
+            raise ConfigError(f"{what} is {power:g} W, not finite and positive")
 
 
 def _field_values(entries: dict) -> dict:
@@ -357,14 +385,12 @@ def run_experiment(spec: ExperimentSpec):
             t0 = time.perf_counter()
             run_algos, cal_error, alpha = spec.algorithms, None, None
             if "amp_soft" in run_algos:
-                cal = make_scenario(cfg, CALIBRATION_TRIAL)
                 try:
-                    alpha = baselines.calibrate_soft_alpha(cal, cfg)
+                    alpha = baselines.calibrate_soft_alpha(
+                        make_scenario(cfg, CALIBRATION_TRIAL), cfg)
                 except Exception as exc:  # error row downstream; other algos continue
                     cal_error = f"calibration: {type(exc).__name__}: {exc}"
                     run_algos = tuple(a for a in run_algos if a != "amp_soft")
-                finally:
-                    del cal  # the trials build their own scenarios
             n = cfg.n_trials
             trial_results = list(trial_map(_trial_raw, [cfg] * n, range(n),
                                            [run_algos] * n, [alpha] * n))
@@ -434,7 +460,8 @@ def run_se(spec: ExperimentSpec, n_samples: int = SE_TRACE_SAMPLES,
         traces = list(point_map(se_sequential_trace, [cfg for _, cfg in points],
                                 [n_samples] * n, [draws] * n))
     for (value, cfg), trace in zip(points, traces):
-        nor_seq, nor_static = trace.nor_seq, trace.nor_static
+        nor = 10.0 ** ((cfg.tx_power_dbm - NOR_REF_DBM) / 10.0)   # P/P0
+        nor_seq, nor_static = nor * trace.c_seq, nor * trace.c_static
         if not trace.converged:
             nor_seq = nor_static = np.full(cfg.n_adts, np.nan)
             if errors is not None:

@@ -29,6 +29,7 @@ __all__ = [
     "derive_noise_var",
     "channel_power",
     "gen_user_profiles",
+    "path_loss_db",
     "PATHLOSS_INTERCEPT_DB", "PATHLOSS_SLOPE",
     "gen_pilots",
     "markov_activity",
@@ -111,19 +112,23 @@ PATHLOSS_INTERCEPT_DB = -128.1
 PATHLOSS_SLOPE = -36.7  # dB per decade of distance
 
 
+def path_loss_db(d_km: np.ndarray) -> np.ndarray:
+    """PATHLOSS_INTERCEPT_DB + PATHLOSS_SLOPE*log10(d_km), in dB."""
+    return PATHLOSS_INTERCEPT_DB + PATHLOSS_SLOPE * np.log10(d_km)
+
+
 def gen_user_profiles(cfg: SystemConfig, rng: np.random.Generator,
                       n: int | None = None) -> Profiles:
     """Draw per-user geometry and derived radio parameters.
 
     Distances and speeds are uniform on their configured ranges; path loss
-    is PATHLOSS_INTERCEPT_DB + PATHLOSS_SLOPE*log10(d_km) in dB; Doppler is
-    v*f_c/c.  ``n`` overrides cfg.n_users (the state-evolution sampler draws
-    its own count).
+    is :func:`path_loss_db`; Doppler is v*f_c/c.  ``n`` overrides
+    cfg.n_users (the state-evolution sampler draws its own count).
     """
     n = cfg.n_users if n is None else n
     d_km = rng.uniform(cfg.dist_min_km, cfg.dist_max_km, n)
     v_kmh = rng.uniform(cfg.speed_min_kmh, cfg.speed_max_kmh, n)
-    pathloss_db = PATHLOSS_INTERCEPT_DB + PATHLOSS_SLOPE * np.log10(d_km)
+    pathloss_db = path_loss_db(d_km)
     doppler_hz, arg = doppler(cfg, v_kmh)
     # the AR-1 innovation variance (1 - eta^2)*rho must not go negative, so
     # |eta| <= 1 is enforced rather than trusted to the last ulp of J0

@@ -97,8 +97,6 @@ class SeTrace:
 
     c_seq: np.ndarray
     c_static: np.ndarray
-    nor_seq: np.ndarray      # (P/P0) * c_t
-    nor_static: np.ndarray
     n_samples: int
     converged: bool
 
@@ -235,6 +233,4 @@ def se_sequential_trace(cfg: SystemConfig, n_samples: int = SE_TRACE_SAMPLES,
         post = moment_match(phi, c_seq[t], prior, rho=rho)
         prior = prior_propagate(post, eta, rho, cfg)
 
-    nor = 10.0 ** ((cfg.tx_power_dbm - NOR_REF_DBM) / 10.0)
-    return SeTrace(c_seq, c_static, nor * c_seq, nor * c_static, n_samples,
-                   all_converged)
+    return SeTrace(c_seq, c_static, n_samples, all_converged)

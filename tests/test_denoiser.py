@@ -88,16 +88,22 @@ class TestGamma:
         den = 0.05 * np.exp(-1.0 / 1.5) / (np.pi * 1.5)
         assert val == pytest.approx(num / den, rel=1e-12)
 
-    def test_rejects_boundary_priors(self):
-        with pytest.raises(ValueError):
-            gamma(0.0, 1.0, BgPrior(0.0, 0.0, 1.0))
-        with pytest.raises(ValueError):
-            gamma(0.0, 1.0, BgPrior(1.0, 0.0, 1.0))
+    def test_boundary_priors_give_inf_and_zero(self):
+        # the kernels' log-odds policy: +inf at pi = 0, 0 at pi = 1, no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert float(gamma(0.3, 1.0, BgPrior(0.0, 0.0, 1.0))) == np.inf
+            assert float(gamma(0.3, 1.0, BgPrior(1.0, 0.0, 1.0))) == 0.0
+            both = gamma(np.array([0.3, 0.3]), 1.0, BgPrior(np.array([0.0, 1.0]), 0.0, 1.0))
+        assert both.tolist() == [np.inf, 0.0]
 
-    def test_exponent_clamped(self):
-        # |phi|^2/c huge: gamma must stay finite and positive
-        val = float(gamma(1e6, 1e-4, BgPrior(0.5, 0.0, 1.0)))
-        assert np.isfinite(val) and val >= 0.0
+    def test_large_exponents_saturate_without_warning(self):
+        # |phi|^2/c huge: gamma underflows to 0; an interior prior whose
+        # log-odds pass 709.78 overflows to +inf, and neither warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert float(gamma(1e6, 1e-4, BgPrior(0.5, 0.0, 1.0))) == 0.0
+            assert float(gamma(0.0, 1.0, BgPrior(1e-320, 0.0, 1.0))) == np.inf
 
 
 class TestMean:

@@ -5,7 +5,7 @@ import pytest
 
 from seqamp.config import SystemConfig
 from seqamp.denoiser import BgPrior
-from seqamp.exact_filter import (ar1_grid_kernel, exact_sssm_filter, grid_axis,
+from seqamp.exact_filter import (MixturePosterior, ar1_grid_kernel, exact_sssm_filter,
                                  grid_kl, mixture_on_grid, product_on_grid,
                                  push_transition)
 from seqamp.sequential import moment_match, prior_propagate
@@ -85,22 +85,44 @@ class TestFilterBasics:
 
 class TestGridMachinery:
     def test_grid_pmfs_normalised(self):
-        xs = grid_axis(6.0, 201)
+        xs = np.linspace(-6.0, 6.0, 201)
         q = product_on_grid(0.3, 0.5 + 0.2j, 0.7, xs)
         assert q.sum() == pytest.approx(1.0)
         assert q[1].sum() == pytest.approx(0.3, abs=1e-6)
 
+    def test_product_is_the_two_component_mixture_bit_for_bit(self):
+        # Bernoulli(pi) x CN(xi, psi) is the mixture of (1-pi) [a=0] CN(xi, psi)
+        # and pi [a=1] CN(xi, psi); the grid is also checked against the
+        # product density built directly, axis Gaussians of variance psi/2
+        def gauss(xs, mean, var):
+            return np.exp(-((xs - mean) ** 2) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
+
+        rng = np.random.default_rng(30)
+        cases = [(0.3, 0.5 + 0.2j, 0.7), (0.4, 0.0, 1.0), (0.4, 0.1 + 0.3j, 1.2),
+                 (0.5, 0.0, 1.0), (0.0, 1j, 0.5), (1.0, 1j, 0.5)]
+        cases += [(rng.uniform(), complex(*rng.standard_normal(2)), rng.uniform(0.05, 3.0))
+                  for _ in range(20)]
+        xs = np.linspace(-6.0, 6.0, 101)
+        for pi, xi, psi in cases:
+            q = product_on_grid(pi, xi, psi, xs)
+            two = MixturePosterior(np.array([1.0 - pi, pi]), np.array([0, 1], dtype=np.int8),
+                                   np.full(2, xi, dtype=complex), np.full(2, psi))
+            assert q.tobytes() == mixture_on_grid(two, xs).tobytes()
+            h = np.outer(gauss(xs, xi.real, psi / 2.0), gauss(xs, xi.imag, psi / 2.0))
+            direct = np.maximum(np.stack([(1.0 - pi) * h, pi * h]), 1e-300)
+            assert q.tobytes() == (direct / direct.sum()).tobytes()
+
     def test_kernel_is_column_stochastic(self):
-        xs = grid_axis(6.0, 101)
+        xs = np.linspace(-6.0, 6.0, 101)
         k = ar1_grid_kernel(xs, 0.95, 1.0)
         assert np.allclose(k.sum(axis=0), 1.0)
 
     def test_unit_eta_kernel_is_identity(self):
-        xs = grid_axis(6.0, 51)
+        xs = np.linspace(-6.0, 6.0, 51)
         assert np.array_equal(ar1_grid_kernel(xs, 1.0, 1.0), np.eye(51))
 
     def test_push_preserves_mass_and_mixes_activity(self):
-        xs = grid_axis(6.0, 101)
+        xs = np.linspace(-6.0, 6.0, 101)
         p = product_on_grid(0.4, 0.0, 1.0, xs)
         k = ar1_grid_kernel(xs, 0.9, 1.0)
         p2 = push_transition(p, k, p01=0.3, p10=0.1)
@@ -109,7 +131,7 @@ class TestGridMachinery:
         assert p2[1].sum() == pytest.approx(expected_active, abs=1e-9)
 
     def test_kl_zero_iff_equal(self):
-        xs = grid_axis(6.0, 101)
+        xs = np.linspace(-6.0, 6.0, 101)
         p = product_on_grid(0.4, 0.1 + 0.3j, 1.2, xs)
         assert grid_kl(p, p) == pytest.approx(0.0, abs=1e-12)
         q = product_on_grid(0.5, 0.0, 1.0, xs)
@@ -128,7 +150,7 @@ class TestGridMachinery:
             phis = (rng.standard_normal(t_total)
                     + 1j * rng.standard_normal(t_total))
             post = exact_sssm_filter(phis, cs, *profile(eta), cfg)[-1]
-            xs = grid_axis(6.0, 201)
+            xs = np.linspace(-6.0, 6.0, 201)
             p = mixture_on_grid(post, xs)
             q = product_on_grid(post.e_a, post.e_h, post.var_h, xs)
             k = ar1_grid_kernel(xs, eta, 1.0)

@@ -41,6 +41,26 @@ def all_finite(cfg: SystemConfig) -> bool:
 SWEEP_VALUES = {"tx_power_dbm": "27,30", "pilot_len": "100,200", "r0": "0,3",
                 "lambda": "0.1,0.2", "adp_duration_s": "2e-4,5e-5"}
 
+# (command, flag, message): a noise or channel power outside float range
+POWER_RANGE_CASES = [
+    ("se", "--tx-power-dbm=1e5",
+     "channel power at tx_power_dbm = 100000 and dist_min_km = 0.05 is inf W"),
+    ("se", "--tx-power-dbm=-1e5",
+     "channel power at tx_power_dbm = -100000 and dist_min_km = 0.05 is 0 W"),
+    ("run", "--tx-power-dbm=-1e5",
+     "channel power at tx_power_dbm = -100000 and dist_min_km = 0.05 is 0 W"),
+    ("run", "--dist-min-km=1e-300",
+     "channel power at tx_power_dbm = 33 and dist_min_km = 1e-300 is inf W"),
+    ("run", "--dist-max-km=1e300",
+     "channel power at tx_power_dbm = 33 and dist_max_km = 1e+300 is 0 W"),
+    ("run", "--noise-psd-dbm-hz=1e5",
+     "noise power at noise_psd_dbm_hz = 100000 and bandwidth_hz = 1e+07 is inf W"),
+    ("se", "--noise-psd-dbm-hz=1e5",
+     "noise power at noise_psd_dbm_hz = 100000 and bandwidth_hz = 1e+07 is inf W"),
+    ("se", "--tx-power-dbm=27,1e5", "sweep point tx_power_dbm = 100000.0: "
+     "channel power at tx_power_dbm = 100000 and dist_min_km = 0.05 is inf W"),
+]
+
 config_floats = st.one_of(st.floats().map(repr),
                           st.sampled_from(["nan", "inf", "-inf", "1e999"]))
 config_values = st.one_of(
@@ -739,6 +759,18 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.startswith("config error: ") and not captured.out
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag, message", POWER_RANGE_CASES,
+                             ids=[f"{c}{f}" for c, f, _ in POWER_RANGE_CASES])
+    def test_power_outside_float_range_is_config_error(self, tmp_path, capsys, command,
+                                                       flag, message):
+        # the noise power and the channel power at both range ends must be
+        # finite and positive at every point, or nothing downstream is
+        out = tmp_path / "x.csv"
+        assert cli_main([command, "--desk", "--n-adts", "2", flag, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {message}, not finite and positive\n"
+        assert not captured.out and not out.exists()
 
     def test_python_m_seqamp(self):
         src = Path(__file__).resolve().parents[1] / "src"

@@ -119,7 +119,7 @@ def test_every_private_name_is_read():
 
 def test_unread_private_check_catches_a_leftover_helper():
     sources = package_sources()
-    sources["denoiser"] += "\n\ndef _helper(t):\n    return t * _EXP_CLAMP\n"
+    sources["denoiser"] += "\n\ndef _helper(t):\n    return _logistic_neg(t)\n"
     sources["sequential"] += "\n_LEFTOVER = 1e-12\n"
     assert unread_privates(sources) == ["denoiser._helper", "sequential._LEFTOVER"]
 

@@ -21,6 +21,11 @@ from seqamp.state_evolution import (NOR_REF_DBM, SeSamples, se_draws, se_fixpoin
 from helpers import noise_config
 
 
+def se_levels(rows, algorithm):
+    """The ``nor_ct`` column of one sweep point's ``run_se`` rows for one algorithm, by ADT."""
+    return np.array([nor for _, algo, nor, _, _ in rows if algo == algorithm])
+
+
 def bg_samples(m, lam, rho, rng):
     """A Bernoulli-Gaussian batch and its static prior (lam, 0, rho)."""
     active = rng.random(m) < lam
@@ -204,18 +209,21 @@ class TestSequentialTrace:
         assert tr.converged
 
     def test_normalisation_factor(self):
-        cfg = desk_config(n_adts=3, tx_power_dbm=33.0)
-        tr = se_sequential_trace(cfg, n_samples=2000)
+        spec = load_config(None, {"n_adts": 3, "tx_power_dbm": 33.0}, desk=True)
+        rows = run_se(spec, n_samples=2000)
+        tr = se_sequential_trace(spec.base, n_samples=2000)
         assert NOR_REF_DBM == 13.0
-        assert np.allclose(tr.nor_seq, tr.c_seq * 10.0 ** 2.0)
+        assert np.allclose(se_levels(rows, "s_amp"), tr.c_seq * 10.0 ** 2.0)
+        assert np.allclose(se_levels(rows, "amp_mmse"), tr.c_static * 10.0 ** 2.0)
 
     def test_large_pilot_len_approaches_awgn_level(self):
         # nor(c_t) -> (P/P0) * noise_var as the load vanishes
-        cfg = desk_config(n_users=500, pilot_len=500, n_adts=2)
-        tr = se_sequential_trace(cfg, n_samples=20_000)
+        spec = load_config(None, {"pilot_len": 500, "n_adts": 2}, desk=True)
+        cfg = spec.base
         floor = 10.0 ** ((cfg.tx_power_dbm - NOR_REF_DBM) / 10.0) \
             * derive_noise_var(cfg)
-        assert tr.nor_static[-1] == pytest.approx(floor, rel=0.05)
+        rows = run_se(spec, n_samples=20_000)
+        assert se_levels(rows, "amp_mmse")[-1] == pytest.approx(floor, rel=0.05)
 
 
 class TestContiguousColumns:
@@ -257,7 +265,7 @@ def _nudged(value):
 
 
 def _trace_arrays(tr):
-    return (tr.c_seq, tr.c_static, tr.nor_seq, tr.nor_static)
+    return (tr.c_seq, tr.c_static)
 
 
 class TestSharedDraws:
@@ -277,10 +285,11 @@ class TestSharedDraws:
         want = []
         for _, cfg in spec.sweep_points():
             tr = se_sequential_trace(cfg, n_samples=1000)
+            nor = 10.0 ** ((cfg.tx_power_dbm - NOR_REF_DBM) / 10.0)
             for i in range(cfg.n_adts):
-                want.append((i + 1, "s_amp", tr.nor_seq[i], cfg.pilot_len,
+                want.append((i + 1, "s_amp", nor * tr.c_seq[i], cfg.pilot_len,
                              cfg.tx_power_dbm))
-                want.append((i + 1, "amp_mmse", tr.nor_static[i], cfg.pilot_len,
+                want.append((i + 1, "amp_mmse", nor * tr.c_static[i], cfg.pilot_len,
                              cfg.tx_power_dbm))
         want.sort(key=lambda r: (r[3], r[4], r[0], r[1]))
         assert rows == want
