@@ -233,12 +233,19 @@ def check_stationarity() -> tuple[bool, str]:
             f"{var_dev:.4f} (tol 0.02), lag-1 dev {corr_dev:.5f} (tol 0.005)")
 
 
+def _average_ranks(x) -> np.ndarray:
+    """1-based ranks of x's entries, tied entries sharing their mean rank."""
+    _, group, counts = np.unique(x, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[group]
+
+
+def _spearman(x, y) -> float:
+    """Spearman's rank correlation: Pearson's on the average ranks."""
+    return float(np.corrcoef(_average_ranks(x), _average_ranks(y))[0, 1])
+
+
 def check_r0_monotonicity() -> tuple[bool, str]:
     """Criterion 8: S-AMP improves with r0; AMP-MMSE flat (Spearman trend)."""
-    # imported here: scipy.stats takes most of the CLI's start-up time and
-    # no other command needs it
-    from scipy.stats import spearmanr
-
     r0s = np.arange(6)
     pooled = _pooled_metrics(ExperimentSpec(desk_config(n_trials=12), axis="r0",
                                             values=tuple(r0s), algorithms=_PAIRED))
@@ -246,7 +253,7 @@ def check_r0_monotonicity() -> tuple[bool, str]:
     metrics = np.array([[pooled[r0, a] for r0 in r0s] for a in _PAIRED])
     nmse, dep = metrics[..., 0], metrics[..., 1]
     rho_s_dep, rho_s_nmse, rho_m_dep, rho_m_nmse = (
-        spearmanr(r0s, series).statistic for series in (dep[0], nmse[0], dep[1], nmse[1]))
+        _spearman(r0s, series) for series in (dep[0], nmse[0], dep[1], nmse[1]))
     # AMP-MMSE never reads r, so its trend is sampling noise: it counts as
     # flat if there is no significant rank trend (n=6 one-sided 5% critical
     # value 0.829) or if its total variation is small next to the systematic

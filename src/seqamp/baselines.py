@@ -32,6 +32,7 @@ __all__ = [
 SOFT_ALPHA_GRID = tuple(round(1.0 + 0.1 * k, 1) for k in range(11))  # 1.0 .. 2.0
 _OMP_RESIDUAL_SLACK = 1.1
 _OMP_DEPENDENT_RTOL = 1e-10
+_OMP_ROWS_STEP = 16  # basis rows a column allocates at a time
 _RANK_RTOL = 1e-12
 
 
@@ -40,14 +41,17 @@ class BaselineResult:
     """Output of a non-sequential recovery algorithm on one ADT or a block.
 
     For a column block (one column per ADT or per threshold), ``estimate``
-    is (N, k) and ``iterations`` sums the sweeps of all columns.
-    ``cap_hits`` counts the columns of soft-threshold AMP still running
-    when the sweep budget ran out; OMP and oracle LS leave it 0.
+    is (N, k), and the counts sum over the columns: ``iterations`` the
+    sweeps (soft-threshold AMP) or selections (OMP) of all columns,
+    ``hit_rank_limit`` the OMP columns that stopped at the rank limit (for
+    oracle LS, 1 when the support is rank-deficient) and ``cap_hits`` the
+    soft-threshold AMP columns still running when the sweep budget ran
+    out; OMP and oracle LS leave ``cap_hits`` 0.
     """
 
     estimate: np.ndarray      # (N,) or (N, k) complex
     iterations: int
-    hit_rank_limit: bool = False
+    hit_rank_limit: int = 0
     cap_hits: int = 0
 
     @property
@@ -170,40 +174,35 @@ def calibrate_soft_alpha(scenario: Scenario, cfg: SystemConfig) -> float:
     return SOFT_ALPHA_GRID[int(np.argmin(nmse))]
 
 
-def omp(y: np.ndarray, s_mat: np.ndarray, cfg: SystemConfig) -> BaselineResult:
-    """Orthogonal matching pursuit with an incremental QR refit.
+class _OmpColumn:
+    """One OMP problem: its residual and the QR factor of its selection.
 
-    Each selected column is orthogonalised against the basis ``Q`` of the
-    columns before it by classical Gram-Schmidt with one reorthogonalisation
-    pass, which appends one column to ``R`` and one entry to ``Q^H y``; the
-    residual is ``y - Q Q^H y`` and the coefficients of the least-squares
-    refit come from one triangular solve ``R coef = Q^H y`` at the end.
+    ``q_h`` holds the rows q_k^H of the orthonormal basis.  It grows by
+    ``_OMP_ROWS_STEP`` rows when full, so storage follows the selections
+    made; R's columns and the entries of Q^H y are kept as lists until the
+    final solve.
+    """
 
-    Stops once ||r|| <= 1.1 * sqrt(L) * sigma_w, with sigma_w^2 the
-    configured noise variance, or after min(ceil(3*lam*N), L) selections.
-    Filling all L degrees of freedom, or picking a column whose
-    orthogonalised norm falls to 1e-10 of its own norm (numerically
-    dependent on the selected ones, so the residual is orthogonal to every
-    remaining column), stops with ``hit_rank_limit``; a dependent column is
-    not added."""
-    l_dim, n = s_mat.shape
-    max_iters = min(math.ceil(3.0 * cfg.lam * n), l_dim)
-    target = _OMP_RESIDUAL_SLACK * math.sqrt(l_dim * derive_noise_var(cfg))
+    def __init__(self, y: np.ndarray):
+        self.y = y
+        self.residual = y.copy()
+        self.q_h = np.empty((_OMP_ROWS_STEP, y.size), dtype=complex)
+        self.r_cols: list[np.ndarray] = []
+        self.q_h_y: list[complex] = []
+        self.selected: list[int] = []
+        self.hit_rank_limit = False
 
-    y = np.asarray(y, dtype=complex)
-    residual = y.copy()
-    q_h = np.empty((max_iters, l_dim), dtype=complex)   # rows q_k^H
-    r_mat = np.zeros((max_iters, max_iters), dtype=complex)
-    q_h_y = np.empty(max_iters, dtype=complex)
-    selected: list[int] = []
-    hit_rank_limit = False
-    k = 0
-    while k < max_iters and np.linalg.norm(residual) > target:
-        scores = np.abs(adjoint(s_mat, residual))
-        scores[selected] = -1.0
+    def running(self, max_iters: int, target: float) -> bool:
+        return (not self.hit_rank_limit and len(self.selected) < max_iters
+                and np.linalg.norm(self.residual) > target)
+
+    def select(self, scores: np.ndarray, s_mat: np.ndarray) -> None:
+        """Add the best-scoring column not yet selected, unless it is dependent."""
+        scores[self.selected] = -1.0
         j = int(np.argmax(scores))
         col = np.array(s_mat[:, j], dtype=complex)
-        basis = q_h[:k]
+        k = len(self.selected)
+        basis = self.q_h[:k]
         # Q h is the adjoint of Q^H applied to h
         proj = basis @ col
         v = col - adjoint(basis, proj)
@@ -211,48 +210,107 @@ def omp(y: np.ndarray, s_mat: np.ndarray, cfg: SystemConfig) -> BaselineResult:
         v -= adjoint(basis, again)
         v_norm = float(np.linalg.norm(v))
         if v_norm <= _OMP_DEPENDENT_RTOL * np.linalg.norm(col):
-            hit_rank_limit = True
-            break
+            self.hit_rank_limit = True
+            return
+        if k == self.q_h.shape[0]:
+            grown = np.empty((k + _OMP_ROWS_STEP, self.y.size), dtype=complex)
+            grown[:k] = self.q_h
+            self.q_h = grown
         q = v / v_norm
-        q_h[k] = q.conj()
-        r_mat[:k, k] = proj + again
-        r_mat[k, k] = v_norm
-        q_h_y[k] = q_h[k] @ y
-        residual -= q * q_h_y[k]
-        selected.append(j)
-        k += 1
-        if k >= l_dim:
-            hit_rank_limit = True
-            break
-    estimate = np.zeros(n, dtype=complex)
-    if selected:
-        estimate[selected] = np.linalg.solve(r_mat[:k, :k], q_h_y[:k])
-    return BaselineResult(estimate, k, hit_rank_limit)
+        self.q_h[k] = q.conj()
+        self.r_cols.append(np.append(proj + again, v_norm))
+        self.q_h_y.append(self.q_h[k] @ self.y)
+        self.residual -= q * self.q_h_y[k]
+        self.selected.append(j)
+        if k + 1 >= self.y.size:
+            self.hit_rank_limit = True
+
+    def refit(self) -> np.ndarray:
+        """The least-squares coefficients of the selection, from R coef = Q^H y."""
+        k = len(self.selected)
+        r_mat = np.zeros((k, k), dtype=complex)
+        for i, r_col in enumerate(self.r_cols):
+            r_mat[:i + 1, i] = r_col
+        return np.linalg.solve(r_mat, np.array(self.q_h_y))
+
+
+def omp(y: np.ndarray, s_mat: np.ndarray, cfg: SystemConfig) -> BaselineResult:
+    """Orthogonal matching pursuit with an incremental QR refit.
+
+    ``y`` is one observation (L,) or a block (L, k) of independent columns,
+    e.g. a block of ADTs, run in lockstep: each round scores every column
+    still running with one GEMM over their residuals, |R^H S| = |S^H R|
+    (``amp.adjoint`` without its last conjugation), and each column
+    then makes its own selection, so a column's result does not depend on
+    the block around it.
+
+    Each selected column is orthogonalised against the basis ``Q`` of the
+    columns before it by classical Gram-Schmidt with one reorthogonalisation
+    pass, which appends one column to ``R`` and one entry to ``Q^H y``; the
+    residual is ``y - Q Q^H y`` and the coefficients of the least-squares
+    refit come from one triangular solve ``R coef = Q^H y`` at the end.
+
+    A column stops once ||r|| <= 1.1 * sqrt(L) * sigma_w, with sigma_w^2
+    the configured noise variance, or after min(ceil(3*lam*N), L)
+    selections.  Filling all L degrees of freedom, or picking a column whose
+    orthogonalised norm falls to 1e-10 of its own norm (numerically
+    dependent on the selected ones, so the residual is orthogonal to every
+    remaining column), stops it at the rank limit; a dependent column is
+    not added.  A 1-D ``y`` returns an (N,) estimate, a block an (N, k)
+    one; ``iterations`` counts the selections and ``hit_rank_limit`` the
+    columns stopped at the rank limit."""
+    y = np.asarray(y, dtype=complex)
+    if y.ndim not in (1, 2):
+        raise ValueError(f"y must be (L,) or (L, k), got shape {y.shape}")
+    l_dim, n = s_mat.shape
+    max_iters = min(math.ceil(3.0 * cfg.lam * n), l_dim)
+    target = _OMP_RESIDUAL_SLACK * math.sqrt(l_dim * derive_noise_var(cfg))
+
+    block = y.reshape(y.shape[0], -1)
+    columns = [_OmpColumn(block[:, j]) for j in range(block.shape[1])]
+    run = [c for c in columns if c.running(max_iters, target)]
+    while run:
+        # |S^H r| = |r^H S|: one GEMM on the residual rows, S as BLAS streams it
+        scores = np.abs(np.stack([c.residual for c in run]).conj() @ s_mat)
+        for column, col_scores in zip(run, scores):
+            column.select(col_scores, s_mat)
+        run = [c for c in run if c.running(max_iters, target)]
+    estimate = np.zeros((n, len(columns)), dtype=complex)
+    for j, column in enumerate(columns):
+        if column.selected:
+            estimate[column.selected, j] = column.refit()
+    if y.ndim == 1:
+        estimate = estimate.reshape(n)
+    return BaselineResult(estimate, sum(len(c.selected) for c in columns),
+                          sum(c.hit_rank_limit for c in columns))
 
 
 def oracle_ls(y: np.ndarray, s_mat: np.ndarray,
               true_support: np.ndarray) -> BaselineResult:
-    """Least squares restricted to the true support, solved by QR.
+    """Least squares restricted to the true support, from one R factor.
 
-    The support columns are factored as ``Q R`` and the coefficients solve
-    ``R coef = Q^H y``.  If the support is numerically rank-deficient
-    (``min |R_kk| <= 1e-12 * max |R_kk|``, e.g. a repeated column), the
-    answer is the minimum-norm pseudo-inverse solution, truncated at
-    1e-12 * largest singular value, and ``hit_rank_limit`` is set."""
+    With k support columns A, the QR factor R of [A y] holds R_A in its
+    leading k x k block and Q^H y in the k entries above it in column k,
+    so the coefficients solve ``R_A coef = Q^H y`` and Q is never formed.
+    If the support is numerically rank-deficient
+    (``min |R_kk| <= 1e-12 * max |R_kk|`` on R_A, e.g. a repeated column),
+    the answer is the minimum-norm pseudo-inverse solution, truncated at
+    1e-12 * largest singular value, and ``hit_rank_limit`` is 1."""
     support_idx = np.flatnonzero(np.asarray(true_support))
     l_dim, n = s_mat.shape
-    if support_idx.size > l_dim:
-        raise ValueError(f"support size {support_idx.size} exceeds L = {l_dim}")
+    k = support_idx.size
+    if k > l_dim:
+        raise ValueError(f"support size {k} exceeds L = {l_dim}")
     estimate = np.zeros(n, dtype=complex)
     rank_deficient = False
-    if support_idx.size:
+    if k:
         sub = s_mat[:, support_idx]
-        q, r = np.linalg.qr(sub)
-        diag = np.abs(np.diag(r))
+        r = np.linalg.qr(np.column_stack([sub, y]), mode="r")
+        diag = np.abs(np.diag(r[:k, :k]))
         rank_deficient = bool(diag.min() <= _RANK_RTOL * diag.max())
         if rank_deficient:
             coef = np.linalg.pinv(sub, rcond=_RANK_RTOL) @ y
         else:
-            coef = np.linalg.solve(r, adjoint(q, y))
+            coef = np.linalg.solve(r[:k, :k], r[:k, k])
         estimate[support_idx] = coef
-    return BaselineResult(estimate, 1, rank_deficient)
+    return BaselineResult(estimate, 1, int(rank_deficient))

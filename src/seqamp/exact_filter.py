@@ -76,10 +76,6 @@ def exact_sssm_filter(observations, noise_levels, eta: float, rho: float,
     ``rho`` are the user's AR-1 coefficient and channel power.  Horizons
     above MAX_HORIZON are refused (mixture size doubles per step).
     """
-    # imported here: scipy.special is most of the package's import time and
-    # memory, and only this oracle needs it
-    from scipy.special import logsumexp
-
     phis = np.asarray(observations, dtype=complex)
     cs = np.asarray(noise_levels, dtype=float)
     if phis.shape != cs.shape or phis.ndim != 1:
@@ -116,7 +112,9 @@ def exact_sssm_filter(observations, noise_levels, eta: float, rho: float,
         gain = np.where(active, var / (var + c), 0.0)
         mean = mean + gain * (phi - mean)
         var = np.where(active, var * c / (var + c), var)
-        log_w = log_w - logsumexp(log_w)
+        # normalise by the max-shifted log-sum-exp; the largest weight is finite
+        top = log_w.max()
+        log_w = log_w - (top + np.log(np.sum(np.exp(log_w - top))))
         out.append(MixturePosterior(np.exp(log_w), a.copy(), mean.copy(), var.copy()))
     return out
 

@@ -54,6 +54,10 @@ SWEEP_KEYS = ("tx_power_dbm", "pilot_len", "r0", "lambda", "adp_duration_s")
 CSV_HEADER = "sweep_axis,sweep_value,algorithm,adt,nmse_x_db,nmse_h_db,dep,trials,seed"
 SE_CSV_HEADER = "t,algorithm,nor_ct,pilot_len,tx_power_dbm"
 CALIBRATION_TRIAL = -1  # held-out trial index for soft-threshold tuning
+# ADTs per OMP call: a block shares one GEMM over S per round, but keeps its
+# columns' QR bases resident at once (about 60 rows of L each at full
+# scale), so the block size trades S's passes against peak memory
+_OMP_BLOCK_ADTS = 10
 
 # SystemConfig fields whose config keys differ from the field name:
 # ``lambda`` sets ``lam``, and ``r0`` is a second spelling of ``r_scale``
@@ -145,9 +149,26 @@ class MetricsRecord:
     seed: int
 
 
+# Every power a run handles -- the noise, the channel power at dist_min_km
+# (the largest) and the transmit power, by which state evolution's rows
+# scale c -- is at most 1e150 W, and the channel-to-noise ratio at most
+# 1e300, so the products and quotients of two of them that the kernels form
+# (|phi|^2 * psi, c * (psi + c), |phi|^2 / c) and the SE rows' (P/P0) * c
+# stay far enough below float overflow (1.8e308) for |h|^2 above its mean.
+# At desk, with 2 ADTs, ``run`` failed from a channel power at dist_min_km
+# of 10^154.9 W at every noise power, and from a ratio of 10^310.4.
+_MAX_POWER_W = 1e150
+_MAX_SNR = 1e300
+
+
 def _check_powers(cfg: SystemConfig) -> None:
-    """Raise ConfigError unless the noise power and the channel power at both
-    range ends, by the scenario's own laws, are finite and positive watts."""
+    """Raise ConfigError unless the powers of ``cfg``, by the scenario's own
+    laws, are finite positive watts the kernels can carry.
+
+    The noise power and the channel power at both range ends must be finite
+    and positive; the noise, transmit and largest channel power (at
+    ``dist_min_km``) at most ``_MAX_POWER_W``, and the ratio of that channel
+    power to the noise at most ``_MAX_SNR``."""
     try:
         noise = derive_noise_var(cfg)
     except OverflowError:
@@ -155,15 +176,26 @@ def _check_powers(cfg: SystemConfig) -> None:
     ends = np.array([cfg.dist_min_km, cfg.dist_max_km])
     with np.errstate(over="ignore"):
         rho_min, rho_max = channel_power(cfg, path_loss_db(ends))
+        transmit = channel_power(cfg, np.zeros(1))[0]   # no path loss
+    noise_what = (f"noise power at noise_psd_dbm_hz = {cfg.noise_psd_dbm_hz:g} "
+                  f"and bandwidth_hz = {cfg.bandwidth_hz:g}")
+    at_min = f"tx_power_dbm = {cfg.tx_power_dbm:g} and dist_min_km = {cfg.dist_min_km:g}"
     for power, what in (
-            (noise, f"noise power at noise_psd_dbm_hz = {cfg.noise_psd_dbm_hz:g} "
-                    f"and bandwidth_hz = {cfg.bandwidth_hz:g}"),
-            (rho_min, f"channel power at tx_power_dbm = {cfg.tx_power_dbm:g} "
-                      f"and dist_min_km = {cfg.dist_min_km:g}"),
+            (noise, noise_what),
+            (rho_min, f"channel power at {at_min}"),
             (rho_max, f"channel power at tx_power_dbm = {cfg.tx_power_dbm:g} "
                       f"and dist_max_km = {cfg.dist_max_km:g}")):
         if not 0.0 < power < np.inf:
             raise ConfigError(f"{what} is {power:g} W, not finite and positive")
+    for value, unit, limit, what in (
+            (noise, " W", _MAX_POWER_W, noise_what),
+            (transmit, " W", _MAX_POWER_W, f"transmit power at tx_power_dbm = "
+                                           f"{cfg.tx_power_dbm:g}"),
+            (rho_min, " W", _MAX_POWER_W, f"channel power at {at_min}"),
+            (float(rho_min) / noise, "", _MAX_SNR, f"channel-to-noise ratio at {at_min}")):
+        if value > limit:
+            raise ConfigError(f"{what} is {value:g}{unit}, above the {limit:g}{unit} "
+                              f"the kernels can carry")
 
 
 def _field_values(entries: dict) -> dict:
@@ -282,18 +314,17 @@ def _algo_matrices(name: str, scenario: Scenario, cfg: SystemConfig,
         # the ADTs are independent columns of one block
         res = baselines.amp_soft(scenario.received, scenario.pilots, cfg, alpha)
         return res.estimate, res.support
-    n, t_total = scenario.activity.shape
-    x_hat = np.zeros((n, t_total), dtype=complex)
-    dec = np.zeros((n, t_total), dtype=np.int8)
-    for t in range(t_total):
-        y = scenario.received[:, t]
-        if name == "omp":
-            res = baselines.omp(y, scenario.pilots, cfg)
-        else:
-            res = baselines.oracle_ls(y, scenario.pilots, scenario.activity[:, t])
-        x_hat[:, t] = res.estimate
-        dec[:, t] = res.support
-    return x_hat, dec
+    t_total = scenario.received.shape[1]
+    if name == "omp":
+        results = [baselines.omp(scenario.received[:, t:t + _OMP_BLOCK_ADTS],
+                                 scenario.pilots, cfg)
+                   for t in range(0, t_total, _OMP_BLOCK_ADTS)]
+    else:
+        results = [baselines.oracle_ls(scenario.received[:, t], scenario.pilots,
+                                       scenario.activity[:, t])
+                   for t in range(t_total)]
+    return (np.column_stack([r.estimate for r in results]),
+            np.column_stack([r.support for r in results]))
 
 
 def _trial_raw(cfg: SystemConfig, trial: int, algorithms: tuple[str, ...],

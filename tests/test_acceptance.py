@@ -8,7 +8,10 @@ suite outcome" and the docstring of ``acceptance.check_temporal_gain``.  The
 check is asserted exactly as specified regardless.
 """
 
-from seqamp.acceptance import CHECKS
+import numpy as np
+import pytest
+
+from seqamp.acceptance import CHECKS, _spearman
 
 
 def _run(criterion: int):
@@ -67,3 +70,15 @@ def test_criterion_09_baseline_ordering():
 def test_criterion_10_determinism():
     passed, detail = _run(10)
     assert passed, detail
+
+
+@pytest.mark.parametrize("series", [[3.0, 1.0, 2.0, 5.0, 4.0, 6.0],
+                                    [1.0, 1.0, 2.0, 2.0, 3.0, 3.0],
+                                    [0.5, 0.2, 0.2, 0.9, 0.9, 0.9],
+                                    [-1.0, -0.3, -0.3, -0.3, -2.0, 4.0]])
+def test_criterion_08_rank_correlation_matches_scipy_with_ties(series):
+    # criterion 8's Spearman statistic, ties sharing their mean rank
+    from scipy.stats import spearmanr
+    r0s = np.arange(6)
+    assert _spearman(r0s, series) == pytest.approx(spearmanr(r0s, series).statistic,
+                                                   rel=1e-14, abs=1e-15)

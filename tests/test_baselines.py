@@ -24,6 +24,25 @@ def guard_case():
     return cfg, make_scenario(cfg, 0)
 
 
+@pytest.fixture(scope="module")
+def block_guard_case():
+    """Ten ADTs whose 200x8000 S dwarfs their ten OMP bases (20 users active on average)."""
+    cfg = SystemConfig(n_users=8000, pilot_len=200, n_adts=10, lam=0.0025)
+    return cfg, make_scenario(cfg, 0)
+
+
+def dependent_case():
+    """(S, y, cfg) where OMP's second pick is dependent on its first.
+
+    Columns 0 and 1 of S are equal and row 3 is zero: once column 0 explains
+    y's first entry, the residual e_3 is orthogonal to every remaining
+    column and the next pick, column 1, is dependent on the selected one."""
+    s = np.zeros((4, 4), dtype=complex)
+    s[0, 0] = s[0, 1] = s[1, 2] = s[2, 3] = 1.0
+    y = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex)
+    return s, y, noise_config(1e-6, n_users=4, pilot_len=4, lam=0.25)
+
+
 class TestAmpSoft:
     def test_huge_alpha_zeroes_everything(self):
         cfg = noise_config(0.01, n_users=32, pilot_len=16, amp_iters=20)
@@ -232,13 +251,7 @@ class TestOmp:
 
     @pytest.mark.filterwarnings("error")
     def test_dependent_column_stops_with_flag(self):
-        # columns 0 and 1 are equal and row 3 is zero: once column 0 explains
-        # y's first entry, the residual e_3 is orthogonal to every remaining
-        # column and the next pick, column 1, is dependent on the selected one
-        s = np.zeros((4, 4), dtype=complex)
-        s[0, 0] = s[0, 1] = s[1, 2] = s[2, 3] = 1.0
-        y = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex)
-        cfg = noise_config(1e-6, n_users=4, pilot_len=4, lam=0.25)
+        s, y, cfg = dependent_case()
         res = omp(y, s, cfg)
         assert res.hit_rank_limit and res.iterations == 1
         assert np.all(np.isfinite(res.estimate))
@@ -276,6 +289,51 @@ class TestOmp:
         peak = peak_traced_bytes(lambda: omp(
             scn.received[:, 0], scn.pilots, cfg))
         assert peak < scn.pilots.nbytes / 2
+
+    def test_never_copies_pilots_for_a_block(self, block_guard_case, peak_traced_bytes):
+        cfg, scn = block_guard_case
+        peak = peak_traced_bytes(lambda: omp(scn.received, scn.pilots, cfg))
+        assert peak < scn.pilots.nbytes / 2
+
+    @pytest.mark.parametrize("trial", [0, 1, 2])
+    def test_block_columns_equal_one_column_calls(self, trial):
+        # the harness's call: every desk ADT of a scenario in one block
+        cfg = desk_config()
+        scn = make_scenario(cfg, trial)
+        block = omp(scn.received, scn.pilots, cfg)
+        singles = [omp(scn.received[:, t], scn.pilots, cfg) for t in range(cfg.n_adts)]
+        assert block.estimate.shape == (cfg.n_users, cfg.n_adts)
+        for t, single in enumerate(singles):
+            assert np.array_equal(block.estimate[:, t], single.estimate)
+        assert block.iterations == sum(r.iterations for r in singles)
+        assert block.hit_rank_limit == sum(r.hit_rank_limit for r in singles)
+
+    def test_mixed_block_columns_stop_on_their_own(self):
+        # a zero observation (no selection), the dependent-column case (rank
+        # limit after one selection) and two columns that reach a zero
+        # residual after two selections each, all in one block
+        s, y_dep, cfg = dependent_case()
+        block = np.column_stack([np.zeros(4), y_dep, [0.0, 2.0, 1.0, 0.0],
+                                 [0.5, 0.0, -1j, 0.0]])
+        res = omp(block, s, cfg)
+        np.testing.assert_array_equal(res.estimate.T, [[0, 0, 0, 0], [1, 0, 0, 0],
+                                                       [0, 0, 2, 1], [0.5, 0, 0, -1j]])
+        assert res.iterations == 0 + 1 + 2 + 2 and res.hit_rank_limit == 1
+        for j in range(block.shape[1]):
+            single = omp(block[:, j], s, cfg)
+            assert np.array_equal(res.estimate[:, j], single.estimate)
+            assert single.hit_rank_limit == (j == 1)
+
+    def test_permuting_columns_permutes_outputs(self):
+        cfg = desk_config()
+        scn = make_scenario(cfg, 0)
+        perm = np.random.default_rng(0).permutation(cfg.n_adts)
+        base = omp(scn.received, scn.pilots, cfg)
+        # Q^H y rounds by y's stride (BLAS dots a unit-stride vector in
+        # another order), so the permuted block keeps received's C layout
+        permuted = omp(np.ascontiguousarray(scn.received[:, perm]), scn.pilots, cfg)
+        assert np.array_equal(permuted.estimate, base.estimate[:, perm])
+        assert permuted.iterations == base.iterations
 
     def test_default_iteration_cap(self):
         cfg = noise_config(1e-30, n_users=100, pilot_len=30, lam=0.05)
@@ -343,6 +401,17 @@ class TestOracleLs:
             assert not res.hit_rank_limit
             np.testing.assert_allclose(res.estimate[sel], ref, rtol=1e-12,
                                        atol=1e-12 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("trial", [0, 1, 2])
+    def test_r_only_refit_matches_lstsq(self, trial):
+        cfg = desk_config()
+        scn = make_scenario(cfg, trial)
+        for t in range(cfg.n_adts):
+            y = scn.received[:, t]
+            sel = np.flatnonzero(scn.activity[:, t])
+            ref = np.linalg.lstsq(scn.pilots[:, sel], y, rcond=None)[0]
+            res = oracle_ls(y, scn.pilots, scn.activity[:, t])
+            np.testing.assert_allclose(res.estimate[sel], ref, rtol=1e-10)
 
 
 class TestOrdering:

@@ -61,6 +61,23 @@ POWER_RANGE_CASES = [
      "channel power at tx_power_dbm = 100000 and dist_min_km = 0.05 is inf W"),
 ]
 
+# (accepted flags, refused flags, what the refusal names): each limit on the
+# powers the kernels carry, bracketed by a setting just inside it and one
+# just outside.  At the 0.05 km default dist_min_km the path loss is
+# -80.3522 dB, and a noise PSD of -3000 dBm/Hz over 10 MHz is 1e-296 W.
+POWER_LIMIT_CASES = [
+    (["--tx-power-dbm=1529.99"], ["--tx-power-dbm=1530.01"],
+     "transmit power at tx_power_dbm = 1530.01"),
+    (["--tx-power-dbm=1511.29", "--dist-min-km=1e-4"],
+     ["--tx-power-dbm=1511.31", "--dist-min-km=1e-4"],
+     "channel power at tx_power_dbm = 1511.31 and dist_min_km = 0.0001"),
+    (["--noise-psd-dbm-hz=1459.99"], ["--noise-psd-dbm-hz=1460.01"],
+     "noise power at noise_psd_dbm_hz = 1460.01 and bandwidth_hz = 1e+07"),
+    (["--tx-power-dbm=150.35", "--noise-psd-dbm-hz=-3000"],
+     ["--tx-power-dbm=150.36", "--noise-psd-dbm-hz=-3000"],
+     "channel-to-noise ratio at tx_power_dbm = 150.36 and dist_min_km = 0.05"),
+]
+
 config_floats = st.one_of(st.floats().map(repr),
                           st.sampled_from(["nan", "inf", "-inf", "1e999"]))
 config_values = st.one_of(
@@ -772,6 +789,29 @@ class TestCli:
         assert captured.err == f"config error: {message}, not finite and positive\n"
         assert not captured.out and not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "se"])
+    @pytest.mark.parametrize("accepted, refused, what", POWER_LIMIT_CASES,
+                             ids=[w.split(" at ")[0] for _, _, w in POWER_LIMIT_CASES])
+    def test_power_limit_is_bracketed(self, tmp_path, capsys, command, accepted,
+                                      refused, what):
+        # just inside a limit every number written is finite; just outside
+        # it, the point is a config error and no CSV is written
+        out = tmp_path / "x.csv"
+        base = [command, "--desk", "--n-adts", "2", "--out", str(out)]
+        if command == "run":
+            base += ["--trials", "1", "--algos", ",".join(ALGORITHMS)]
+        assert cli_main(base + accepted) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        numbers = [float(v) for r in rows for v in (r[4:7] if command == "run" else r[2:3])]
+        assert numbers and all(math.isfinite(v) for v in numbers)
+        out.unlink()
+        capsys.readouterr()
+        assert cli_main(base + refused) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {what} is ")
+        assert err.endswith(" the kernels can carry\n")
+        assert not out.exists()
+
     def test_python_m_seqamp(self):
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ)
@@ -806,6 +846,18 @@ class TestCli:
                                ",".join(ALGORITHMS), *unused],
                               capture_output=True, text=True, timeout=300, check=True)
         assert done.stdout.splitlines()[-1] == "[0, 0] []"
+
+    def test_check_runs_without_scipy(self):
+        # criteria 6 (the exact filter) and 8 (a rank correlation) were the
+        # last users of scipy outside the tests
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); sys.modules['scipy'] = None; "
+                "from seqamp.cli import main; sys.exit(main(['check', '--criteria', '6,8']))")
+        done = subprocess.run([sys.executable, "-c", code, str(src)],
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert [line.split()[:3] for line in done.stdout.splitlines()] == [
+            ["PASS", "criterion", "6"], ["PASS", "criterion", "8"]]
 
     def test_zero_workers_is_config_error(self, capsys):
         for command in ("run", "se"):
