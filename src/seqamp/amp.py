@@ -14,7 +14,7 @@ rather than the true signal law, the theoretical form no longer tracks the
 true effective noise, while the residual energy still does.  State
 evolution predicts this empirical c, from the same seed: the noise variance
 is the system constant derive_noise_var(cfg) and enters only through
-c0 = C0_FACTOR * noise_var, which amp_init and se_fixpoint both read.
+c0 = C0_FACTOR * noise_var, which amp_run and se_fixpoint both read.
 
 S^H z is formed by :func:`adjoint` as (z^H S)^H, never by materialising
 S^H: S is the right operand BLAS streams, so a column block Z costs one
@@ -23,7 +23,7 @@ GEMM that reads S in place instead of re-packing it on every call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,8 +31,7 @@ from .config import SystemConfig
 from .denoiser import BgPrior, denoise_deriv, denoise_mean, denoise_var
 from .scenario import derive_noise_var
 
-__all__ = ["AmpState", "AmpDivergenceError", "adjoint", "amp_init", "amp_iterate",
-           "amp_run"]
+__all__ = ["AmpState", "AmpDivergenceError", "adjoint", "amp_run"]
 
 REL_TOL = 1e-6      # early-exit tolerance on relative change of mu
 _REL_FLOOR = 1e-30  # denominator floor for all-zero signals
@@ -46,11 +45,10 @@ class AmpDivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class AmpState:
-    """One AMP iterate.
+    """The result of one :func:`amp_run`.
 
-    ``phi`` holds the pseudo-observations that produced ``mu``; after
-    :func:`amp_run` returns, ``phi = S^H z + mu`` holds exactly for the
-    final (z, mu), making (phi, c) the Gaussian pseudo-likelihood
+    ``phi = S^H z + mu`` holds exactly for the final (z, mu) (phi = 0 when
+    no sweep ran), making (phi, c) the Gaussian pseudo-likelihood
     CN(x; phi, c) consumed by the posterior summarisation.
     """
 
@@ -77,63 +75,48 @@ def adjoint(s_mat: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.conj(np.conj(v).T @ s_mat).T
 
 
-def amp_init(y: np.ndarray, cfg: SystemConfig, n: int | None = None) -> AmpState:
-    """Initial state: mu = 0, z = y, c = C0_FACTOR * noise_var, phi = 0."""
-    n = cfg.n_users if n is None else n
-    return AmpState(
-        mu=np.zeros(n, dtype=complex),
-        v=np.zeros(n, dtype=float),
-        z=np.asarray(y, dtype=complex).copy(),
-        c=float(C0_FACTOR * derive_noise_var(cfg)),
-        phi=np.zeros(n, dtype=complex),
-        iter=0,
-    )
-
-
-def amp_iterate(state: AmpState, s_mat: np.ndarray, y: np.ndarray,
-                priors: BgPrior) -> AmpState:
-    """One full AMP sweep; raises AmpDivergenceError on non-finite output."""
-    l_dim = s_mat.shape[0]
-    phi = adjoint(s_mat, state.z) + state.mu
-    mu_new = denoise_mean(phi, state.c, priors)
-    v_new = denoise_var(phi, state.c, priors)
-    onsager = (state.z / l_dim) * np.sum(denoise_deriv(phi, state.c, priors))
-    # y - S mu_new + onsager, formed in the product's buffer
-    z_new = s_mat @ mu_new
-    np.subtract(y, z_new, out=z_new)
-    z_new += onsager
-    # ||z||^2/L: the residual-energy estimate of the effective noise
-    # VARIANCE (c pairs with psi and noise_var everywhere, so it must
-    # carry variance units).  The tiny floor only engages when z is
-    # exactly zero (all-zero observations) and keeps c > 0.  A non-finite
-    # mu_new makes S mu_new, z_new and so c non-finite: c alone is tested.
-    c_new = float(max(np.linalg.norm(z_new) ** 2 / l_dim, _C_FLOOR))
-    if not np.isfinite(c_new):
-        raise AmpDivergenceError(
-            f"non-finite AMP iterate at sweep {state.iter + 1} (c={c_new!r})"
-        )
-    return AmpState(mu_new, v_new, z_new, c_new, phi, state.iter + 1)
-
-
 def amp_run(y: np.ndarray, s_mat: np.ndarray, priors: BgPrior,
             cfg: SystemConfig) -> AmpState:
     """Run sweeps until the mu change falls below REL_TOL or the cap I hits.
 
-    The returned state carries phi refreshed from the final (z, mu) and
-    ``converged`` set when the REL_TOL exit fired (False at the cap); with
-    a zero iteration budget the untouched init state comes back.
+    The run starts at mu = 0, z = y, c = C0_FACTOR * noise_var, phi = 0,
+    and each sweep stops early when ||mu+ - mu|| / ||mu|| < REL_TOL.  The
+    returned state carries phi refreshed from the final (z, mu) and
+    ``converged`` set when that exit fired (False at the cap); with a zero
+    iteration budget the starting state comes back.  Raises
+    AmpDivergenceError, naming the sweep, when c goes non-finite.
     """
-    state = amp_init(y, cfg, n=s_mat.shape[1])
+    l_dim, n = s_mat.shape
+    mu = np.zeros(n, dtype=complex)
+    v = np.zeros(n, dtype=float)
+    z = np.asarray(y, dtype=complex).copy()
+    c = float(C0_FACTOR * derive_noise_var(cfg))
+    phi = np.zeros(n, dtype=complex)
+    sweeps = 0
     converged = False
-    for _ in range(cfg.amp_iters):
-        prev_mu = state.mu
-        state = amp_iterate(state, s_mat, y, priors)
-        num = np.linalg.norm(state.mu - prev_mu)
-        den = max(np.linalg.norm(prev_mu), _REL_FLOOR)
-        if num / den < REL_TOL:
-            converged = True
-            break
-    if state.iter > 0:
-        state = replace(state, phi=adjoint(s_mat, state.z) + state.mu,
-                        converged=converged)
-    return state
+    while sweeps < cfg.amp_iters and not converged:
+        sweeps += 1
+        phi = adjoint(s_mat, z) + mu
+        mu_new = denoise_mean(phi, c, priors)
+        v = denoise_var(phi, c, priors)
+        onsager = (z / l_dim) * np.sum(denoise_deriv(phi, c, priors))
+        # y - S mu_new + onsager, formed in the product's buffer
+        z = s_mat @ mu_new
+        np.subtract(y, z, out=z)
+        z += onsager
+        # ||z||^2/L: the residual-energy estimate of the effective noise
+        # VARIANCE (c pairs with psi and noise_var everywhere, so it must
+        # carry variance units).  The tiny floor only engages when z is
+        # exactly zero (all-zero observations) and keeps c > 0.  A
+        # non-finite mu_new makes S mu_new, z and so c non-finite: c alone
+        # is tested.
+        c = float(max(np.linalg.norm(z) ** 2 / l_dim, _C_FLOOR))
+        if not np.isfinite(c):
+            raise AmpDivergenceError(
+                f"non-finite AMP iterate at sweep {sweeps} (c={c!r})")
+        num = np.linalg.norm(mu_new - mu)
+        converged = bool(num / max(np.linalg.norm(mu), _REL_FLOOR) < REL_TOL)
+        mu = mu_new
+    if sweeps:
+        phi = adjoint(s_mat, z) + mu
+    return AmpState(mu, v, z, c, phi, sweeps, converged)

@@ -89,7 +89,7 @@ def amp_soft(y: np.ndarray, s_mat: np.ndarray, cfg: SystemConfig,
     calibrated one.  Each column runs its own recursion: its own ``c``,
     seeded at ||y||^2/L (a noise-scale seed would make the first estimate
     dense and the Onsager feedback explosive), its own threshold, Onsager
-    sum, divergence check (a non-finite ``c``, as in :func:`amp.amp_iterate`)
+    sum, divergence check (a non-finite ``c``, as in :func:`amp.amp_run`)
     and stop test ||mu_new - mu|| / ||mu_new|| < REL_TOL.
     A column that stops leaves the block, so each sweep is one S^H Z and
     one S M product over the columns still running.  The Onsager term uses

@@ -38,7 +38,7 @@ def _add_hidden(parser: argparse.ArgumentParser, key: str) -> None:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     """The flags of both ``run`` and ``se``."""
     parser.add_argument("--config", metavar="PATH", help="key = value config file")
-    parser.add_argument("--seed", type=int, help="master seed (64-bit)")
+    parser.add_argument("--seed", help="master seed (64-bit)")
     parser.add_argument("--desk", action="store_true",
                         help="desk-scale profile (N=500, L=125, T=10, 20 trials)")
     parser.add_argument("--out", metavar="PATH", help="output CSV path")
@@ -57,7 +57,7 @@ def _add_run_only(parser: argparse.ArgumentParser) -> None:
     ``se`` config files may still set these keys, since the two commands
     share config files.
     """
-    parser.add_argument("--trials", dest="n_trials", type=int,
+    parser.add_argument("--trials", dest="n_trials",
                         help="Monte-Carlo trials per point")
     parser.add_argument("--algos", metavar="LIST",
                         help="comma list from: " + " ".join(ALGORITHMS))

@@ -90,7 +90,7 @@ class SystemConfig:
             raise ValueError("speeds must satisfy 0 <= speed_min_kmh <= speed_max_kmh")
         if self.amp_iters < 0 or self.n_trials < 1:
             raise ValueError("amp_iters must be >= 0 and n_trials >= 1")
-        _, arg = doppler(self, self.speed_max_kmh)
+        arg = doppler(self, self.speed_max_kmh)
         if arg > MAX_DOPPLER_ARG:
             raise ValueError(f"Doppler argument 2*pi*f_D*T_ADP = {arg:.4g} at the top "
                              f"speed exceeds {MAX_DOPPLER_ARG:g}")
@@ -119,9 +119,9 @@ def parse_number(text: str):
 
 
 def doppler(cfg: SystemConfig, speed_kmh):
-    """(f_D, 2*pi*f_D*T_ADP) at ``speed_kmh`` (a float or an array): f_D = v*f_c/c in Hz."""
+    """2*pi*f_D*T_ADP at ``speed_kmh`` (a float or an array), with f_D = v*f_c/c in Hz."""
     f_d = speed_kmh / 3.6 * CARRIER_HZ / SPEED_OF_LIGHT
-    return f_d, 2.0 * math.pi * f_d * cfg.adp_duration_s
+    return 2.0 * math.pi * f_d * cfg.adp_duration_s
 
 
 def desk_config(**overrides) -> SystemConfig:

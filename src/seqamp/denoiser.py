@@ -71,8 +71,8 @@ __all__ = [
 class BgPrior:
     """Bernoulli-Gaussian prior parameters (pi, xi, psi), broadcastable arrays.
 
-    pi in [0, 1], psi > 0, xi finite.  Scalars are fine; AMP uses length-N
-    vectors (one triple per user).  Derived once here (and again by
+    pi in [0, 1], psi > 0 and finite, xi finite.  Scalars are fine; AMP uses
+    length-N vectors (one triple per user).  Derived once here (and again by
     dataclasses.replace): ``log_odds`` = log((1-pi)/pi), +/-inf at
     pi = 0/1; ``xi_re`` and ``xi_im``, xi's parts, contiguous copies
     unless every xi is 0; ``xi_sq`` = |xi|^2 on the parts; ``zero_mean``, True when every xi is
@@ -93,10 +93,11 @@ class BgPrior:
         object.__setattr__(self, "pi", np.asarray(self.pi, dtype=float))
         object.__setattr__(self, "xi", np.asarray(self.xi, dtype=complex))
         object.__setattr__(self, "psi", np.asarray(self.psi, dtype=float))
-        if np.any(self.pi < 0.0) or np.any(self.pi > 1.0):
+        # written so that a NaN fails them
+        if not np.all((self.pi >= 0.0) & (self.pi <= 1.0)):
             raise ValueError("pi must lie in [0, 1]")
-        if np.any(self.psi <= 0.0):
-            raise ValueError("psi must be positive")
+        if not np.all((self.psi > 0.0) & np.isfinite(self.psi)):
+            raise ValueError("psi must be positive and finite")
         if not np.all(np.isfinite(self.xi)):
             raise ValueError("xi must be finite")
         with np.errstate(divide="ignore"):

@@ -49,12 +49,11 @@ class Profiles:
 
     ``channel_var`` is the stationary channel power rho_n with the transmit
     power absorbed: 10**((tx_power_dbm + pathloss_db - 30)/10) watts.
-    ``ar_coeff`` is eta_n = J0(2*pi*doppler_hz*adp_duration).
+    ``ar_coeff`` is eta_n = J0(2*pi*f_D*T_ADP), f_D the user's Doppler shift.
     """
 
     pathloss_db: np.ndarray
     channel_var: np.ndarray
-    doppler_hz: np.ndarray
     ar_coeff: np.ndarray
 
 
@@ -129,11 +128,11 @@ def gen_user_profiles(cfg: SystemConfig, rng: np.random.Generator,
     d_km = rng.uniform(cfg.dist_min_km, cfg.dist_max_km, n)
     v_kmh = rng.uniform(cfg.speed_min_kmh, cfg.speed_max_kmh, n)
     pathloss_db = path_loss_db(d_km)
-    doppler_hz, arg = doppler(cfg, v_kmh)
+    arg = doppler(cfg, v_kmh)
     # the AR-1 innovation variance (1 - eta^2)*rho must not go negative, so
     # |eta| <= 1 is enforced rather than trusted to the last ulp of J0
     eta = np.clip(_bessel_j0(arg), -1.0, 1.0)
-    return Profiles(pathloss_db, channel_power(cfg, pathloss_db), doppler_hz, eta)
+    return Profiles(pathloss_db, channel_power(cfg, pathloss_db), eta)
 
 
 def gen_pilots(cfg: SystemConfig, rng: np.random.Generator) -> np.ndarray:

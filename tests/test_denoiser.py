@@ -71,6 +71,27 @@ class TestPriorLogOdds:
         assert BgPrior(0.5, np.zeros(3, dtype=complex), 1.0).zero_mean
 
 
+class TestPriorContract:
+    """pi in [0, 1], psi > 0 and finite, xi finite; NaN fails every check."""
+
+    @pytest.mark.parametrize("pi, xi, psi, field", [
+        (np.nan, 0.0, 1.0, "pi"),
+        (np.array([0.5, np.nan]), 0.0, 1.0, "pi"),
+        (-0.1, 0.0, 1.0, "pi"),
+        (1.5, 0.0, 1.0, "pi"),
+        (0.5, 0.0, np.nan, "psi"),
+        (0.5, 0.0, np.inf, "psi"),
+        (0.5, 0.0, np.array([1.0, np.nan]), "psi"),
+        (0.5, 0.0, 0.0, "psi"),
+        (0.5, 0.0, -1.0, "psi"),
+        (0.5, complex(np.nan, 0.0), 1.0, "xi"),
+        (0.5, complex(0.0, np.inf), 1.0, "xi"),
+    ])
+    def test_rejected(self, pi, xi, psi, field):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            BgPrior(pi, xi, psi)
+
+
 class TestGamma:
     def test_symmetric_unit_case(self):
         # exponent vanishes: ((1-pi)/pi) * ((psi+c)/c) = 1 * 2

@@ -1,18 +1,16 @@
 """Divergence is a non-finite residual energy c, in both AMP loops.
 
-A NaN or inf put into the observation, the state or the denoiser output
+A NaN or inf put into the observation or the denoiser output
 must raise AmpDivergenceError at the sweep it enters, with the message
 naming that sweep (and, for soft-threshold AMP, exactly the columns hit).
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
 
 import seqamp.amp
 import seqamp.baselines
-from seqamp.amp import AmpDivergenceError, amp_init, amp_iterate, amp_run
+from seqamp.amp import AmpDivergenceError, amp_run
 from seqamp.baselines import amp_soft
 from seqamp.config import desk_config
 from seqamp.scenario import make_scenario
@@ -53,20 +51,6 @@ class TestAmpIterate:
         with np.errstate(all="ignore"), \
                 pytest.raises(AmpDivergenceError, match=amp_message(1)):
             amp_run(y, scn.pilots, prior, cfg)
-
-    @pytest.mark.parametrize("bad", BAD)
-    @pytest.mark.parametrize("field, index", [("z", 7), ("mu", 11)])
-    def test_state(self, desk, field, index, bad):
-        cfg, scn, prior = desk
-        y = scn.received[:, 0]
-        state = amp_init(y, cfg)
-        for _ in range(2):
-            state = amp_iterate(state, scn.pilots, y, prior)
-        state = dataclasses.replace(
-            state, **{field: spiked(getattr(state, field), index, bad)})
-        with np.errstate(all="ignore"), \
-                pytest.raises(AmpDivergenceError, match=amp_message(3)):
-            amp_iterate(state, scn.pilots, y, prior)
 
     @pytest.mark.parametrize("bad", BAD)
     @pytest.mark.parametrize("sweep", [1, 4])

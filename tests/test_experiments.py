@@ -526,7 +526,7 @@ class TestCli:
         assert code == 0
         assert out.exists() and out.read_text().startswith(CSV_HEADER)
 
-    @pytest.mark.parametrize("args", [["--soft-alpha", "1.9"], ["--seed", "x"],
+    @pytest.mark.parametrize("args", [["--soft-alpha", "1.9"], ["--workers", "x"],
                                       ["--carrier-hz", "3.5e9"]])
     @pytest.mark.parametrize("command", ["run", "se"])
     def test_usage_error_exits_1(self, tmp_path, monkeypatch, capsys, command, args):
@@ -539,6 +539,29 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.startswith("usage: seqamp") and not captured.out
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["run", "se"])
+    def test_malformed_seed_is_config_error(self, tmp_path, monkeypatch, capsys,
+                                            command):
+        # SystemConfig types --seed as it types a seed from a file
+        monkeypatch.chdir(tmp_path)
+        assert cli_main([command, "--desk", "--seed", "x"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("config error: flag --seed: malformed value 'x' "
+                                "for key 'seed'\n")
+        assert not captured.out and list(tmp_path.iterdir()) == []
+
+    def test_whole_number_flags_in_float_spelling(self, tmp_path):
+        # --seed and --trials follow the one type rule: a whole number in
+        # any spelling runs, as it does from a file or another flag
+        common = ["run", "--n-users", "100", "--pilot-len", "25", "--n-adts", "2",
+                  "--algos", "s_amp"]
+        plain, spelled = tmp_path / "plain.csv", tmp_path / "spelled.csv"
+        assert cli_main([*common, "--seed", "3", "--trials", "1",
+                         "--out", str(plain)]) == 0
+        assert cli_main([*common, "--seed", "3e0", "--trials", "1.0",
+                         "--out", str(spelled)]) == 0
+        assert spelled.read_bytes() == plain.read_bytes()
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:

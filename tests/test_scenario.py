@@ -2,12 +2,14 @@
 
 from dataclasses import fields
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.special import j0 as scipy_j0
 
-from seqamp.config import CARRIER_HZ, SPEED_OF_LIGHT, SystemConfig, desk_config
+import seqamp.scenario
+from seqamp.config import CARRIER_HZ, SPEED_OF_LIGHT, SystemConfig, desk_config, doppler
 from seqamp.rng import stream
 from seqamp.scenario import (_bessel_j0, ar1_channels, derive_noise_var, gen_pilots,
                              gen_user_profiles, make_scenario, markov_activity,
@@ -46,6 +48,19 @@ def eta_at(x):
     return float(p.ar_coeff[0])
 
 
+def profiles_and_args(cfg):
+    """gen_user_profiles' output and the Doppler arguments 2*pi*f_D*T_ADP it took J0 of."""
+    args = []
+
+    def recorded(cfg, speed_kmh):
+        args.append(doppler(cfg, speed_kmh))
+        return args[-1]
+
+    with mock.patch.object(seqamp.scenario, "doppler", recorded):
+        profiles = gen_user_profiles(cfg, stream(0, 0, "p"))
+    return profiles, args[0]
+
+
 class TestBesselJ0:
     """J0 as the model uses it: eta = J0(2*pi*D*T_b) from gen_user_profiles."""
 
@@ -67,8 +82,7 @@ class TestBesselJ0:
         # Doppler arguments 0..20 over 100001 users
         cfg = SystemConfig(n_users=100001, pilot_len=1)
         v_max = 20.0 / (2.0 * np.pi * cfg.adp_duration_s) * SPEED_OF_LIGHT / CARRIER_HZ * 3.6
-        p = gen_user_profiles(cfg.with_(speed_max_kmh=v_max), stream(0, 0, "p"))
-        x = 2.0 * np.pi * p.doppler_hz * cfg.adp_duration_s
+        p, x = profiles_and_args(cfg.with_(speed_max_kmh=v_max))
         assert x.max() > 19.0
         assert np.max(np.abs(p.ar_coeff - scipy_j0(x))) <= 1e-7
 
@@ -107,10 +121,9 @@ class TestBesselJ0:
         cfg = SystemConfig(n_users=n, pilot_len=4)
         v_max = 1e3 / (2.0 * np.pi * cfg.adp_duration_s) * SPEED_OF_LIGHT / CARRIER_HZ * 3.6
         cfg = cfg.with_(speed_max_kmh=v_max)
-        profiles = []
-        peak = peak_traced_bytes(
-            lambda: profiles.append(gen_user_profiles(cfg, stream(0, 0, "p"))))
-        x = 2.0 * np.pi * profiles[0].doppler_hz * cfg.adp_duration_s
+        runs = []
+        peak = peak_traced_bytes(lambda: runs.append(profiles_and_args(cfg)))
+        x = runs[0][1]
         assert x.max() > 990.0
         assert peak < 16 * n * 8
 
@@ -146,7 +159,8 @@ class TestUserProfiles:
         cfg = SystemConfig(n_users=2, pilot_len=2, speed_min_kmh=50.0, speed_max_kmh=50.0,
                            adp_duration_s=100e-6)
         p = gen_user_profiles(cfg, stream(0, 0, "p"))
-        assert p.doppler_hz[0] == pytest.approx(162.1, abs=0.1)
+        assert doppler(cfg, 50.0) / (2 * np.pi * cfg.adp_duration_s) == pytest.approx(
+            162.1, abs=0.1)
         assert p.ar_coeff[0] == pytest.approx(j0_series(2 * np.pi * 162.1 * 100e-6), abs=1e-5)
         assert p.ar_coeff[0] == pytest.approx(0.99741, abs=2e-4)
 
@@ -155,8 +169,7 @@ class TestUserProfiles:
         # and strictly below 1 for slow but moving users (0.001 km/h still
         # puts 1 - J0 near 1e-12, far above the spacing of doubles below 1)
         cfg = SystemConfig(n_users=1000, pilot_len=4)
-        p = gen_user_profiles(cfg, stream(0, 0, "p"))
-        x = 2 * np.pi * p.doppler_hz * cfg.adp_duration_s
+        p, x = profiles_and_args(cfg)
         oracle = np.array([j0_series(xi) for xi in x])
         assert np.max(np.abs(p.ar_coeff - oracle)) <= 1e-12
         slow = cfg.with_(speed_min_kmh=0.001, speed_max_kmh=0.01)

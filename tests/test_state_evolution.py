@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import seqamp.state_evolution as se
-from seqamp.amp import amp_init
+from seqamp.amp import amp_run
 from seqamp.config import SystemConfig, desk_config
 from seqamp.denoiser import BgPrior, denoise_mean
 from seqamp.quadrature import x_moments
@@ -170,7 +170,7 @@ class TestSeFixpoint:
                                      noise_config(0.01, n_users=500, pilot_len=100)],
                              ids=["desk", "noise-0.01"])
     def test_seeded_at_amp_init_c(self, cfg, monkeypatch):
-        # state evolution predicts AMP's c, so it starts where amp_init does
+        # state evolution predicts AMP's c, so it starts where amp_run does
         seeds = []
         original = se.se_step
 
@@ -180,7 +180,10 @@ class TestSeFixpoint:
 
         monkeypatch.setattr(se, "se_step", probed)
         se_fixpoint(*bg_samples(1_000, cfg.lam, 1.0, stream(6, 0, "se")), cfg)
-        assert seeds[0] == amp_init(np.zeros(cfg.pilot_len, dtype=complex), cfg).c
+        s_mat = np.zeros((cfg.pilot_len, cfg.n_users), dtype=complex)
+        start = amp_run(np.zeros(cfg.pilot_len, dtype=complex), s_mat,
+                        BgPrior(cfg.lam, 0.0, 1.0), cfg.with_(amp_iters=0))
+        assert seeds[0] == start.c
 
 
 class TestSequentialTrace:
