@@ -13,7 +13,7 @@ c+ = noise_var + (1/L) sum_n v_n: once the prior is an approximation
 rather than the true signal law, the theoretical form no longer tracks the
 true effective noise, while the residual energy still does.  State
 evolution predicts this empirical c, from the same seed: the noise variance
-is the system constant derive_noise_var(cfg) and enters only through
+is the system constant cfg.noise_var and enters only through
 c0 = C0_FACTOR * noise_var, which amp_run and se_fixpoint both read.
 
 S^H z is formed by :func:`adjoint` as (z^H S)^H, never by materialising
@@ -29,7 +29,6 @@ import numpy as np
 
 from .config import SystemConfig
 from .denoiser import BgPrior, denoise_deriv, denoise_mean, denoise_var
-from .scenario import derive_noise_var
 
 __all__ = ["AmpState", "AmpDivergenceError", "adjoint", "amp_run"]
 
@@ -90,7 +89,7 @@ def amp_run(y: np.ndarray, s_mat: np.ndarray, priors: BgPrior,
     mu = np.zeros(n, dtype=complex)
     v = np.zeros(n, dtype=float)
     z = np.asarray(y, dtype=complex).copy()
-    c = float(C0_FACTOR * derive_noise_var(cfg))
+    c = float(C0_FACTOR * cfg.noise_var)
     phi = np.zeros(n, dtype=complex)
     sweeps = 0
     converged = False

@@ -16,7 +16,7 @@ import numpy as np
 from .amp import REL_TOL, _REL_FLOOR, AmpDivergenceError, adjoint
 from .config import SystemConfig
 from .detection import metric_nmse
-from .scenario import Scenario, derive_noise_var
+from .scenario import Scenario
 from .sequential import SequenceResult, _run_sequence
 
 __all__ = [
@@ -264,7 +264,7 @@ def omp(y: np.ndarray, s_mat: np.ndarray, cfg: SystemConfig) -> BaselineResult:
         raise ValueError(f"y must be (L,) or (L, k), got shape {y.shape}")
     l_dim, n = s_mat.shape
     max_iters = min(math.ceil(3.0 * cfg.lam * n), l_dim)
-    target = _OMP_RESIDUAL_SLACK * math.sqrt(l_dim * derive_noise_var(cfg))
+    target = _OMP_RESIDUAL_SLACK * math.sqrt(l_dim * cfg.noise_var)
 
     block = y.reshape(y.shape[0], -1)
     columns = [_OmpColumn(block[:, j]) for j in range(block.shape[1])]

@@ -6,9 +6,10 @@ Subcommands:
   check  acceptance / property suite, one PASS/FAIL line per criterion.
 
 Exit codes: 0 success, 1 configuration error (a usage error such as an
-unknown flag too), 2 partial failure: an algorithm error in ``run`` or a
-state-evolution fixpoint that did not converge in ``se`` (NaN rows
-recorded, remaining points completed).
+unknown flag too), 2 ran but something failed: an algorithm error in
+``run`` or a state-evolution fixpoint that did not converge in ``se`` (NaN
+rows recorded, remaining points completed), or a criterion that failed in
+``check``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .experiments import (ALGORITHMS, CONFIG_KEYS, SCALAR_KEYS, ConfigError,
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on a usage error, the code that here means rows failed."""
+    """argparse exits 2 on a usage error, the code that here means something failed."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -136,7 +137,7 @@ def main(argv=None) -> int:
 
     if args.command == "check":
         from . import acceptance
-        return 0 if acceptance.run_checks(ids) else 1
+        return 0 if acceptance.run_checks(ids) else 2
 
     if args.command == "se":
         kind, errors = "state-evolution", []

@@ -9,9 +9,10 @@ suite runs in minutes while preserving the load ratio N/L and the expected
 number of active users per measurement.
 
 Only settings a run may vary are fields: the carrier ``CARRIER_HZ``, the
-path loss ``scenario.PATHLOSS_INTERCEPT_DB`` and ``scenario.PATHLOSS_SLOPE``,
-the AMP seed ``amp.C0_FACTOR`` and P0 ``state_evolution.NOR_REF_DBM`` are
-constants, and the soft-threshold multiplier is calibrated per sweep point.
+path loss ``PATHLOSS_INTERCEPT_DB`` and ``PATHLOSS_SLOPE``, the AMP seed
+``amp.C0_FACTOR`` and P0 ``state_evolution.NOR_REF_DBM`` are constants, and
+the soft-threshold multiplier is calibrated per sweep point.  The noise
+and channel powers follow from the fields by the laws here.
 """
 
 from __future__ import annotations
@@ -19,14 +20,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
-__all__ = ["SystemConfig", "desk_config", "doppler", "parse_number", "SPEED_OF_LIGHT",
-           "CARRIER_HZ", "MAX_DOPPLER_ARG"]
+import numpy as np
+
+__all__ = ["SystemConfig", "desk_config", "doppler", "path_loss_db", "channel_power",
+           "parse_number", "SPEED_OF_LIGHT", "CARRIER_HZ", "MAX_DOPPLER_ARG",
+           "PATHLOSS_INTERCEPT_DB", "PATHLOSS_SLOPE"]
 
 SPEED_OF_LIGHT = 2.99792458e8  # m/s
 CARRIER_HZ = 3.5e9
 # largest Doppler argument 2*pi*f_D*T_ADP accepted: J0 costs O(argument) per
 # user, and beyond it |eta| = |J0| < 0.01, so the channel is all but memoryless
 MAX_DOPPLER_ARG = 1e4
+PATHLOSS_INTERCEPT_DB = -128.1
+PATHLOSS_SLOPE = -36.7  # dB per decade of distance
 
 
 @dataclass(frozen=True)
@@ -105,6 +111,11 @@ class SystemConfig:
         """Pr{idle -> active} = r * lambda."""
         return self.r_scale * self.lam
 
+    @property
+    def noise_var(self) -> float:
+        """Noise power in watts: 10**((psd_dbm_hz - 30)/10) * bandwidth."""
+        return 10.0 ** ((self.noise_psd_dbm_hz - 30.0) / 10.0) * self.bandwidth_hz
+
     def with_(self, **kwargs) -> "SystemConfig":
         """Copy with selected fields replaced."""
         return replace(self, **kwargs)
@@ -122,6 +133,16 @@ def doppler(cfg: SystemConfig, speed_kmh):
     """2*pi*f_D*T_ADP at ``speed_kmh`` (a float or an array), with f_D = v*f_c/c in Hz."""
     f_d = speed_kmh / 3.6 * CARRIER_HZ / SPEED_OF_LIGHT
     return 2.0 * math.pi * f_d * cfg.adp_duration_s
+
+
+def path_loss_db(d_km: np.ndarray) -> np.ndarray:
+    """PATHLOSS_INTERCEPT_DB + PATHLOSS_SLOPE*log10(d_km), in dB."""
+    return PATHLOSS_INTERCEPT_DB + PATHLOSS_SLOPE * np.log10(d_km)
+
+
+def channel_power(cfg: SystemConfig, pathloss_db: np.ndarray) -> np.ndarray:
+    """rho_n = 10**((tx_power_dbm + pathloss_db - 30)/10) watts, per user."""
+    return 10.0 ** ((cfg.tx_power_dbm + pathloss_db - 30.0) / 10.0)
 
 
 def desk_config(**overrides) -> SystemConfig:

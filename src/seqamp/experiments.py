@@ -25,10 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines
-from .config import SystemConfig, desk_config, parse_number
+from .config import SystemConfig, channel_power, desk_config, parse_number, path_loss_db
 from .detection import dep_from_counts, detect_sequence, detection_counts, nmse_db
-from .scenario import (Scenario, channel_power, derive_noise_var, make_scenario,
-                       path_loss_db)
+from .scenario import Scenario, make_scenario
 from .sequential import s_amp_run
 from .state_evolution import (NOR_REF_DBM, SE_SWEEP_KEYS, SE_TRACE_SAMPLES, se_draws,
                               se_sequential_trace)
@@ -162,7 +161,7 @@ _MAX_SNR = 1e300
 
 
 def _check_powers(cfg: SystemConfig) -> None:
-    """Raise ConfigError unless the powers of ``cfg``, by the scenario's own
+    """Raise ConfigError unless the powers of ``cfg``, by the config's own
     laws, are finite positive watts the kernels can carry.
 
     The noise power and the channel power at both range ends must be finite
@@ -170,7 +169,7 @@ def _check_powers(cfg: SystemConfig) -> None:
     ``dist_min_km``) at most ``_MAX_POWER_W``, and the ratio of that channel
     power to the noise at most ``_MAX_SNR``."""
     try:
-        noise = derive_noise_var(cfg)
+        noise = cfg.noise_var
     except OverflowError:
         noise = np.inf
     ends = np.array([cfg.dist_min_km, cfg.dist_max_km])

@@ -20,17 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SystemConfig, doppler
+from .config import SystemConfig, channel_power, doppler, path_loss_db
 from .rng import complex_normal, stream
 
 __all__ = [
     "Profiles",
     "Scenario",
-    "derive_noise_var",
-    "channel_power",
     "gen_user_profiles",
-    "path_loss_db",
-    "PATHLOSS_INTERCEPT_DB", "PATHLOSS_SLOPE",
     "gen_pilots",
     "markov_activity",
     "ar1_scales",
@@ -73,11 +69,6 @@ class Scenario:
         return self.activity * self.channels
 
 
-def derive_noise_var(cfg: SystemConfig) -> float:
-    """Noise power in watts: 10**((psd_dbm_hz - 30)/10) * bandwidth."""
-    return 10.0 ** ((cfg.noise_psd_dbm_hz - 30.0) / 10.0) * cfg.bandwidth_hz
-
-
 def _bessel_j0(x: np.ndarray) -> np.ndarray:
     """J0(x) by the midpoint rule on Bessel's integral (1/pi) int_0^pi cos(x sin t) dt.
 
@@ -102,26 +93,12 @@ def _bessel_j0(x: np.ndarray) -> np.ndarray:
     return deficit
 
 
-def channel_power(cfg: SystemConfig, pathloss_db: np.ndarray) -> np.ndarray:
-    """rho_n = 10**((tx_power_dbm + pathloss_db - 30)/10) watts, per user."""
-    return 10.0 ** ((cfg.tx_power_dbm + pathloss_db - 30.0) / 10.0)
-
-
-PATHLOSS_INTERCEPT_DB = -128.1
-PATHLOSS_SLOPE = -36.7  # dB per decade of distance
-
-
-def path_loss_db(d_km: np.ndarray) -> np.ndarray:
-    """PATHLOSS_INTERCEPT_DB + PATHLOSS_SLOPE*log10(d_km), in dB."""
-    return PATHLOSS_INTERCEPT_DB + PATHLOSS_SLOPE * np.log10(d_km)
-
-
 def gen_user_profiles(cfg: SystemConfig, rng: np.random.Generator,
                       n: int | None = None) -> Profiles:
     """Draw per-user geometry and derived radio parameters.
 
     Distances and speeds are uniform on their configured ranges; path loss
-    is :func:`path_loss_db`; Doppler is v*f_c/c.  ``n`` overrides
+    is ``config.path_loss_db``; Doppler is v*f_c/c.  ``n`` overrides
     cfg.n_users (the state-evolution sampler draws its own count).
     """
     n = cfg.n_users if n is None else n
@@ -226,7 +203,7 @@ def make_scenario(cfg: SystemConfig, trial: int = 0,
                                stream(cfg.seed, trial, "activity"))
     channels = ar1_channels(profiles.channel_var, profiles.ar_coeff, cfg.n_adts,
                             stream(cfg.seed, trial, "channels"))
-    received = synthesize_received(pilots, activity * channels, derive_noise_var(cfg),
+    received = synthesize_received(pilots, activity * channels, cfg.noise_var,
                                    stream(cfg.seed, trial, "noise"))
     return Scenario(pilots, profiles, activity, channels, received)
 

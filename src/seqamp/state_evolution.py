@@ -5,7 +5,7 @@ The scalar recursion
     c+ = noise_var + (N/L) * E |F(X + sqrt(c) V, c; prior) - X|^2
 
 predicts the AMP effective noise level when the denoiser matches the prior;
-noise_var is the configured noise power derive_noise_var(cfg).
+noise_var is the configured noise power cfg.noise_var.
 The expectation is estimated over a frozen batch of (X, V) samples under a
 given per-sample prior; freezing the batch makes the fixed-point map
 deterministic, so plain successive substitution converges to the 1e-4
@@ -30,14 +30,13 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .amp import C0_FACTOR
-from .config import SystemConfig
+from .config import SystemConfig, channel_power
 from .denoiser import BgPrior
 # F on parts, under the name the benchmark traces as SE's denoiser
 from .denoiser import denoise_mean_parts as denoise_mean
 from .rng import complex_normal, stream
 from .scenario import ar1_channels  # noqa: F401  unused; perfbench traces this binding
-from .scenario import (ar1_scales, ar1_step, channel_power, derive_noise_var,
-                       gen_user_profiles, markov_activity)
+from .scenario import ar1_scales, ar1_step, gen_user_profiles, markov_activity
 from .sequential import initial_prior, moment_match, prior_propagate
 
 __all__ = [
@@ -124,7 +123,7 @@ def se_step(c: float, samples: SeSamples, prior: BgPrior, cfg: SystemConfig) -> 
     err_im *= err_im
     err += err_im
     mse = float(np.add.reduce(err) / err.size)
-    return derive_noise_var(cfg) + (cfg.n_users / cfg.pilot_len) * mse
+    return cfg.noise_var + (cfg.n_users / cfg.pilot_len) * mse
 
 
 def se_fixpoint(samples: SeSamples, prior: BgPrior, cfg: SystemConfig) -> SeFixpoint:
@@ -133,7 +132,7 @@ def se_fixpoint(samples: SeSamples, prior: BgPrior, cfg: SystemConfig) -> SeFixp
     Stops at |dc|/c < 1e-4; past 200 iterations the last iterate is
     returned flagged non-converged rather than hidden.
     """
-    c = C0_FACTOR * derive_noise_var(cfg)
+    c = C0_FACTOR * cfg.noise_var
     for it in range(1, FIXPOINT_MAX_ITERS + 1):
         c_next = se_step(c, samples, prior, cfg)
         done = abs(c_next - c) / c_next < FIXPOINT_TOL

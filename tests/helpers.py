@@ -6,7 +6,7 @@ from seqamp.config import SystemConfig
 
 
 def noise_config(noise_var, **kw):
-    """SystemConfig(**kw) whose derive_noise_var is ``noise_var``.
+    """SystemConfig(**kw) whose ``noise_var`` property is ``noise_var``.
 
     The noise law 10**((psd - 30)/10) * bandwidth is inverted at a 1 Hz
     bandwidth.

@@ -11,7 +11,7 @@ from seqamp.baselines import (SOFT_ALPHA_GRID, amp_mmse, amp_soft,
 from seqamp.config import SystemConfig, desk_config
 from seqamp.detection import detect_sequence, metric_nmse
 from seqamp.rng import stream
-from seqamp.scenario import derive_noise_var, gen_pilots, make_scenario
+from seqamp.scenario import gen_pilots, make_scenario
 from seqamp.sequential import s_amp_run
 
 from helpers import noise_config
@@ -236,7 +236,7 @@ class TestOmp:
         scaled_cfg = cfg.with_(
             noise_psd_dbm_hz=cfg.noise_psd_dbm_hz + 20.0 * math.log10(scale))
         max_iters = min(math.ceil(3 * cfg.lam * cfg.n_users), cfg.pilot_len)
-        target = 1.1 * math.sqrt(cfg.pilot_len * derive_noise_var(scaled_cfg))
+        target = 1.1 * math.sqrt(cfg.pilot_len * scaled_cfg.noise_var)
         for trial in range(3):
             scn = make_scenario(cfg, trial)
             s_mat = scale * scn.pilots

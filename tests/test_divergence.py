@@ -3,18 +3,24 @@
 A NaN or inf put into the observation or the denoiser output
 must raise AmpDivergenceError at the sweep it enters, with the message
 naming that sweep (and, for soft-threshold AMP, exactly the columns hit).
+The sequential driver adds the ADT to the message, and the harness's error
+line carries it.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 import seqamp.amp
 import seqamp.baselines
+import seqamp.experiments
 from seqamp.amp import AmpDivergenceError, amp_run
-from seqamp.baselines import amp_soft
+from seqamp.baselines import amp_mmse, amp_soft
 from seqamp.config import desk_config
+from seqamp.experiments import ExperimentSpec, run_experiment
 from seqamp.scenario import make_scenario
-from seqamp.sequential import initial_prior
+from seqamp.sequential import initial_prior, s_amp_run
 
 BAD = [pytest.param(np.nan, id="nan"), pytest.param(np.inf, id="inf")]
 
@@ -103,3 +109,31 @@ class TestAmpSoft:
                 pytest.raises(AmpDivergenceError, match=soft_message(cols, sweep)):
             amp_soft(scn.received, scn.pilots, cfg, alpha=1.4)
         assert len(calls) == sweep
+
+
+class TestSequence:
+    """A NaN in ADT 3's observation fails that ADT's first sweep, named by ADT."""
+
+    MESSAGE = r"^ADT 3: non-finite AMP iterate at sweep 1 \(c=nan\)$"
+
+    @pytest.fixture
+    def broken(self, desk):
+        cfg, scn, _ = desk
+        return cfg, dataclasses.replace(scn, received=spiked(scn.received, (3, 2), np.nan))
+
+    @pytest.mark.parametrize("run", [s_amp_run, amp_mmse])
+    def test_driver_names_the_adt(self, broken, run):
+        cfg, scn = broken
+        with np.errstate(all="ignore"), pytest.raises(AmpDivergenceError, match=self.MESSAGE):
+            run(scn, cfg)
+
+    def test_harness_writes_an_error_row(self, broken, monkeypatch):
+        cfg, scn = broken
+        monkeypatch.setattr(seqamp.experiments, "make_scenario", lambda *a: scn)
+        spec = ExperimentSpec(cfg.with_(n_trials=1), algorithms=("s_amp",))
+        with np.errstate(all="ignore"):
+            records, errors = run_experiment(spec)
+        assert [(r.algorithm, r.adt) for r in records] == [("s_amp", "all")]
+        assert np.isnan([records[0].nmse_x_db, records[0].dep]).all()
+        assert errors == ["s_amp @ none=0: AmpDivergenceError: ADT 3: "
+                          "non-finite AMP iterate at sweep 1 (c=nan)"]

@@ -19,12 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqamp.cli import main as cli_main
-from seqamp.config import CARRIER_HZ, SystemConfig, desk_config
+from seqamp.config import (CARRIER_HZ, PATHLOSS_INTERCEPT_DB, PATHLOSS_SLOPE, SystemConfig,
+                           desk_config)
 from seqamp.experiments import (ALGORITHMS, CALIBRATION_TRIAL, CONFIG_KEYS,
                                 CSV_HEADER, SCALAR_KEYS, SWEEP_KEYS, ConfigError,
                                 ExperimentSpec, load_config, parse_config_text,
                                 run_experiment, run_se, write_csv, write_se_csv)
-from seqamp.scenario import PATHLOSS_INTERCEPT_DB, PATHLOSS_SLOPE
 from seqamp.state_evolution import NOR_REF_DBM
 
 # every config key that sets a float (the int fields are keyed by their names)
@@ -167,6 +167,17 @@ class TestConfigParsing:
     def test_axis_without_values_rejected(self):
         with pytest.raises(ConfigError, match="pilot_len has no values"):
             ExperimentSpec(SystemConfig(), axis="pilot_len", values=())
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: ExperimentSpec(SystemConfig(), axis="n_users", values=(100, 200)),
+         "n_users is not a sweepable key"),
+        (lambda: load_config(None, {"algos": ","}), "at least one algorithm is required"),
+        (lambda: parse_config_text("pilot_len = ,\n"),
+         "line 1: empty list for key 'pilot_len'"),
+    ], ids=["unsweepable-axis", "no-algorithm", "empty-list"])
+    def test_unsweepable_axis_or_empty_list_rejected(self, build, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            build()
 
     @pytest.mark.parametrize("key,values", [("tx_power_dbm", "27,27"),
                                             ("r0", "0,0.0"),
@@ -767,6 +778,14 @@ class TestCli:
         assert cli_main(["check", "--criteria", criteria]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("config error: ") and not captured.out
+
+    @pytest.mark.parametrize("passed, code", [(True, 0), (False, 2)])
+    def test_check_exit_code_follows_the_verdict(self, capsys, monkeypatch, passed, code):
+        import seqamp.acceptance as acceptance
+        monkeypatch.setattr(acceptance, "CHECKS", {1: ("stub", lambda: (passed, "at once"))})
+        assert cli_main(["check", "--criteria", "1"]) == code
+        verdict = "PASS" if passed else "FAIL"
+        assert capsys.readouterr().out.startswith(f"{verdict}  criterion  1  stub: at once")
 
     @pytest.mark.parametrize("out", ["missing/r.csv", "file/r.csv", "dir"],
                              ids=["missing-parent", "parent-is-a-file", "is-a-dir"])

@@ -7,7 +7,9 @@ binding the benchmark's tracing wraps (``perfbench/bench_trace.SITES``)
 must exist, or the benchmark fails inside its run.  No module keeps an
 import it does not use, unless that import is such a traced binding, and
 no module keeps a private function, class or constant that nothing in the
-package reads.
+package reads.  The physical laws stay below the modules that use them:
+``config`` imports no sibling module, and ``amp`` imports only ``config``
+and ``denoiser``.
 """
 
 import ast
@@ -85,6 +87,15 @@ def unread_privates(sources: dict[str, str]) -> list[str]:
     return sorted(f"{module}.{name}" for module, name in defined if name not in read)
 
 
+def sibling_imports(source: str) -> set[str]:
+    """The package modules a module's relative imports name."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names.update([node.module] if node.module else [a.name for a in node.names])
+    return names
+
+
 def package_sources() -> dict[str, str]:
     return {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
 
@@ -110,6 +121,22 @@ def test_unused_import_check_catches_a_leftover_import():
                           allowed) == ["Profiles"]
     # a traced binding passes only because SITES names it
     assert unused_imports(source) == ["ar1_channels"]
+
+
+LAYERS = {"config": set(), "amp": {"config", "denoiser"}}
+
+
+@pytest.mark.parametrize("name", sorted(LAYERS))
+def test_module_imports_only_the_layers_below(name):
+    found = sibling_imports((SRC / f"{name}.py").read_text())
+    assert found <= LAYERS[name], f"seqamp.{name} imports {sorted(found - LAYERS[name])}"
+
+
+def test_sibling_import_check_sees_both_forms():
+    source = (SRC / "amp.py").read_text()
+    assert sibling_imports(source) == {"config", "denoiser"}
+    extra = "from .scenario import Profiles\nfrom . import rng\n"
+    assert sibling_imports(source + extra) == {"config", "denoiser", "scenario", "rng"}
 
 
 def test_every_private_name_is_read():

@@ -11,9 +11,8 @@ from scipy.special import j0 as scipy_j0
 import seqamp.scenario
 from seqamp.config import CARRIER_HZ, SPEED_OF_LIGHT, SystemConfig, desk_config, doppler
 from seqamp.rng import stream
-from seqamp.scenario import (_bessel_j0, ar1_channels, derive_noise_var, gen_pilots,
-                             gen_user_profiles, make_scenario, markov_activity,
-                             synthesize_received)
+from seqamp.scenario import (_bessel_j0, ar1_channels, gen_pilots, gen_user_profiles,
+                             make_scenario, markov_activity, synthesize_received)
 
 
 def j0_series(x, terms=60):
@@ -131,15 +130,15 @@ class TestBesselJ0:
 class TestNoiseVar:
     def test_reference_psd_and_bandwidth(self):
         cfg = SystemConfig(noise_psd_dbm_hz=-169.0, bandwidth_hz=1e7)
-        assert derive_noise_var(cfg) == pytest.approx(1.2589e-13, rel=1e-4)
+        assert cfg.noise_var == pytest.approx(1.2589e-13, rel=1e-4)
 
     def test_unit_bandwidth(self):
         cfg = SystemConfig(noise_psd_dbm_hz=-169.0, bandwidth_hz=1.0)
-        assert derive_noise_var(cfg) == pytest.approx(1.2589e-20, rel=1e-4)
+        assert cfg.noise_var == pytest.approx(1.2589e-20, rel=1e-4)
 
     def test_zero_dbm_hz(self):
         cfg = SystemConfig(noise_psd_dbm_hz=0.0, bandwidth_hz=1.0)
-        assert derive_noise_var(cfg) == pytest.approx(1e-3, rel=1e-12)
+        assert cfg.noise_var == pytest.approx(1e-3, rel=1e-12)
 
 
 class TestUserProfiles:
@@ -278,7 +277,7 @@ class TestReceived:
         scn = make_scenario(cfg, 0)
         resid = scn.received - scn.pilots @ scn.sparse_signal
         emp = np.mean(np.abs(resid) ** 2)
-        assert emp == pytest.approx(derive_noise_var(cfg), rel=0.05)
+        assert emp == pytest.approx(cfg.noise_var, rel=0.05)
 
     def test_dimension_mismatch_rejected(self):
         s = gen_pilots(SystemConfig(n_users=8, pilot_len=4), stream(0, 0, "s"))

@@ -13,7 +13,6 @@ from seqamp.config import SystemConfig, desk_config
 from seqamp.denoiser import BgPrior, denoise_mean
 from seqamp.quadrature import x_moments
 from seqamp.rng import stream
-from seqamp.scenario import derive_noise_var
 from seqamp.experiments import load_config, run_se
 from seqamp.state_evolution import (NOR_REF_DBM, SeSamples, se_draws, se_fixpoint,
                                     se_sequential_trace, se_step)
@@ -105,7 +104,7 @@ def complex_se_step(c, samples, prior, cfg):
     phi = samples.x + np.sqrt(c) * samples.v
     err = denoise_mean(phi, c, prior) - samples.x
     mse = float(np.mean(err.real ** 2 + err.imag ** 2))
-    return derive_noise_var(cfg) + (cfg.n_users / cfg.pilot_len) * mse
+    return cfg.noise_var + (cfg.n_users / cfg.pilot_len) * mse
 
 
 def _finite(lo, hi):
@@ -223,8 +222,7 @@ class TestSequentialTrace:
         # nor(c_t) -> (P/P0) * noise_var as the load vanishes
         spec = load_config(None, {"pilot_len": 500, "n_adts": 2}, desk=True)
         cfg = spec.base
-        floor = 10.0 ** ((cfg.tx_power_dbm - NOR_REF_DBM) / 10.0) \
-            * derive_noise_var(cfg)
+        floor = 10.0 ** ((cfg.tx_power_dbm - NOR_REF_DBM) / 10.0) * cfg.noise_var
         rows = run_se(spec, n_samples=20_000)
         assert se_levels(rows, "amp_mmse")[-1] == pytest.approx(floor, rel=0.05)
 
