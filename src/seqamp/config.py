@@ -11,8 +11,9 @@ number of active users per measurement.
 Only settings a run may vary are fields: the carrier ``CARRIER_HZ``, the
 path loss ``PATHLOSS_INTERCEPT_DB`` and ``PATHLOSS_SLOPE``, the AMP seed
 ``amp.C0_FACTOR`` and P0 ``state_evolution.NOR_REF_DBM`` are constants, and
-the soft-threshold multiplier is calibrated per sweep point.  The noise
-and channel powers follow from the fields by the laws here.
+the soft-threshold multiplier is calibrated per sweep point.  The powers
+follow from the fields by the laws here, and SystemConfig refuses, wherever
+it is built, a Doppler argument or a power that the kernels cannot carry.
 """
 
 from __future__ import annotations
@@ -33,6 +34,16 @@ CARRIER_HZ = 3.5e9
 MAX_DOPPLER_ARG = 1e4
 PATHLOSS_INTERCEPT_DB = -128.1
 PATHLOSS_SLOPE = -36.7  # dB per decade of distance
+# Every power a run handles -- the noise, the channel power at dist_min_km
+# (the largest) and the transmit power, by which state evolution's rows
+# scale c -- is at most 1e150 W, and the channel-to-noise ratio at most
+# 1e300, so the products and quotients of two of them that the kernels form
+# (|phi|^2 * psi, c * (psi + c), |phi|^2 / c) and the SE rows' (P/P0) * c
+# stay far enough below float overflow (1.8e308) for |h|^2 above its mean.
+# At desk, with 2 ADTs, ``run`` failed from a channel power at dist_min_km
+# of 10^154.9 W at every noise power, and from a ratio of 10^310.4.
+_MAX_POWER_W = 1e150
+_MAX_SNR = 1e300
 
 
 @dataclass(frozen=True)
@@ -100,6 +111,7 @@ class SystemConfig:
         if arg > MAX_DOPPLER_ARG:
             raise ValueError(f"Doppler argument 2*pi*f_D*T_ADP = {arg:.4g} at the top "
                              f"speed exceeds {MAX_DOPPLER_ARG:g}")
+        _check_powers(self)
 
     @property
     def p01(self) -> float:
@@ -143,6 +155,43 @@ def path_loss_db(d_km: np.ndarray) -> np.ndarray:
 def channel_power(cfg: SystemConfig, pathloss_db: np.ndarray) -> np.ndarray:
     """rho_n = 10**((tx_power_dbm + pathloss_db - 30)/10) watts, per user."""
     return 10.0 ** ((cfg.tx_power_dbm + pathloss_db - 30.0) / 10.0)
+
+
+def _check_powers(cfg: SystemConfig) -> None:
+    """Raise ValueError unless the powers of ``cfg``, by the config's own
+    laws, are finite positive watts the kernels can carry.
+
+    The noise power and the channel power at both range ends must be finite
+    and positive; the noise, transmit and largest channel power (at
+    ``dist_min_km``) at most ``_MAX_POWER_W``, and the ratio of that channel
+    power to the noise at most ``_MAX_SNR``."""
+    try:
+        noise = cfg.noise_var
+    except OverflowError:
+        noise = np.inf
+    ends = np.array([cfg.dist_min_km, cfg.dist_max_km])
+    with np.errstate(over="ignore"):
+        rho_min, rho_max = channel_power(cfg, path_loss_db(ends))
+        transmit = channel_power(cfg, np.zeros(1))[0]   # no path loss
+    noise_what = (f"noise power at noise_psd_dbm_hz = {cfg.noise_psd_dbm_hz:g} "
+                  f"and bandwidth_hz = {cfg.bandwidth_hz:g}")
+    at_min = f"tx_power_dbm = {cfg.tx_power_dbm:g} and dist_min_km = {cfg.dist_min_km:g}"
+    for power, what in (
+            (noise, noise_what),
+            (rho_min, f"channel power at {at_min}"),
+            (rho_max, f"channel power at tx_power_dbm = {cfg.tx_power_dbm:g} "
+                      f"and dist_max_km = {cfg.dist_max_km:g}")):
+        if not 0.0 < power < np.inf:
+            raise ValueError(f"{what} is {power:g} W, not finite and positive")
+    for value, unit, limit, what in (
+            (noise, " W", _MAX_POWER_W, noise_what),
+            (transmit, " W", _MAX_POWER_W, f"transmit power at tx_power_dbm = "
+                                           f"{cfg.tx_power_dbm:g}"),
+            (rho_min, " W", _MAX_POWER_W, f"channel power at {at_min}"),
+            (float(rho_min) / noise, "", _MAX_SNR, f"channel-to-noise ratio at {at_min}")):
+        if value > limit:
+            raise ValueError(f"{what} is {value:g}{unit}, above the {limit:g}{unit} "
+                             f"the kernels can carry")
 
 
 def desk_config(**overrides) -> SystemConfig:

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines
-from .config import SystemConfig, channel_power, desk_config, parse_number, path_loss_db
+from .config import SystemConfig, desk_config, parse_number
 from .detection import dep_from_counts, detect_sequence, detection_counts, nmse_db
 from .scenario import Scenario, make_scenario
 from .sequential import s_amp_run
@@ -79,8 +79,9 @@ class ExperimentSpec:
 
     ``out`` is the CSV path; None leaves the choice to the command, which
     writes ``results.csv`` for ``run`` and ``se_trace.csv`` for ``se``.
-    Each sweep point's config is built once, here, and every point the
-    spec runs must pass :func:`_check_powers`.
+    Each sweep point's config is built once, here, as ``base`` with the
+    axis field replaced; SystemConfig refuses a point whose powers the
+    kernels cannot carry.  :func:`load_config` makes ``base`` the first point.
     """
 
     base: SystemConfig
@@ -113,15 +114,12 @@ class ExperimentSpec:
         for value in self.values:
             try:
                 cfg = self.base.with_(**_field_values({self.axis: value}))
-                _check_powers(cfg)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"sweep point {self.axis} = {value}: {exc}") from exc
             if cfg in points:
                 raise ConfigError(f"sweep point {self.axis} = {value} repeats {points[cfg]}")
             points[cfg] = (float(value) if self.axis == "r0"
                            else getattr(cfg, _KEY_FIELD.get(self.axis, self.axis)))
-        if not self.values:
-            _check_powers(self.base)
         object.__setattr__(self, "_points", points)
 
     @property
@@ -146,55 +144,6 @@ class MetricsRecord:
     trials: int
     wall_time_s: float
     seed: int
-
-
-# Every power a run handles -- the noise, the channel power at dist_min_km
-# (the largest) and the transmit power, by which state evolution's rows
-# scale c -- is at most 1e150 W, and the channel-to-noise ratio at most
-# 1e300, so the products and quotients of two of them that the kernels form
-# (|phi|^2 * psi, c * (psi + c), |phi|^2 / c) and the SE rows' (P/P0) * c
-# stay far enough below float overflow (1.8e308) for |h|^2 above its mean.
-# At desk, with 2 ADTs, ``run`` failed from a channel power at dist_min_km
-# of 10^154.9 W at every noise power, and from a ratio of 10^310.4.
-_MAX_POWER_W = 1e150
-_MAX_SNR = 1e300
-
-
-def _check_powers(cfg: SystemConfig) -> None:
-    """Raise ConfigError unless the powers of ``cfg``, by the config's own
-    laws, are finite positive watts the kernels can carry.
-
-    The noise power and the channel power at both range ends must be finite
-    and positive; the noise, transmit and largest channel power (at
-    ``dist_min_km``) at most ``_MAX_POWER_W``, and the ratio of that channel
-    power to the noise at most ``_MAX_SNR``."""
-    try:
-        noise = cfg.noise_var
-    except OverflowError:
-        noise = np.inf
-    ends = np.array([cfg.dist_min_km, cfg.dist_max_km])
-    with np.errstate(over="ignore"):
-        rho_min, rho_max = channel_power(cfg, path_loss_db(ends))
-        transmit = channel_power(cfg, np.zeros(1))[0]   # no path loss
-    noise_what = (f"noise power at noise_psd_dbm_hz = {cfg.noise_psd_dbm_hz:g} "
-                  f"and bandwidth_hz = {cfg.bandwidth_hz:g}")
-    at_min = f"tx_power_dbm = {cfg.tx_power_dbm:g} and dist_min_km = {cfg.dist_min_km:g}"
-    for power, what in (
-            (noise, noise_what),
-            (rho_min, f"channel power at {at_min}"),
-            (rho_max, f"channel power at tx_power_dbm = {cfg.tx_power_dbm:g} "
-                      f"and dist_max_km = {cfg.dist_max_km:g}")):
-        if not 0.0 < power < np.inf:
-            raise ConfigError(f"{what} is {power:g} W, not finite and positive")
-    for value, unit, limit, what in (
-            (noise, " W", _MAX_POWER_W, noise_what),
-            (transmit, " W", _MAX_POWER_W, f"transmit power at tx_power_dbm = "
-                                           f"{cfg.tx_power_dbm:g}"),
-            (rho_min, " W", _MAX_POWER_W, f"channel power at {at_min}"),
-            (float(rho_min) / noise, "", _MAX_SNR, f"channel-to-noise ratio at {at_min}")):
-        if value > limit:
-            raise ConfigError(f"{what} is {value:g}{unit}, above the {limit:g}{unit} "
-                              f"the kernels can carry")
 
 
 def _field_values(entries: dict) -> dict:
@@ -270,12 +219,14 @@ def _build_spec(entries: dict, desk: bool, workers: int) -> ExperimentSpec:
                           "exactly one is allowed")
     axis = sweeps[0] if sweeps else None
     values = tuple(entries[axis]) if sweeps else ()
-    scalars = {key: val for key, val in entries.items()
-               if key != axis and key in SCALAR_KEYS}
+    # the base is the first sweep point: a config that runs
+    scalars = {key: val[0] if key == axis else val for key, val in entries.items()
+               if key in SCALAR_KEYS}
     try:
         base = defaults.with_(**_field_values(scalars))
     except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+        point = f"sweep point {axis} = {values[0]}: " if axis else ""
+        raise ConfigError(f"{point}{exc}") from exc
     algorithms = ExperimentSpec.algorithms
     if "algos" in entries:
         algorithms = tuple(a.strip() for a in entries["algos"].split(",") if a.strip())

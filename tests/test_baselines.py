@@ -229,8 +229,9 @@ def lstsq_omp(y, s_mat, max_iters, target):
 
 class TestOmp:
     # scaling S, y and the noise amplitude together leaves the estimate
-    # unchanged, so a dependent-column threshold must be relative
-    @pytest.mark.parametrize("scale", [1.0, 1e-100, 1e100])
+    # unchanged, so a dependent-column threshold must be relative; at 1e80
+    # the noise power, 1.26e147 W, stays under SystemConfig's 1e150 W limit
+    @pytest.mark.parametrize("scale", [1.0, 1e-100, 1e80])
     def test_qr_refit_matches_lstsq_reference(self, scale):
         cfg = desk_config(n_adts=4)
         scaled_cfg = cfg.with_(
@@ -342,6 +343,14 @@ class TestOmp:
         x = (rng.random(100) < 0.5) * (rng.standard_normal(100) + 0j)
         res = omp(s @ x, s, cfg)
         assert res.iterations <= int(np.ceil(3 * 0.05 * 100))
+
+
+@pytest.mark.parametrize("algo", [lambda y, s, cfg: amp_soft(y, s, cfg, alpha=1.0), omp],
+                         ids=["amp_soft", "omp"])
+def test_rejects_an_observation_of_three_dimensions(algo):
+    cfg = noise_config(0.01, n_users=8, pilot_len=4)
+    with pytest.raises(ValueError, match=r"^y must be \(L,\) or \(L, k\), got shape \(4, 2, 2\)$"):
+        algo(np.ones((4, 2, 2), dtype=complex), np.ones((4, 8), dtype=complex), cfg)
 
 
 class TestOracleLs:

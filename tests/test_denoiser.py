@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from seqamp.denoiser import (BgPrior, _logistic_neg, active_branch, denoise_deriv,
                              denoise_mean, denoise_mean_parts, denoise_var, gamma,
                              log_gamma)
-from seqamp.quadrature import x_moments
+from seqamp.quadrature import _axis, x_moments
 
 from helpers import logistic
 
@@ -188,6 +188,14 @@ class TestQuadratureEquivalence:
             f_ref, g_ref = x_moments(phi, c, pi, xi, psi)
             assert complex(denoise_mean(phi, c, prior)) == pytest.approx(f_ref, rel=1e-5)
             assert float(denoise_var(phi, c, prior)) == pytest.approx(g_ref, rel=1e-5)
+
+    def test_axis_is_capped_at_20000_points(self):
+        # scales 1e6 apart would need a grid of 128k points per axis
+        assert len(_axis(0.0, 19_999.0, 1.0)) == 20_000
+        with pytest.raises(ValueError, match="^quadrature axis would need 20001 points; "):
+            _axis(0.0, 20_000.0, 1.0)
+        with pytest.raises(ValueError, match="^quadrature axis would need "):
+            x_moments(0.0, 1e-6, 0.5, 0.0, 1.0)
 
 
 prior_params = st.tuples(

@@ -78,6 +78,28 @@ POWER_LIMIT_CASES = [
      "channel-to-noise ratio at tx_power_dbm = 150.36 and dist_min_km = 0.05"),
 ]
 
+# (argv, sweep values): sweeps whose axis default is no point of theirs and
+# breaks a rule that every point meets: pilot_len 400 or 125 above n_users,
+# or the 100 us default ADP past the Doppler cap at 2e7 km/h
+FIRST_POINT_SWEEPS = [
+    (["run", "--n-users", "300", "--pilot-len", "100,200", "--n-adts", "2",
+      "--trials", "1"], [100, 200]),
+    (["se", "--desk", "--n-users", "110", "--pilot-len", "50,100", "--n-adts", "2"],
+     [50, 100]),
+    (["run", "--desk", "--trials", "1", "--n-adts", "2", "--speed-max-kmh", "2e7",
+      "--adp-duration-s", "1e-7,2e-7"], [1e-7, 2e-7]),
+]
+FIRST_POINT_IDS = ["run-pilot_len", "se-pilot_len", "run-adp_duration_s"]
+
+
+def argv_flags(argv: list[str]) -> tuple[bool, dict]:
+    """(desk, config flags) of a ``run`` or ``se`` argv of ``--flag value`` pairs."""
+    words = [w for w in argv[1:] if w != "--desk"]
+    flags = {("n_trials" if k == "--trials" else k[2:].replace("-", "_")): v
+             for k, v in zip(words[::2], words[1::2])}
+    return "--desk" in argv, flags
+
+
 config_floats = st.one_of(st.floats().map(repr),
                           st.sampled_from(["nan", "inf", "-inf", "1e999"]))
 config_values = st.one_of(
@@ -273,6 +295,24 @@ class TestConfigParsing:
     def test_every_sweep_point_resolved_at_load(self, key, values):
         with pytest.raises(ConfigError, match=f"sweep point {key} = "):
             load_config(None, {key: values})
+
+    @pytest.mark.parametrize("argv, values", FIRST_POINT_SWEEPS, ids=FIRST_POINT_IDS)
+    def test_sweep_base_is_its_first_point(self, argv, values):
+        desk, flags = argv_flags(argv)
+        spec = load_config(None, flags, desk=desk)
+        points = spec.sweep_points()
+        assert [v for v, _ in points] == values
+        assert spec.base == points[0][1]
+
+    @pytest.mark.parametrize("flags, message", [
+        ({"n_users": "300", "pilot_len": "500,100"},
+         "sweep point pilot_len = 500: pilot_len must not exceed n_users"),
+        ({"tx_power_dbm": "1540,30"}, "sweep point tx_power_dbm = 1540: transmit power "
+         "at tx_power_dbm = 1540 is 1e+151 W, above the 1e+150 W the kernels can carry"),
+    ], ids=["pilot_len", "tx_power_dbm"])
+    def test_failing_first_point_is_named(self, flags, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_config(None, flags)
 
     @settings(max_examples=300, deadline=None)
     @given(lines=st.lists(config_lines, max_size=4), desk=st.booleans())
@@ -853,6 +893,16 @@ class TestCli:
         assert err.startswith(f"config error: {what} is ")
         assert err.endswith(" the kernels can carry\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, values", FIRST_POINT_SWEEPS, ids=FIRST_POINT_IDS)
+    def test_sweep_whose_axis_default_breaks_a_rule_runs(self, tmp_path, capsys, argv,
+                                                          values):
+        out = tmp_path / "x.csv"
+        assert cli_main(argv + ["--out", str(out)]) == 0
+        assert not capsys.readouterr().err
+        column = 3 if argv[0] == "se" else 1   # se's pilot_len, run's sweep_value
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert sorted({float(r[column]) for r in rows}) == values
 
     def test_python_m_seqamp(self):
         src = Path(__file__).resolve().parents[1] / "src"

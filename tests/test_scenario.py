@@ -1,5 +1,6 @@
 """Scenario generation: geometry, traffic, channels, received signals."""
 
+import re
 from dataclasses import fields
 from fractions import Fraction
 from unittest import mock
@@ -351,6 +352,25 @@ class TestConfigValidation:
         # each once built a config that ran: pilot_len died in make_scenario,
         # seed 1.5 ran seed 1's streams, and a float32 NaN power passed
         with pytest.raises(ValueError, match=f"^{name} must be "):
+            build()
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: SystemConfig(speed_min_kmh=60.0),
+         "speeds must satisfy 0 <= speed_min_kmh <= speed_max_kmh"),
+        (lambda: SystemConfig(speed_min_kmh=-1.0),
+         "speeds must satisfy 0 <= speed_min_kmh <= speed_max_kmh"),
+        (lambda: SystemConfig(amp_iters=-1), "amp_iters must be >= 0 and n_trials >= 1"),
+        (lambda: SystemConfig(n_trials=0), "amp_iters must be >= 0 and n_trials >= 1"),
+        # a library config once escaped the power limits: se_sequential_trace
+        # on desk_config(tx_power_dbm=1700) warned of overflow and returned
+        # converged=True with c about 1.5e125
+        (lambda: SystemConfig(tx_power_dbm=1540), "transmit power at tx_power_dbm = "
+         "1540 is 1e+151 W, above the 1e+150 W the kernels can carry"),
+        (lambda: desk_config(tx_power_dbm=1700), "transmit power at tx_power_dbm = "
+         "1700 is 1e+167 W, above the 1e+150 W the kernels can carry"),
+    ], ids=["speed_order", "speed_sign", "amp_iters", "n_trials", "power", "desk_power"])
+    def test_rejects_settings_it_cannot_run(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build()
 
     def test_fields_store_python_numbers(self):
