@@ -1,4 +1,4 @@
-"""Per-ADT AMP loop: iterate pseudo-observations to convergence.
+"""Per-ADT AMP loop and the linear step every AMP loop shares.
 
 Given the received vector y, the pilot matrix S and one Bernoulli-Gaussian
 prior triple per user, the sweep is
@@ -16,6 +16,11 @@ evolution predicts this empirical c, from the same seed: the noise variance
 is the system constant cfg.noise_var and enters only through
 c0 = C0_FACTOR * noise_var, which amp_run and se_fixpoint both read.
 
+The linear step's three rules, :func:`residual` (z+), :func:`noise_level`
+(c+) and the stop test :func:`settled`, serve :func:`amp_run` (S-AMP and
+AMP-MMSE) on vectors and ``baselines.amp_soft`` on blocks with ``axis=0``;
+each loop keeps its norm form, as numpy sums the two in different orders.
+
 S^H z is formed by :func:`adjoint` as (z^H S)^H, never by materialising
 S^H: S is the right operand BLAS streams, so a column block Z costs one
 GEMM that reads S in place instead of re-packing it on every call.
@@ -30,7 +35,8 @@ import numpy as np
 from .config import SystemConfig
 from .denoiser import BgPrior, denoise_deriv, denoise_mean, denoise_var
 
-__all__ = ["AmpState", "AmpDivergenceError", "adjoint", "amp_run"]
+__all__ = ["AmpState", "AmpDivergenceError", "adjoint", "amp_run",
+           "noise_level", "residual", "settled"]
 
 REL_TOL = 1e-6      # early-exit tolerance on relative change of mu
 _REL_FLOOR = 1e-30  # denominator floor for all-zero signals
@@ -74,6 +80,25 @@ def adjoint(s_mat: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.conj(np.conj(v).T @ s_mat).T
 
 
+def residual(y, s_mat: np.ndarray, mu: np.ndarray, z: np.ndarray, deriv_sum):
+    """y - S mu + (z/L) * deriv_sum in the product's buffer (vectors or blocks)."""
+    out = s_mat @ mu
+    np.subtract(y, out, out=out)
+    out += (z / s_mat.shape[0]) * deriv_sum
+    return out
+
+
+def noise_level(z: np.ndarray, axis: int | None = None):
+    """||z||^2/L, the residual energy: a VARIANCE, like psi and noise_var."""
+    return np.linalg.norm(z, axis=axis) ** 2 / z.shape[0]
+
+
+def settled(new: np.ndarray, old: np.ndarray, axis: int | None = None):
+    """||new - old|| / ||old|| < REL_TOL, ||old|| floored at _REL_FLOOR."""
+    return (np.linalg.norm(new - old, axis=axis)
+            / np.maximum(np.linalg.norm(old, axis=axis), _REL_FLOOR) < REL_TOL)
+
+
 def amp_run(y: np.ndarray, s_mat: np.ndarray, priors: BgPrior,
             cfg: SystemConfig) -> AmpState:
     """Run sweeps until the mu change falls below REL_TOL or the cap I hits.
@@ -85,12 +110,11 @@ def amp_run(y: np.ndarray, s_mat: np.ndarray, priors: BgPrior,
     iteration budget the starting state comes back.  Raises
     AmpDivergenceError, naming the sweep, when c goes non-finite.
     """
-    l_dim, n = s_mat.shape
+    n = s_mat.shape[1]
     mu = np.zeros(n, dtype=complex)
     v = np.zeros(n, dtype=float)
     z = np.asarray(y, dtype=complex).copy()
     c = float(C0_FACTOR * cfg.noise_var)
-    phi = np.zeros(n, dtype=complex)
     sweeps = 0
     converged = False
     while sweeps < cfg.amp_iters and not converged:
@@ -98,24 +122,14 @@ def amp_run(y: np.ndarray, s_mat: np.ndarray, priors: BgPrior,
         phi = adjoint(s_mat, z) + mu
         mu_new = denoise_mean(phi, c, priors)
         v = denoise_var(phi, c, priors)
-        onsager = (z / l_dim) * np.sum(denoise_deriv(phi, c, priors))
-        # y - S mu_new + onsager, formed in the product's buffer
-        z = s_mat @ mu_new
-        np.subtract(y, z, out=z)
-        z += onsager
-        # ||z||^2/L: the residual-energy estimate of the effective noise
-        # VARIANCE (c pairs with psi and noise_var everywhere, so it must
-        # carry variance units).  The tiny floor only engages when z is
-        # exactly zero (all-zero observations) and keeps c > 0.  A
-        # non-finite mu_new makes S mu_new, z and so c non-finite: c alone
-        # is tested.
-        c = float(max(np.linalg.norm(z) ** 2 / l_dim, _C_FLOOR))
+        z = residual(y, s_mat, mu_new, z, np.sum(denoise_deriv(phi, c, priors)))
+        # the floor keeps c > 0 for the denoiser, which divides by c, when z
+        # is exactly zero; a non-finite mu_new makes z and so c non-finite
+        c = float(max(noise_level(z), _C_FLOOR))
         if not np.isfinite(c):
             raise AmpDivergenceError(
                 f"non-finite AMP iterate at sweep {sweeps} (c={c!r})")
-        num = np.linalg.norm(mu_new - mu)
-        converged = bool(num / max(np.linalg.norm(mu), _REL_FLOOR) < REL_TOL)
+        converged = bool(settled(mu_new, mu))
         mu = mu_new
-    if sweeps:
-        phi = adjoint(s_mat, z) + mu
+    phi = adjoint(s_mat, z) + mu if sweeps else np.zeros(n, dtype=complex)
     return AmpState(mu, v, z, c, phi, sweeps, converged)

@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amp import REL_TOL, _REL_FLOOR, AmpDivergenceError, adjoint
+from .amp import AmpDivergenceError, adjoint, noise_level, residual, settled
 from .config import SystemConfig
 from .detection import metric_nmse
 from .scenario import Scenario
-from .sequential import SequenceResult, _run_sequence
+from .sequential import SequenceResult, run_sequence
 
 __all__ = [
     "BaselineResult",
@@ -62,7 +62,7 @@ class BaselineResult:
 
 def amp_mmse(scenario: Scenario, cfg: SystemConfig) -> SequenceResult:
     """Static-prior AMP per ADT: (lam, 0, rho_n) everywhere, no propagation."""
-    return _run_sequence(scenario, cfg, propagate=False)
+    return run_sequence(scenario, cfg, propagate=False)
 
 
 def _column_alphas(alpha, k: int) -> np.ndarray:
@@ -88,26 +88,26 @@ def amp_soft(y: np.ndarray, s_mat: np.ndarray, cfg: SystemConfig,
     thresholds; ``alpha`` is a scalar or one value per column, in a run the
     calibrated one.  Each column runs its own recursion: its own ``c``,
     seeded at ||y||^2/L (a noise-scale seed would make the first estimate
-    dense and the Onsager feedback explosive), its own threshold, Onsager
-    sum, divergence check (a non-finite ``c``, as in :func:`amp.amp_run`)
-    and stop test ||mu_new - mu|| / ||mu_new|| < REL_TOL.
-    A column that stops leaves the block, so each sweep is one S^H Z and
-    one S M product over the columns still running.  The Onsager term uses
-    the a.e. derivative of the denoiser, 1 - alpha*sqrt(c)/(2|phi|) on the
-    unclipped set.
+    dense and the Onsager feedback explosive), threshold, Onsager sum and
+    divergence check (a non-finite ``c``, as in :func:`amp.amp_run`).  Its
+    residual, ``c`` and stop test are S-AMP's ``amp.residual``,
+    ``amp.noise_level`` and ``amp.settled``: a column stops when
+    ||mu_new - mu|| / ||mu|| < 1e-6, relative to the previous iterate,
+    and leaves the block, so each sweep is one S^H Z and one S M product
+    over the columns still running.  The Onsager term uses the denoiser's
+    a.e. derivative, 1 - alpha*sqrt(c)/(2|phi|) on the unclipped set.
 
     A 1-D ``y`` returns an (N,) estimate; a block returns an (N, k) one and
-    the summed sweeps.  Columns
-    that had not met the stop test after cfg.amp_iters sweeps are counted
-    in ``cap_hits``.  Raises
-    ValueError for an alpha that is not finite and positive, and
-    AmpDivergenceError naming the columns that went non-finite.
+    the summed sweeps.  Columns that had not met the stop test after
+    cfg.amp_iters sweeps are counted in ``cap_hits``.  Raises ValueError for
+    an alpha that is not finite and positive, and AmpDivergenceError naming
+    the columns that went non-finite.
     """
     y = np.asarray(y, dtype=complex)
     if y.ndim not in (1, 2):
         raise ValueError(f"y must be (L,) or (L, k), got shape {y.shape}")
     block = y.reshape(y.shape[0], -1)
-    l_dim, n = s_mat.shape
+    n = s_mat.shape[1]
     k = block.shape[1]
     alphas = _column_alphas(alpha, k)
 
@@ -116,7 +116,7 @@ def amp_soft(y: np.ndarray, s_mat: np.ndarray, cfg: SystemConfig,
     # the columns still running, and their compacted state
     run = np.arange(k)
     y_run, z_run, mu_run, a_run = block, block, mu, alphas
-    c_run = np.linalg.norm(z_run, axis=0) ** 2 / l_dim
+    c_run = noise_level(z_run, axis=0)
     for it in range(1, cfg.amp_iters + 1):
         phi = adjoint(s_mat, z_run) + mu_run
         thr = a_run * np.sqrt(c_run)
@@ -124,8 +124,8 @@ def amp_soft(y: np.ndarray, s_mat: np.ndarray, cfg: SystemConfig,
         ratio = thr / np.maximum(mag, 1e-300)
         mu_new = phi * np.maximum(1.0 - ratio, 0.0)
         deriv_sum = np.where(mag > thr, 1.0 - 0.5 * ratio, 0.0).sum(axis=0)
-        z_run = y_run - s_mat @ mu_new + (z_run / l_dim) * deriv_sum
-        c_run = np.linalg.norm(z_run, axis=0) ** 2 / l_dim
+        z_run = residual(y_run, s_mat, mu_new, z_run, deriv_sum)
+        c_run = noise_level(z_run, axis=0)
         # column j of S M reads only column j of M: c flags just the diverged columns
         bad = ~np.isfinite(c_run)
         if bad.any():
@@ -133,11 +133,9 @@ def amp_soft(y: np.ndarray, s_mat: np.ndarray, cfg: SystemConfig,
             raise AmpDivergenceError(
                 f"column{'s' if cols.size > 1 else ''} {', '.join(map(str, cols))}: "
                 f"soft-threshold AMP diverged at sweep {it}")
-        step = (np.linalg.norm(mu_new - mu_run, axis=0)
-                / np.maximum(np.linalg.norm(mu_new, axis=0), _REL_FLOOR))
+        done = settled(mu_new, mu_run, axis=0)
         mu_run = mu_new
         iterations += run.size
-        done = step < REL_TOL
         if done.any():
             mu[:, run[done]] = mu_run[:, done]
             keep = ~done
@@ -258,7 +256,9 @@ def omp(y: np.ndarray, s_mat: np.ndarray, cfg: SystemConfig) -> BaselineResult:
     remaining column), stops it at the rank limit; a dependent column is
     not added.  A 1-D ``y`` returns an (N,) estimate, a block an (N, k)
     one; ``iterations`` counts the selections and ``hit_rank_limit`` the
-    columns stopped at the rank limit."""
+    columns stopped at the rank limit.  BLAS sums Q^H y over a strided ``y``
+    in another order than over a contiguous one, so the estimate depends on
+    ``y``'s stride at rounding level (5.8e-20 at desk)."""
     y = np.asarray(y, dtype=complex)
     if y.ndim not in (1, 2):
         raise ValueError(f"y must be (L,) or (L, k), got shape {y.shape}")

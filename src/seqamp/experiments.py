@@ -81,7 +81,7 @@ class ExperimentSpec:
     writes ``results.csv`` for ``run`` and ``se_trace.csv`` for ``se``.
     Each sweep point's config is built once, here, as ``base`` with the
     axis field replaced; SystemConfig refuses a point whose powers the
-    kernels cannot carry.  :func:`load_config` makes ``base`` the first point.
+    kernels cannot carry.  ``base`` is the first point that builds.
     """
 
     base: SystemConfig
@@ -219,14 +219,19 @@ def _build_spec(entries: dict, desk: bool, workers: int) -> ExperimentSpec:
                           "exactly one is allowed")
     axis = sweeps[0] if sweeps else None
     values = tuple(entries[axis]) if sweeps else ()
-    # the base is the first sweep point: a config that runs
-    scalars = {key: val[0] if key == axis else val for key, val in entries.items()
-               if key in SCALAR_KEYS}
-    try:
-        base = defaults.with_(**_field_values(scalars))
-    except (TypeError, ValueError) as exc:
-        point = f"sweep point {axis} = {values[0]}: " if axis else ""
-        raise ConfigError(f"{point}{exc}") from exc
+    # base: the first point that builds; points all failing alike blame a fixed setting
+    fixed = {key: val for key, val in entries.items() if key in SCALAR_KEYS and key != axis}
+    errors = []
+    for point in [{axis: value} for value in values] or [{}]:
+        try:
+            base = defaults.with_(**_field_values({**fixed, **point}))
+            break
+        except (TypeError, ValueError) as exc:
+            errors.append(exc)
+    else:
+        alike = len({str(exc) for exc in errors}) == 1
+        point = "" if alike else f"sweep point {axis} = {values[0]}: "
+        raise ConfigError(f"{point}{errors[0]}") from errors[0]
     algorithms = ExperimentSpec.algorithms
     if "algos" in entries:
         algorithms = tuple(a.strip() for a in entries["algos"].split(",") if a.strip())

@@ -41,6 +41,7 @@ __all__ = [
     "moment_match",
     "posterior_update",
     "prior_propagate",
+    "run_sequence",
     "s_amp_run",
 ]
 
@@ -122,8 +123,8 @@ def prior_propagate(post: PosteriorSummary, eta: np.ndarray, rho: np.ndarray,
     return BgPrior(pi_next, xi_next, psi_next)
 
 
-def _run_sequence(scenario: Scenario, cfg: SystemConfig,
-                  propagate: bool) -> SequenceResult:
+def run_sequence(scenario: Scenario, cfg: SystemConfig,
+                 propagate: bool) -> SequenceResult:
     """Shared driver: AMP per ADT, moment matching, optional propagation.
 
     ``propagate=False`` reuses the first-frame prior at every ADT, which is
@@ -150,4 +151,4 @@ def _run_sequence(scenario: Scenario, cfg: SystemConfig,
 
 def s_amp_run(scenario: Scenario, cfg: SystemConfig) -> SequenceResult:
     """Full sequential run over all ADTs with historical priors."""
-    return _run_sequence(scenario, cfg, propagate=True)
+    return run_sequence(scenario, cfg, propagate=True)

@@ -304,12 +304,19 @@ class TestConfigParsing:
         assert [v for v, _ in points] == values
         assert spec.base == points[0][1]
 
+    # a point is named when it fails and another builds, or when every point
+    # fails with its own message; points all failing alike blame a fixed setting
     @pytest.mark.parametrize("flags, message", [
         ({"n_users": "300", "pilot_len": "500,100"},
          "sweep point pilot_len = 500: pilot_len must not exceed n_users"),
         ({"tx_power_dbm": "1540,30"}, "sweep point tx_power_dbm = 1540: transmit power "
          "at tx_power_dbm = 1540 is 1e+151 W, above the 1e+150 W the kernels can carry"),
-    ], ids=["pilot_len", "tx_power_dbm"])
+        ({"n_users": "10", "pilot_len": "5,20"},
+         "sweep point pilot_len = 20: pilot_len must not exceed n_users"),
+        ({"tx_power_dbm": "1700,2000"}, "sweep point tx_power_dbm = 1700: transmit power "
+         "at tx_power_dbm = 1700 is 1e+167 W, above the 1e+150 W the kernels can carry"),
+        ({"n_users": "10", "tx_power_dbm": "27,30"}, "pilot_len must not exceed n_users"),
+    ], ids=["pilot_len", "tx_power_dbm", "later_point", "every_point", "fixed_setting"])
     def test_failing_first_point_is_named(self, flags, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             load_config(None, flags)

@@ -7,9 +7,10 @@ binding the benchmark's tracing wraps (``perfbench/bench_trace.SITES``)
 must exist, or the benchmark fails inside its run.  No module keeps an
 import it does not use, unless that import is such a traced binding, and
 no module keeps a private function, class or constant that nothing in the
-package reads.  The physical laws stay below the modules that use them:
-``config`` imports no sibling module, and ``amp`` imports only ``config``
-and ``denoiser``.
+package reads or imports a private name from a sibling module: what two
+modules share is public.  The physical laws stay below the modules that
+use them: ``config`` imports no sibling module, and ``amp`` imports only
+``config`` and ``denoiser``.
 """
 
 import ast
@@ -96,6 +97,13 @@ def sibling_imports(source: str) -> set[str]:
     return names
 
 
+def private_imports(source: str) -> list[str]:
+    """The private names a module imports from its sibling modules."""
+    return sorted(a.name for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom) and node.level == 1
+                  for a in node.names if a.name.startswith("_"))
+
+
 def package_sources() -> dict[str, str]:
     return {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
 
@@ -149,6 +157,19 @@ def test_unread_private_check_catches_a_leftover_helper():
     sources["denoiser"] += "\n\ndef _helper(t):\n    return _logistic_neg(t)\n"
     sources["sequential"] += "\n_LEFTOVER = 1e-12\n"
     assert unread_privates(sources) == ["denoiser._helper", "sequential._LEFTOVER"]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_imports_no_private_sibling_name(name):
+    found = private_imports((SRC / f"{name}.py").read_text())
+    assert not found, f"seqamp.{name} imports private {found}"
+
+
+def test_private_import_check_sees_only_sibling_imports():
+    source = ("from .amp import REL_TOL, _REL_FLOOR\nfrom . import _probe\n"
+              "from .amp import adjoint as _adjoint\n"
+              "from numpy.linalg import _umath_linalg\n")
+    assert private_imports(source) == ["_REL_FLOOR", "_probe"]
 
 
 @pytest.mark.parametrize("name", MODULES)
